@@ -45,10 +45,16 @@ def _shapes(*tensors: Tensor) -> str:
     return " vs ".join(str(t.shape) for t in tensors)
 
 
-def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+def matmul(tape: Tape, a: Tensor, b: Tensor, row_stable: bool = False) -> Tensor:
+    """a @ b. row_stable computes every row as its own vector-matrix product,
+    so a row's bits depend on that row alone and never on how many rows come
+    with it (a BLAS matrix product may change them with the batch size)."""
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {_shapes(a, b)}")
-    out = Tensor(a.value @ b.value)
+    if row_stable:
+        out = Tensor(np.matmul(a.value[:, None, :], b.value)[:, 0, :])
+    else:
+        out = Tensor(a.value @ b.value)
 
     def backward(g, grads):
         grads.add(a, g @ b.value.T)
@@ -143,9 +149,11 @@ def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False)
     """out[i] = sum of h[j] over j in groups[i]; groups may be a list of index
     sequences or a precomputed (src, dst) pair from group_index().
 
-    value_sorted accumulates each group in lexicographic order of the summed
-    rows instead of index order, making the float result a function of the
-    value multiset alone (used by inference for isomorphism-invariant output).
+    Without value_sorted, rows are added in index order. With it, each
+    column's values within a group are added in ascending order, so every
+    output cell is a function of that column's value multiset alone (used by
+    inference for isomorphism-invariant output). Either way a column's sums
+    do not depend on the other columns.
     """
     if isinstance(groups, tuple) and len(groups) == 2:
         src, dst = groups
@@ -153,16 +161,11 @@ def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False)
     else:
         src, dst = group_index(groups)
         n_out = len(groups)
-    if value_sorted and len(src):
-        rows = h.value[src]
-        if rows.ndim == 1:
-            keys = (rows, dst)
-        else:
-            keys = tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1)) + (dst,)
-        order = np.lexsort(keys)
-        src, dst = src[order], dst[order]
-    out_val = np.zeros((n_out,) + h.shape[1:], dtype=np.float64)
-    np.add.at(out_val, dst, h.value[src])
+    if value_sorted:
+        out_val = _sorted_column_sums(h.value, src, dst, n_out)
+    else:
+        out_val = np.zeros((n_out,) + h.shape[1:], dtype=np.float64)
+        np.add.at(out_val, dst, h.value[src])
     out = Tensor(out_val)
 
     def backward(g, grads):
@@ -172,6 +175,22 @@ def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False)
 
     tape.push(out, (h,), backward)
     return out
+
+
+def _sorted_column_sums(values: np.ndarray, src, dst, n_out: int) -> np.ndarray:
+    """Group sums with each column's addends in ascending order. Groups of
+    equal size are gathered into one (groups, size, columns) array, sorted
+    along the size axis and accumulated left to right."""
+    cols = values if values.ndim == 2 else values[:, None]
+    out = np.zeros((n_out, cols.shape[1]), dtype=np.float64)
+    src = src[np.argsort(dst, kind="stable")]
+    counts = np.bincount(dst, minlength=n_out)
+    starts = np.cumsum(counts) - counts
+    for size in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == size)
+        cells = np.sort(cols[src[starts[rows, None] + np.arange(size)]], axis=1)
+        out[rows] = np.add.accumulate(cells, axis=1)[:, -1]
+    return out.reshape((n_out,) + values.shape[1:])
 
 
 def take_rows(tape: Tape, h: Tensor, idx) -> Tensor:

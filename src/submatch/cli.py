@@ -17,12 +17,13 @@ import numpy as np
 
 from .config import ConfigError, build_dataclass, parse_kv_file, split_sections
 from .datasets import gen_er, gen_extended_barabasi
-from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
+from .encoder import CheckpointError, EncoderConfig, load_checkpoint, save_checkpoint
 from .evaluate import bench as run_bench
 from .evaluate import make_problem1_instances, write_bench_outputs
 from .graphs import GraphError, LabeledGraph, load_graph, save_graph
 from .order import MarginConfig
 from .query import (
+    IndexError_,
     alignment,
     build_index,
     calibrate_decision_cutoff,
@@ -174,7 +175,7 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     g = load_graph(args.graph)
-    index = build_index(g, checkpoint, k=args.k, workers=args.workers)
+    index = build_index(g, checkpoint, k=args.k)
     save_index(index, args.out)
     print(f"indexed {index.node_count} nodes at radius {index.radius} -> {args.out}")
     return 0
@@ -190,11 +191,15 @@ def cmd_query(args) -> int:
     if args.target:
         target = load_graph(args.target)
         if not args.index:
-            index = build_index(target, checkpoint, workers=args.workers)
+            index = build_index(target, checkpoint)
+        elif index.graph_fingerprint != target.fingerprint():
+            raise ConfigError(
+                f"index {args.index} was built from another graph than {args.target}"
+            )
     elif not args.index:
         raise ConfigError("query needs --index or --target")
 
-    query_embs = embed_query_nodes(query, checkpoint, index.radius, workers=args.workers)
+    query_embs = embed_query_nodes(query, checkpoint, index.radius)
     matrix = alignment(query, index, checkpoint, query_embs=query_embs)
     vote_mask = None
     if args.vote:
@@ -283,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("query", help="decide whether a query embeds in a target")
@@ -294,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vote", action="store_true")
     p.add_argument("--per-node", action="store_true")
     p.add_argument("--alignment-csv")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("bench", help="runtime/accuracy benchmark over methods")
@@ -326,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ConfigError, GraphError, FileNotFoundError) as exc:
+    except (ConfigError, GraphError, CheckpointError, IndexError_, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

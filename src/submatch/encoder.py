@@ -12,8 +12,8 @@ stay in the nonnegative orthant the order geometry requires.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -129,59 +129,54 @@ def build_input_features(n: AnchoredNeighborhood, cfg: EncoderConfig) -> np.ndar
 
 
 class _Block:
-    """Disjoint union of a batch of neighborhoods, encoded in one pass."""
+    """Disjoint union of a batch of neighborhoods, encoded in one pass.
+
+    index is the (src, dst) pair of every directed edge, grouped by dst in
+    node order; label_indexes holds the same pairs split by edge label.
+    """
 
     def __init__(self, neighborhoods: list[AnchoredNeighborhood], cfg: EncoderConfig):
-        feats = []
-        anchors = []
+        feats, anchors, srcs, dsts, edge_labels = [], [], [], [], []
         offset = 0
-        groups: list[list[int]] = []
-        label_groups: list[list[list[int]]] = [
-            [] for _ in range(max(cfg.edge_label_count, 0))
-        ]
         for nh in neighborhoods:
+            g = nh.graph
             feats.append(build_input_features(nh, cfg))
             anchors.append(offset + nh.anchor)
-            g = nh.graph
-            for v in range(g.node_count):
-                groups.append([offset + w for w in g.adjacency[v]])
-                for lab in range(cfg.edge_label_count):
-                    label_groups[lab].append(
-                        [
-                            offset + w
-                            for w in g.adjacency[v]
-                            if (g.edge_label(v, w) or 0) == lab
-                        ]
-                    )
+            degrees = [len(nbrs) for nbrs in g.adjacency]
+            srcs.append(offset + np.fromiter(
+                chain.from_iterable(g.adjacency), dtype=np.intp, count=sum(degrees)))
+            dsts.append(offset + np.repeat(np.arange(g.node_count, dtype=np.intp), degrees))
+            if cfg.edge_label_count > 0:
+                edge_labels += [
+                    g.edge_label(v, w) or 0
+                    for v in range(g.node_count) for w in g.adjacency[v]
+                ]
             offset += g.node_count
-        self.features = np.concatenate(feats, axis=0) if feats else np.zeros((0, cfg.input_dim))
+        self.features = np.concatenate(feats) if feats else np.zeros((0, cfg.input_dim))
         self.anchors = np.asarray(anchors, dtype=np.intp)
-        self.index = ad.group_index(groups)
-        self.label_indexes = [ad.group_index(gs) for gs in label_groups]
+        src = np.concatenate(srcs) if srcs else np.empty(0, dtype=np.intp)
+        dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=np.intp)
+        self.index = (src, dst)
+        edge_labels = np.asarray(edge_labels, dtype=np.intp)
+        self.label_indexes = [
+            (src[edge_labels == lab], dst[edge_labels == lab])
+            for lab in range(cfg.edge_label_count)
+        ]
 
 
 def _forward(
-    tape: ad.Tape,
-    block: _Block,
-    params: dict[str, ad.Tensor],
-    cfg: EncoderConfig,
-    canonical: bool = False,
+    tape: ad.Tape, block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig
 ) -> ad.Tensor:
-    # canonical mode accumulates neighbor sums in value order, which makes the
-    # output a bit-exact isomorphism invariant; training keeps the fast path
+    """Training forward pass: neighbor sums in index order, BLAS matmuls."""
     x = ad.Tensor(block.features)
     for k in range(cfg.layers):
         if cfg.edge_label_count > 0:
             agg = x
             for lab in range(cfg.edge_label_count):
-                msg = ad.row_sum_aggregate(
-                    tape, x, block.label_indexes[lab], value_sorted=canonical
-                )
+                msg = ad.row_sum_aggregate(tape, x, block.label_indexes[lab])
                 agg = ad.add(tape, agg, ad.matmul(tape, msg, params[f"layer{k}.edge{lab}"]))
         else:
-            agg = ad.add(
-                tape, x, ad.row_sum_aggregate(tape, x, block.index, value_sorted=canonical)
-            )
+            agg = ad.add(tape, x, ad.row_sum_aggregate(tape, x, block.index))
         h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
         h = ad.leaky_relu(tape, h, cfg.leaky_slope)
         h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])
@@ -189,6 +184,63 @@ def _forward(
     final = ad.take_rows(tape, x, block.anchors)
     z = ad.add(tape, ad.matmul(tape, final, params["out.w"]), params["out.b"])
     return ad.relu(tape, z)
+
+
+def _infer(block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig) -> np.ndarray:
+    """Canonical inference forward pass; row i embeds the block's i-th
+    neighborhood.
+
+    A row's bits depend only on the isomorphism class of its anchored
+    neighborhood, never on node numbering or on the rest of the block:
+    neighbor sums add each column's values in ascending order, and every
+    matmul row is computed on its own. Two shortcuts leave the bits alone:
+    the neighbor sum of concat(h, x) is concat(sum h, sum x), so each layer
+    aggregates only the newest column block; and layer k computes only nodes
+    within layers-1-k hops of an anchor, since no other node's layer-k output
+    reaches an anchor's embedding.
+    """
+    tape = ad.Tape(record=False)
+
+    def dense(a: np.ndarray, name: str) -> np.ndarray:
+        return ad.matmul(tape, ad.Tensor(a), params[name], row_stable=True).value
+
+    src, dst = block.index
+    reach = np.zeros(len(block.features), dtype=bool)
+    reach[block.anchors] = True
+    needed = []  # needed[k]: the nodes layer k must compute
+    for _ in range(cfg.layers):
+        needed.insert(0, reach)
+        reach = reach.copy()
+        reach[src[reach[dst]]] = True
+
+    indexes = block.label_indexes if cfg.edge_label_count > 0 else [block.index]
+    xs = [block.features]  # x as column blocks, oldest first; x = concat(reversed(xs))
+    sums: list[list[np.ndarray]] = [[] for _ in indexes]  # their neighbor sums, per edge label
+    for k in range(cfg.layers):
+        for parts, (s_idx, d_idx) in zip(sums, indexes):
+            keep = needed[k][d_idx]
+            parts.append(ad.row_sum_aggregate(
+                tape, ad.Tensor(xs[-1]), (s_idx[keep], d_idx[keep]), value_sorted=True
+            ).value)
+        rows = np.flatnonzero(needed[k])
+        agg = _gather(xs, rows)
+        if cfg.edge_label_count > 0:
+            for lab, parts in enumerate(sums):
+                agg = agg + dense(_gather(parts, rows), f"layer{k}.edge{lab}")
+        else:
+            agg = agg + _gather(sums[0], rows)
+        h = dense(agg, f"layer{k}.w1") + params[f"layer{k}.b1"].value
+        h = np.where(h > 0.0, h, h * cfg.leaky_slope)
+        fresh = np.zeros((len(block.features), cfg.hidden_dim))
+        fresh[rows] = dense(h, f"layer{k}.w2") + params[f"layer{k}.b2"].value
+        xs.append(fresh)
+    z = dense(_gather(xs, block.anchors), "out.w") + params["out.b"].value
+    return np.maximum(z, 0.0)
+
+
+def _gather(parts: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Rows of concat(reversed(parts)), the newest part's columns first."""
+    return np.concatenate([p[rows] for p in reversed(parts)], axis=1)
 
 
 def _as_tensors(params: dict[str, np.ndarray]) -> dict[str, ad.Tensor]:
@@ -221,46 +273,28 @@ def encode(
     """
     if tape is not None:
         return encode_batch(tape, [n], _as_tensors(params), cfg)
-    out = _forward(
-        ad.Tape(record=False), _Block([n], cfg), _as_tensors(params), cfg, canonical=True
-    )
-    return out.value[0]
+    return _infer(_Block([n], cfg), _as_tensors(params), cfg)[0]
+
+
+CHUNK_ROWS = 4096  # nodes per inference block in encode_all
 
 
 def encode_all(
-    g: LabeledGraph,
-    k: int,
-    params: dict[str, np.ndarray],
-    cfg: EncoderConfig,
-    workers: int = 1,
-    chunk_size: int = 64,
-) -> dict[int, np.ndarray]:
-    """Embedding of every node's k-hop neighborhood, each computed exactly as
-    an individual encode() call. Chunks may run on a thread pool; results
-    merge by node id, so worker count never changes the output."""
+    g: LabeledGraph, k: int, params: dict[str, np.ndarray], cfg: EncoderConfig
+) -> np.ndarray:
+    """Embeddings of every node's k-hop neighborhood, row u for node u, each
+    bit for bit what encode() returns for it. Neighborhoods are encoded in
+    blocks of about CHUNK_ROWS nodes."""
     tensors = _as_tensors(params)
-    nodes = list(range(g.node_count))
-    chunks = [nodes[i : i + chunk_size] for i in range(0, len(nodes), chunk_size)]
-
-    def run(chunk: list[int]) -> list[np.ndarray]:
-        out = []
-        for u in chunk:
-            nh = k_hop_neighborhood(g, u, k)
-            z = _forward(
-                ad.Tape(record=False), _Block([nh], cfg), tensors, cfg, canonical=True
-            )
-            out.append(z.value[0])
-        return out
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(c) for c in chunks]
-    out: dict[int, np.ndarray] = {}
-    for chunk, vals in zip(chunks, results):
-        for u, z in zip(chunk, vals):
-            out[u] = z
+    out = np.zeros((g.node_count, cfg.output_dim))
+    chunk: list[AnchoredNeighborhood] = []
+    rows = first = 0
+    for u in range(g.node_count):
+        chunk.append(k_hop_neighborhood(g, u, k))
+        rows += chunk[-1].node_count
+        if rows >= CHUNK_ROWS or u == g.node_count - 1:
+            out[first : u + 1] = _infer(_Block(chunk, cfg), tensors, cfg)
+            chunk, rows, first = [], 0, u + 1
     return out
 
 

@@ -201,7 +201,6 @@ def bench_neural(
     instances: list[BenchInstance],
     checkpoint,
     use_vote: bool = False,
-    workers: int = 1,
 ) -> tuple[list[BenchResult], dict[str, float]]:
     """Time the online query path with indexes prebuilt. Index-build wall time
     is reported separately as the offline cost."""
@@ -220,7 +219,7 @@ def bench_neural(
         key = inst.target.fingerprint()
         if key not in indexes:
             start = time.perf_counter()
-            indexes[key] = build_index(inst.target, checkpoint, workers=workers)
+            indexes[key] = build_index(inst.target, checkpoint)
             index_time += time.perf_counter() - start
     results = []
     for inst in instances:

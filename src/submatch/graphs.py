@@ -1,7 +1,7 @@
 """Labeled undirected graphs and anchored k-hop neighborhoods.
 
 The graph representation is immutable after construction so that samplers,
-matchers and encoders can share instances across workers without copying.
+matchers and encoders can share instances without copying.
 """
 
 from __future__ import annotations

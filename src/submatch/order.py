@@ -39,28 +39,26 @@ def violation(z_q: np.ndarray, z_u: np.ndarray) -> float:
     return float(np.dot(diff, diff))
 
 
-def violation_matrix(
-    query_embs: np.ndarray, target_embs: np.ndarray, chunk: int = 128
-) -> np.ndarray:
+BLOCK_CELLS = 1 << 14  # cap on the (rows, n_q, D) difference buffer
+
+
+def violation_matrix(query_embs: np.ndarray, target_embs: np.ndarray) -> np.ndarray:
     """All-pairs violations: rows are target nodes, columns query nodes.
 
-    Pairs are evaluated in fixed-size chunks, which caps the intermediate
-    buffer regardless of graph sizes and keeps the per-score cost uniform.
+    Target rows are broadcast against all query rows in blocks of at most
+    BLOCK_CELLS differences, which caps the buffer whatever the graph sizes.
+    Each entry is reduced on its own, so its bits do not depend on the block.
     """
     q = np.asarray(query_embs, dtype=np.float64)  # (n_q, D)
     t = np.asarray(target_embs, dtype=np.float64)  # (n_t, D)
     if q.ndim != 2 or t.ndim != 2 or q.shape[1] != t.shape[1]:
         raise ValueError(f"dimension mismatch: {q.shape} vs {t.shape}")
-    n_t, n_q = t.shape[0], q.shape[0]
-    total = n_t * n_q
-    t_idx = np.repeat(np.arange(n_t), n_q)
-    q_idx = np.tile(np.arange(n_q), n_t)
-    out = np.empty(total)
-    for start in range(0, total, chunk):
-        end = min(start + chunk, total)
-        diff = np.maximum(0.0, q[q_idx[start:end]] - t[t_idx[start:end]])
-        out[start:end] = np.einsum("ij,ij->i", diff, diff)
-    return out.reshape(n_t, n_q)
+    out = np.empty((t.shape[0], q.shape[0]))
+    rows = max(1, BLOCK_CELLS // max(1, q.size))
+    for start in range(0, t.shape[0], rows):
+        diff = np.maximum(0.0, q[None, :, :] - t[start : start + rows, None, :])
+        out[start : start + rows] = np.einsum("tqd,tqd->tq", diff, diff)
+    return out
 
 
 def predict_subgraph(z_q: np.ndarray, z_u: np.ndarray, cfg: MarginConfig) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import Checkpoint, encode_all
-from .graphs import LabeledGraph
+from .graphs import GraphError, LabeledGraph
 from .order import MarginConfig, predict_subgraph, violation, violation_matrix
 from .util import atomic_write_text
 
@@ -44,20 +44,14 @@ class EmbeddingIndex:
         return self.matrix[u]
 
 
-def build_index(
-    g: LabeledGraph, checkpoint: Checkpoint, k: int | None = None, workers: int = 1
-) -> EmbeddingIndex:
+def build_index(g: LabeledGraph, checkpoint: Checkpoint, k: int | None = None) -> EmbeddingIndex:
     """Embed every node of g over its k-hop neighborhood (k defaults to the
     radius the checkpoint was trained at)."""
     radius = checkpoint.radius if k is None else k
-    embs = encode_all(g, radius, checkpoint.params, checkpoint.config, workers=workers)
-    matrix = np.stack([embs[u] for u in range(g.node_count)]) if g.node_count else (
-        np.zeros((0, checkpoint.config.output_dim))
-    )
     return EmbeddingIndex(
         graph_fingerprint=g.fingerprint(),
         radius=radius,
-        matrix=matrix,
+        matrix=encode_all(g, radius, checkpoint.params, checkpoint.config),
         checkpoint_fingerprint=checkpoint.fingerprint(),
     )
 
@@ -84,8 +78,14 @@ def load_index(path, checkpoint: Checkpoint | None = None) -> EmbeddingIndex:
         matrix=np.asarray(obj["embeddings"], dtype=np.float64),
         checkpoint_fingerprint=obj["checkpoint_fingerprint"],
     )
-    if checkpoint is not None and index.checkpoint_fingerprint != checkpoint.fingerprint():
-        raise IndexError_("index was built with a different checkpoint")
+    if checkpoint is not None:
+        if index.checkpoint_fingerprint != checkpoint.fingerprint():
+            raise IndexError_("index was built with a different checkpoint")
+        if index.matrix.shape[1] != checkpoint.config.output_dim:
+            raise IndexError_(
+                f"index embeddings have width {index.matrix.shape[1]}, the checkpoint's "
+                f"output_dim is {checkpoint.config.output_dim}"
+            )
     return index
 
 
@@ -96,12 +96,15 @@ def match_neighborhoods(
     return predict_subgraph(q_emb, u_emb, cfg), violation(q_emb, u_emb)
 
 
-def embed_query_nodes(
-    query: LabeledGraph, checkpoint: Checkpoint, k: int, workers: int = 1
-) -> np.ndarray:
+def embed_query_nodes(query: LabeledGraph, checkpoint: Checkpoint, k: int) -> np.ndarray:
     """Embedding of every query node's k-hop neighborhood within the query."""
-    embs = encode_all(query, k, checkpoint.params, checkpoint.config, workers=workers)
-    return np.stack([embs[q] for q in range(query.node_count)])
+    _require_nodes(query)
+    return encode_all(query, k, checkpoint.params, checkpoint.config)
+
+
+def _require_nodes(query: LabeledGraph) -> None:
+    if query.node_count == 0:
+        raise GraphError("query graph has no nodes")
 
 
 @dataclass
@@ -133,13 +136,13 @@ def alignment(
     index: EmbeddingIndex,
     checkpoint: Checkpoint,
     query_embs: np.ndarray | None = None,
-    workers: int = 1,
 ) -> AlignmentMatrix:
     """Fill all |V_T| x |V_Q| violation scores for a connected query."""
+    _require_nodes(query)
     if not query.is_connected():
         raise ValueError("query graph must be connected")
     if query_embs is None:
-        query_embs = embed_query_nodes(query, checkpoint, index.radius, workers=workers)
+        query_embs = embed_query_nodes(query, checkpoint, index.radius)
     return AlignmentMatrix(values=violation_matrix(query_embs, index.matrix))
 
 
@@ -191,16 +194,19 @@ def vote(
     target_embs: np.ndarray,
     hops: int,
     cfg: MarginConfig,
+    shells: tuple[list[list[int]], list[list[int]]] | None = None,
 ) -> bool:
     """Neighbor-consistency vote for matching q onto u.
 
     Walks hop shells outward (hop 0 first, so a vote refines the plain
     pairwise decision): every query node at hop k must find some target node
     at hop k whose embedding dominates it within the threshold; the first
-    query node with no such partner rejects the pair.
+    query node with no such partner rejects the pair. shells optionally
+    passes the hop shells of q and u, as _distance_shells returns them.
     """
-    q_shells = _distance_shells(query, q, hops)
-    u_shells = _distance_shells(target, u, hops)
+    if shells is None:
+        shells = _distance_shells(query, q, hops), _distance_shells(target, u, hops)
+    q_shells, u_shells = shells
     for k in range(hops + 1):
         if not q_shells[k]:
             break
@@ -242,14 +248,22 @@ def vote_mask_for(
     hops: int | None = None,
 ) -> np.ndarray:
     """Voting indicator for every alignment entry. Entries already above the
-    threshold are skipped: voting with hop-0 included can only reject."""
+    threshold are skipped: voting with hop-0 included can only reject. Each
+    node's hop shells are computed once, on first use."""
     if hops is None:
         hops = index.radius
     passing = matrix.values < cfg.threshold
     mask = np.zeros_like(passing)
+    q_shells: dict[int, list[list[int]]] = {}
+    u_shells: dict[int, list[list[int]]] = {}
     for t_node, q_node in zip(*np.nonzero(passing)):
-        mask[t_node, q_node] = vote(
-            query, int(q_node), target, int(t_node),
-            query_embs, index.matrix, hops, cfg,
+        q, u = int(q_node), int(t_node)
+        if q not in q_shells:
+            q_shells[q] = _distance_shells(query, q, hops)
+        if u not in u_shells:
+            u_shells[u] = _distance_shells(target, u, hops)
+        mask[u, q] = vote(
+            query, q, target, u, query_embs, index.matrix, hops, cfg,
+            shells=(q_shells[q], u_shells[u]),
         )
     return mask

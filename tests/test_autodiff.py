@@ -45,13 +45,6 @@ class TestForward:
         out = run(ad.row_sum_aggregate, h, [[1, 2], [], [0]])
         assert np.array_equal(out, [[2.0, 3.0], [0.0, 0.0], [1.0, 0.0]])
 
-    def test_row_sum_value_sorted_matches_plain(self):
-        rng = np.random.default_rng(0)
-        h = ad.Tensor(rng.normal(size=(6, 3)))
-        groups = [[1, 2, 3], [0], [], [4, 5], [2], [0, 1, 2, 3, 4]]
-        plain = run(ad.row_sum_aggregate, h, groups)
-        sorted_ = run(ad.row_sum_aggregate, h, groups, value_sorted=True)
-        assert np.allclose(plain, sorted_)
 
 
 class TestBackward:
@@ -169,6 +162,68 @@ class TestMonotonicity:
         bumped[i, j] += bump
         out = run(ad.row_sum_aggregate, ad.Tensor(bumped), groups)
         assert np.all(out >= base - 1e-12)
+
+
+class TestValueSortedSum:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        arrays(
+            np.float64, st.tuples(st.integers(1, 9), st.integers(1, 4)),
+            elements=st.floats(-1e6, 1e6, allow_subnormal=False),
+        ),
+        st.data(),
+    )
+    def test_bits_invariant_under_neighbor_shuffle(self, h, data):
+        n = h.shape[0]
+        groups = [
+            data.draw(st.lists(st.integers(0, n - 1), max_size=12)) for _ in range(n)
+        ]
+        out = run(ad.row_sum_aggregate, ad.Tensor(h), groups, value_sorted=True)
+        shuffled = [data.draw(st.permutations(g)) for g in groups]
+        again = run(ad.row_sum_aggregate, ad.Tensor(h), shuffled, value_sorted=True)
+        assert np.array_equal(out, again)
+        # the (src, dst) form in any pair order gives the same bits
+        src, dst = ad.group_index(shuffled)
+        order = np.asarray(data.draw(st.permutations(range(len(src)))), dtype=np.intp)
+        pairs = run(ad.row_sum_aggregate, ad.Tensor(h), (src[order], dst[order]),
+                    value_sorted=True)
+        assert np.array_equal(out, pairs)
+        # a column's sums depend on that column alone
+        for c in range(h.shape[1]):
+            column = run(ad.row_sum_aggregate, ad.Tensor(h[:, c]), groups, value_sorted=True)
+            assert np.array_equal(out[:, c], column)
+        plain = run(ad.row_sum_aggregate, ad.Tensor(h), groups)
+        assert np.allclose(out, plain, rtol=1e-9, atol=1e-3)
+
+    def test_adds_each_column_in_ascending_order(self):
+        # 1e16 + 1 rounds back to 1e16, so the order of additions shows in the bits
+        h = ad.Tensor([[1e16, 1.0], [1.0, 1e16], [1.0, 1.0]])
+        out = run(ad.row_sum_aggregate, h, [[0, 1, 2]], value_sorted=True)
+        assert np.array_equal(out, [[(1.0 + 1.0) + 1e16, (1.0 + 1.0) + 1e16]])
+        assert (1.0 + 1.0) + 1e16 != (1e16 + 1.0) + 1.0
+
+    def test_gradient_matches_plain_sum(self):
+        rng = np.random.default_rng(0)
+        groups = [[1, 2], [0], [], [0, 1, 2]]
+        h_val = rng.normal(size=(4, 3))
+        grads = []
+        for value_sorted in (False, True):
+            tape = ad.Tape()
+            h = ad.Tensor(h_val, name="h")
+            out = ad.row_sum_aggregate(tape, h, groups, value_sorted=value_sorted)
+            grads.append(ad.backward(tape, ad.sum_all(tape, out))["h"])
+        assert np.array_equal(grads[0], grads[1])
+
+
+def test_row_stable_matmul_rows_ignore_batch_size():
+    rng = np.random.default_rng(3)
+    a = ad.Tensor(rng.normal(size=(50, 37)))
+    b = ad.Tensor(rng.normal(size=(37, 19)))
+    full = run(ad.matmul, a, b, row_stable=True)
+    assert np.allclose(full, a.value @ b.value)
+    for lo, hi in [(0, 1), (7, 8), (3, 20), (10, 50)]:
+        part = run(ad.matmul, ad.Tensor(a.value[lo:hi]), b, row_stable=True)
+        assert np.array_equal(part, full[lo:hi])
 
 
 def test_tensor_is_float64():

@@ -153,6 +153,31 @@ class TestEmbedAndQuery:
         )
         assert code == 1
 
+    def test_index_of_another_target_rejected(self, dataset_dir, smoke_model, tmp_path, capsys):
+        ckpt_path = smoke_model / "checkpoint.json"
+        index_path = tmp_path / "index.json"
+        run_cli("embed", "--graph", str(dataset_dir / "graph_0000.json"),
+                "--checkpoint", str(ckpt_path), "--out", str(index_path))
+        code = run_cli(
+            "query", "--query", str(dataset_dir / "graph_0000.json"),
+            "--index", str(index_path), "--target", str(dataset_dir / "graph_0001.json"),
+            "--checkpoint", str(ckpt_path), "--vote",
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "another graph" in err
+
+    def test_empty_query_clean_error(self, dataset_dir, smoke_model, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"nodes": [], "edges": []}))
+        code = run_cli(
+            "query", "--query", str(empty), "--target", str(dataset_dir / "graph_0000.json"),
+            "--checkpoint", str(smoke_model / "checkpoint.json"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "query graph has no nodes" in err
+
     def test_out_of_alphabet_label_clean_error(self, smoke_model, tmp_path, capsys):
         ckpt_path = smoke_model / "checkpoint.json"
         bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from submatch import autodiff as ad
+from submatch import encoder
 from submatch.datasets import gen_er
 from submatch.encoder import (
     Checkpoint,
@@ -158,12 +159,28 @@ class TestEncodeAll:
             direct = encode(k_hop_neighborhood(g, u, 2), params, SMALL)
             assert np.array_equal(embs[u], direct)
 
-    def test_worker_count_does_not_change_results(self):
-        g = gen_er(30, 0.15, 2, seed=13)
-        params = init_params(SMALL, seed=1)
-        one = encode_all(g, 2, params, SMALL, workers=1)
-        four = encode_all(g, 2, params, SMALL, workers=4, chunk_size=7)
-        assert all(np.array_equal(one[u], four[u]) for u in one)
+    @pytest.mark.parametrize("edge_labels", [0, 3], ids=["plain", "edge_labelled"])
+    def test_blocks_match_per_node_encode_bit_for_bit(self, edge_labels, monkeypatch):
+        cfg = EncoderConfig(
+            layers=3, hidden_dim=12, output_dim=8,
+            label_alphabet_size=3, edge_label_count=edge_labels,
+        )
+        params = init_params(cfg, seed=5)
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 9, 40, 90):
+            g = gen_er(n, min(1.0, 3.0 / n), 3, seed=int(rng.integers(1 << 30)))
+            if edge_labels:
+                g = LabeledGraph.from_edges(
+                    n, g.edges(), list(g.node_labels), 3,
+                    edge_labels={e: int(rng.integers(edge_labels)) for e in g.edges()},
+                )
+            k = int(rng.integers(1, 4))
+            direct = np.stack([encode(k_hop_neighborhood(g, u, k), params, cfg)
+                               for u in range(n)])
+            # one block for the whole graph, and blocks of a few nodes each
+            for rows in (4096, int(rng.integers(1, 30))):
+                monkeypatch.setattr(encoder, "CHUNK_ROWS", rows)
+                assert np.array_equal(encode_all(g, k, params, cfg), direct)
 
     @pytest.mark.slow
     def test_wall_time_linear_in_edges(self):

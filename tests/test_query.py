@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from submatch.datasets import gen_er
 from submatch.encoder import Checkpoint, EncoderConfig, encode, init_params
-from submatch.graphs import LabeledGraph, k_hop_neighborhood
+from submatch.graphs import GraphError, LabeledGraph, k_hop_neighborhood
 from submatch.order import MarginConfig, violation
 from submatch.query import (
     AlignmentMatrix,
@@ -71,6 +73,15 @@ class TestIndex:
         assert np.array_equal(loaded.matrix, index.matrix)
         assert loaded.radius == index.radius
 
+    def test_width_mismatch_rejected(self, ckpt, target, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index(target, ckpt), path)
+        obj = json.loads(path.read_text())
+        obj["embeddings"] = [row[:-1] for row in obj["embeddings"]]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(IndexError_, match="width"):
+            load_index(path, ckpt)
+
     def test_fingerprint_mismatch_rejected(self, ckpt, target, tmp_path):
         index = build_index(target, ckpt)
         path = tmp_path / "index.json"
@@ -105,6 +116,14 @@ class TestAlignment:
         matrix = alignment(query, index, ckpt)
         assert matrix.shape == (target.node_count, query.node_count)
         assert np.all(matrix.values >= 0)
+
+    def test_empty_query_rejected(self, ckpt, target):
+        empty = LabeledGraph.from_edges(0, [])
+        index = build_index(target, ckpt)
+        with pytest.raises(GraphError, match="query graph has no nodes"):
+            embed_query_nodes(empty, ckpt, index.radius)
+        with pytest.raises(GraphError, match="query graph has no nodes"):
+            alignment(empty, index, ckpt)
 
     def test_disconnected_query_rejected(self, ckpt, target):
         query = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
@@ -211,6 +230,45 @@ class TestVote:
         with_vote = decide(matrix, ckpt.margin, vote_mask=mask)
         without = decide(matrix, ckpt.margin)
         assert with_vote.score <= without.score
+
+
+def test_vote_mask_equals_per_pair_vote(ckpt):
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        target = gen_er(int(rng.integers(10, 30)), 0.2, 1, seed=int(rng.integers(1 << 30)))
+        query = gen_er(int(rng.integers(2, 8)), 0.6, 1, seed=int(rng.integers(1 << 30)))
+        if not query.is_connected():
+            continue
+        index = build_index(target, ckpt)
+        q_embs = embed_query_nodes(query, ckpt, index.radius)
+        matrix = alignment(query, index, ckpt, query_embs=q_embs)
+        # a threshold at a random quantile lets a varying share of entries through
+        cut = float(np.quantile(matrix.values, rng.uniform(0.2, 0.9)))
+        cfg = MarginConfig(margin=max(1.0, 2 * cut), threshold=max(cut, 1e-9))
+        hops = int(rng.integers(0, 4))
+        mask = vote_mask_for(matrix, query, target, q_embs, index, cfg, hops=hops)
+        expected = np.zeros_like(mask)
+        for u in range(target.node_count):
+            for q in range(query.node_count):
+                if matrix.values[u, q] < cfg.threshold:
+                    expected[u, q] = vote(query, q, target, u, q_embs, index.matrix, hops, cfg)
+        assert np.array_equal(mask, expected)
+
+
+def test_vote_mask_runs_one_bfs_per_node(ckpt, target, monkeypatch):
+    query = gen_er(6, 0.45, 1, seed=7)
+    index = build_index(target, ckpt)
+    q_embs = embed_query_nodes(query, ckpt, index.radius)
+    matrix = alignment(query, index, ckpt, query_embs=q_embs)
+    cfg = MarginConfig(margin=10.0, threshold=float(matrix.values.max()) + 1.0)
+    calls = []
+    original = LabeledGraph.bfs_distances
+    monkeypatch.setattr(
+        LabeledGraph, "bfs_distances",
+        lambda g, *a, **kw: calls.append(1) or original(g, *a, **kw),
+    )
+    vote_mask_for(matrix, query, target, q_embs, index, cfg)
+    assert len(calls) <= query.node_count + target.node_count
 
 
 def test_decision_dataclass_fields():
