@@ -19,18 +19,16 @@ from .config import ConfigError, build_dataclass, parse_kv_file, split_sections
 from .datasets import gen_er, gen_extended_barabasi
 from .encoder import CheckpointError, EncoderConfig, load_checkpoint, save_checkpoint
 from .evaluate import bench as run_bench
-from .evaluate import make_problem1_instances, write_bench_outputs
+from .evaluate import calibrate_decision, make_problem1_instances, write_bench_outputs
 from .graphs import GraphError, LabeledGraph, load_graph, save_graph
 from .order import MarginConfig
 from .query import (
     IndexError_,
     alignment,
     build_index,
-    calibrate_decision_cutoff,
     decide,
     embed_query_nodes,
     load_index,
-    match_neighborhoods,
     save_index,
     vote_mask_for,
 )
@@ -144,17 +142,9 @@ def cmd_train(args) -> int:
     result = train(targets, train_cfg, encoder_cfg, margin_cfg, sampler_cfg)
     checkpoint = result.checkpoint
 
-    # calibrate the whole-query decision cutoff on oracle-labeled graph pairs
-    cal_rng = np.random.default_rng([train_cfg.seed, 4])
-    instances = make_problem1_instances(targets, args.calibration_pairs, cal_rng)
-    if instances:
-        scores, labels = [], []
-        for inst in instances:
-            index = build_index(inst.target, checkpoint)
-            verdict = decide(alignment(inst.query, index, checkpoint), checkpoint.margin)
-            scores.append(verdict.score)
-            labels.append(inst.oracle_label)
-        checkpoint.decision_cutoff = calibrate_decision_cutoff(scores, labels)
+    checkpoint.decision_cutoff = calibrate_decision(
+        checkpoint, targets, args.calibration_pairs, train_cfg.seed
+    )
 
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "checkpoint.json")
@@ -214,11 +204,7 @@ def cmd_query(args) -> int:
     print(f"mean violation: {verdict.mean_violation:.4f}")
     if args.per_node:
         for q in range(query.node_count):
-            matches = [
-                u
-                for u in range(index.node_count)
-                if match_neighborhoods(query_embs[q], index.embedding(u), checkpoint.margin)[0]
-            ]
+            matches = np.nonzero(matrix.values[:, q] < checkpoint.margin.threshold)[0]
             head = ", ".join(str(u) for u in matches[:8])
             more = f" (+{len(matches) - 8} more)" if len(matches) > 8 else ""
             print(f"query node {q}: {len(matches)} candidate targets [{head}{more}]")
@@ -233,11 +219,7 @@ def cmd_bench(args) -> int:
     targets = _load_targets(args.data)
     rng = np.random.default_rng(args.seed)
     instances = make_problem1_instances(
-        targets,
-        args.n_instances,
-        rng,
-        query_ratio=args.query_ratio,
-        require_labels=not args.no_labels,
+        targets, args.n_instances, rng, query_ratio=args.query_ratio
     )
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     results, summary = run_bench(
@@ -307,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-instances", type=int, default=40)
     p.add_argument("--query-ratio", type=float, default=0.5)
     p.add_argument("--timeout", type=float, default=20.0)
-    p.add_argument("--no-labels", action="store_true",
-                   help="skip oracle labeling (timing-only instances)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-json", required=True)

@@ -349,7 +349,14 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"unsupported checkpoint format_version {obj.get('format_version')!r}"
         )
-    cfg = EncoderConfig(**obj["config"])
+    try:
+        cfg = EncoderConfig(**obj["config"])
+        margin = MarginConfig(**obj["margin"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad checkpoint config: {exc}") from exc
+    decision_cutoff = float(obj.get("decision_cutoff", 0.5))
+    if not np.isfinite(decision_cutoff):
+        raise CheckpointError("decision_cutoff must be finite")
     expected = expected_param_shapes(cfg)
     params: dict[str, np.ndarray] = {}
     for name, entry in obj["params"].items():
@@ -361,13 +368,15 @@ def load_checkpoint(path) -> Checkpoint:
                 f"parameter {name!r} has shape {shape}, expected {expected[name]}"
             )
         params[name] = np.asarray(entry["values"], dtype=np.float64).reshape(shape)
+        if not np.isfinite(params[name]).all():
+            raise CheckpointError(f"parameter {name!r} has a non-finite value")
     missing = sorted(set(expected) - set(params))
     if missing:
         raise CheckpointError(f"missing parameters: {missing}")
     return Checkpoint(
         config=cfg,
         params=params,
-        margin=MarginConfig(**obj["margin"]),
-        decision_cutoff=float(obj.get("decision_cutoff", 0.5)),
+        margin=margin,
+        decision_cutoff=decision_cutoff,
         radius=int(obj.get("radius", 4)),
     )

@@ -1,4 +1,5 @@
-"""Metrics and the runtime/success-rate benchmark harness."""
+"""Metrics, benchmark instances, the whole-query decision-cutoff calibration,
+and the runtime/success-rate benchmark harness."""
 
 from __future__ import annotations
 
@@ -10,6 +11,14 @@ import numpy as np
 
 from .exact import MatchBudget, MatchOutcome, is_subgraph
 from .graphs import LabeledGraph
+from .query import (
+    alignment,
+    build_index,
+    calibrate_decision_cutoff,
+    decide,
+    embed_query_nodes,
+    vote_mask_for,
+)
 from .util import atomic_write_text
 
 
@@ -39,20 +48,6 @@ def auroc(scores, labels) -> float:
         i = j + 1
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
-
-
-def confusion(decisions, labels) -> dict[str, int]:
-    """2x2 counts keyed tp/fp/fn/tn."""
-    decisions = np.asarray(decisions, dtype=bool)
-    labels = np.asarray(labels, dtype=bool)
-    if decisions.shape != labels.shape:
-        raise ValueError("decisions and labels must have equal length")
-    return {
-        "tp": int((decisions & labels).sum()),
-        "fp": int((decisions & ~labels).sum()),
-        "fn": int((~decisions & labels).sum()),
-        "tn": int((~decisions & ~labels).sum()),
-    }
 
 
 @dataclass(frozen=True)
@@ -106,14 +101,13 @@ def make_problem1_instances(
     rng: np.random.Generator,
     query_ratio: float = 0.5,
     oracle_budget: MatchBudget | None = None,
-    require_labels: bool = True,
 ) -> list[BenchInstance]:
     """Whole-graph (query, target) decision instances, half positive.
 
     Positives are sampled subgraphs (true by construction). Negatives mix
-    chord-densified subgraphs and cross-graph queries; when require_labels is
-    set they are certified non-subgraphs by the exact matcher, resampling on
-    accidental positives or oracle timeouts.
+    chord-densified subgraphs and cross-graph queries, certified non-subgraphs
+    by the exact matcher, resampling on accidental positives or oracle
+    timeouts.
     """
     budget = oracle_budget or MatchBudget(max_states=2_000_000, wall_timeout=10.0)
     instances: list[BenchInstance] = []
@@ -140,17 +134,25 @@ def make_problem1_instances(
             query = _perturbed_query(_bfs_subgraph(target, max_q, rng), rng)
         if query.node_count < 2 or not query.is_connected():
             continue
-        if require_labels:
-            outcome = is_subgraph(query, target, budget)
-            if outcome is not MatchOutcome.FALSE:
-                continue
-            instances.append(
-                BenchInstance(f"i{i:04d}", query, target, oracle_label=False)
-            )
-        else:
-            instances.append(BenchInstance(f"i{i:04d}", query, target))
+        if is_subgraph(query, target, budget) is not MatchOutcome.FALSE:
+            continue
+        instances.append(BenchInstance(f"i{i:04d}", query, target, oracle_label=False))
         i += 1
     return instances
+
+
+def calibrate_decision(checkpoint, targets: list[LabeledGraph], n_pairs: int, seed: int) -> float:
+    """Whole-query decision cutoff calibrated on n_pairs oracle-labeled
+    instances drawn from targets; the checkpoint's own cutoff when no instance
+    could be drawn."""
+    instances = make_problem1_instances(targets, n_pairs, np.random.default_rng([seed, 4]))
+    if not instances:
+        return checkpoint.decision_cutoff
+    scores = []
+    for inst in instances:
+        index = build_index(inst.target, checkpoint)
+        scores.append(decide(alignment(inst.query, index, checkpoint), checkpoint.margin).score)
+    return calibrate_decision_cutoff(scores, [inst.oracle_label for inst in instances])
 
 
 @dataclass
@@ -204,14 +206,6 @@ def bench_neural(
 ) -> tuple[list[BenchResult], dict[str, float]]:
     """Time the online query path with indexes prebuilt. Index-build wall time
     is reported separately as the offline cost."""
-    from .query import (
-        alignment,
-        build_index,
-        decide,
-        embed_query_nodes,
-        vote_mask_for,
-    )
-
     method = "neural_vote" if use_vote else "neural"
     index_time = 0.0
     indexes = {}

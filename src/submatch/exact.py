@@ -55,20 +55,12 @@ class _Search:
     # wall clock checked every this many states to keep overhead low
     _CLOCK_STRIDE = 1024
 
-    def __init__(
-        self,
-        query: LabeledGraph,
-        target: LabeledGraph,
-        budget: MatchBudget,
-        count_all: bool = False,
-    ):
+    def __init__(self, query: LabeledGraph, target: LabeledGraph, budget: MatchBudget):
         self.query = query
         self.target = target
         self.budget = budget
-        self.count_all = count_all
         self.states = 0
         self.deadline = time.monotonic() + budget.wall_timeout
-        self.match_count = 0
         self.check_edge_labels = (
             query.edge_labels is not None and target.edge_labels is not None
         )
@@ -115,8 +107,7 @@ class _Search:
 
     def _extend(self, order: list[int], depth: int, mapping: dict[int, int], used: set[int]) -> bool:
         if depth == len(order):
-            self.match_count += 1
-            return not self.count_all  # stop at the first match unless counting
+            return True
         q = order[depth]
         for t in self._candidates(q, mapping):
             self._tick()
@@ -150,8 +141,6 @@ class _Search:
             found = self._extend(order, 1, mapping, used)
         except _BudgetExhausted:
             return MatchOutcome.TIMEOUT
-        if self.count_all:
-            return MatchOutcome.TRUE if self.match_count else MatchOutcome.FALSE
         return MatchOutcome.TRUE if found else MatchOutcome.FALSE
 
     def run_unanchored(self) -> MatchOutcome:
@@ -200,16 +189,3 @@ def is_subgraph(
     if query.node_count > 0 and not query.is_connected():
         raise GraphError("query graph must be connected")
     return _Search(query, target, budget).run_unanchored()
-
-
-def count_anchored_matches(
-    query: AnchoredNeighborhood,
-    target: AnchoredNeighborhood,
-    budget: MatchBudget = MatchBudget(),
-) -> int | MatchOutcome:
-    """Number of distinct injective anchored maps; TIMEOUT on budget exhaustion."""
-    search = _Search(query.graph, target.graph, budget, count_all=True)
-    outcome = search.run_anchored(query.anchor, target.anchor)
-    if outcome is MatchOutcome.TIMEOUT:
-        return MatchOutcome.TIMEOUT
-    return search.match_count

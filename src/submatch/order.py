@@ -21,6 +21,8 @@ class MarginConfig:
     threshold: float = 0.5  # violation cutoff for predicting subgraph
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.margin) and np.isfinite(self.threshold)):
+            raise ValueError("margin and threshold must be finite")
         if self.margin <= 0.0:
             raise ValueError("margin must be positive")
         if self.threshold <= 0.0:

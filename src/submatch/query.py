@@ -1,5 +1,6 @@
-"""Online matching: precomputed target-node embeddings, pairwise neighborhood
-decisions, whole-query alignment matrices, and the neighbor-voting refinement.
+"""Online matching: precomputed target-node embeddings, whole-query alignment
+matrices of pairwise neighborhood violations, and the neighbor-voting
+refinement.
 
 The offline stage embeds every target node once; a query then costs one pass
 over its own nodes plus |V_T| * |V_Q| coordinate comparisons, with no search.
@@ -14,7 +15,7 @@ import numpy as np
 
 from .encoder import Checkpoint, encode_all
 from .graphs import GraphError, LabeledGraph
-from .order import MarginConfig, predict_subgraph, violation, violation_matrix
+from .order import MarginConfig, violation_matrix
 from .util import atomic_write_text
 
 INDEX_FORMAT_VERSION = 1
@@ -72,10 +73,15 @@ def load_index(path, checkpoint: Checkpoint | None = None) -> EmbeddingIndex:
         obj = json.load(fh)
     if obj.get("format_version") != INDEX_FORMAT_VERSION:
         raise IndexError_(f"unsupported index format_version {obj.get('format_version')!r}")
+    matrix = np.asarray(obj["embeddings"], dtype=np.float64)
+    if matrix.shape == (0,):  # a 0-node graph's (0, D) matrix is saved as []
+        matrix = matrix.reshape(0, checkpoint.config.output_dim if checkpoint else 0)
+    if not np.isfinite(matrix).all():
+        raise IndexError_("index embeddings must be finite")
     index = EmbeddingIndex(
         graph_fingerprint=obj["graph_fingerprint"],
         radius=int(obj["radius"]),
-        matrix=np.asarray(obj["embeddings"], dtype=np.float64),
+        matrix=matrix,
         checkpoint_fingerprint=obj["checkpoint_fingerprint"],
     )
     if checkpoint is not None:
@@ -87,13 +93,6 @@ def load_index(path, checkpoint: Checkpoint | None = None) -> EmbeddingIndex:
                 f"output_dim is {checkpoint.config.output_dim}"
             )
     return index
-
-
-def match_neighborhoods(
-    q_emb: np.ndarray, u_emb: np.ndarray, cfg: MarginConfig
-) -> tuple[bool, float]:
-    """Pairwise neighborhood decision plus the raw violation score."""
-    return predict_subgraph(q_emb, u_emb, cfg), violation(q_emb, u_emb)
 
 
 def embed_query_nodes(query: LabeledGraph, checkpoint: Checkpoint, k: int) -> np.ndarray:

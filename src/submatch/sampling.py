@@ -10,7 +10,7 @@ label noise can enter training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,7 +304,3 @@ def sample_negative_pair(
                     query=current, target=pair.target, label=False, kind="hard"
                 )
     return None
-
-
-def with_seed(cfg: SamplerConfig, seed: int) -> SamplerConfig:
-    return replace(cfg, seed=seed)

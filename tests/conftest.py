@@ -68,25 +68,16 @@ def trained(desk_pool):
     """Desk-scale trained model shared by the acceptance suite and CLI tests.
 
     Takes a few minutes; session-scoped so it trains once per run. The
-    whole-query decision cutoff is calibrated the same way the train command
-    does it.
+    whole-query decision cutoff is calibrated by the same library call the
+    train command makes.
     """
     import time
 
-    from submatch.evaluate import make_problem1_instances
-    from submatch.query import alignment, build_index, calibrate_decision_cutoff, decide
+    from submatch.evaluate import calibrate_decision
 
     start = time.perf_counter()
     result = train(desk_pool, DESK_TRAIN, DESK_ENCODER, DESK_MARGIN, DESK_SAMPLER)
     result.train_seconds = time.perf_counter() - start
     ckpt = result.checkpoint
-    rng = np.random.default_rng([DESK_TRAIN.seed, 4])
-    instances = make_problem1_instances(desk_pool, 40, rng)
-    scores = []
-    labels = []
-    for inst in instances:
-        index = build_index(inst.target, ckpt)
-        scores.append(decide(alignment(inst.query, index, ckpt), ckpt.margin).score)
-        labels.append(inst.oracle_label)
-    ckpt.decision_cutoff = calibrate_decision_cutoff(scores, labels)
+    ckpt.decision_cutoff = calibrate_decision(ckpt, desk_pool, 40, DESK_TRAIN.seed)
     return result

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestTrainCommand:
 
 
 class TestEmbedAndQuery:
-    def test_pipeline_round_trip(self, dataset_dir, smoke_model, tmp_path):
+    def test_pipeline_round_trip(self, dataset_dir, smoke_model, tmp_path, capsys):
         ckpt_path = smoke_model / "checkpoint.json"
         target_path = dataset_dir / "graph_0000.json"
         index_path = tmp_path / "index.json"
@@ -128,7 +129,25 @@ class TestEmbedAndQuery:
             "--alignment-csv", str(align_path),
         )
         assert code == 0
-        assert align_path.exists()
+        # each query node's candidates are its column's entries below the threshold
+        rows = [line.split(",")[1:] for line in align_path.read_text().splitlines()[1:]]
+        passing = np.array(rows, dtype=float) < load_checkpoint(ckpt_path).margin.threshold
+        counts = re.findall(r"query node (\d+): (\d+) candidate targets", capsys.readouterr().out)
+        assert [(int(q), int(n)) for q, n in counts] == [
+            (q, int(passing[:, q].sum())) for q in range(passing.shape[1])
+        ]
+
+    def test_non_finite_checkpoint_exits_one(self, dataset_dir, smoke_model, tmp_path, capsys):
+        obj = json.loads((smoke_model / "checkpoint.json").read_text())
+        obj["margin"]["threshold"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))
+        target_path = str(dataset_dir / "graph_0000.json")
+        code = run_cli(
+            "query", "--query", target_path, "--target", target_path, "--checkpoint", str(bad)
+        )
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_query_with_target_and_vote(self, dataset_dir, smoke_model, capsys):
         ckpt_path = smoke_model / "checkpoint.json"

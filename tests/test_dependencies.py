@@ -1,0 +1,22 @@
+import ast
+import pathlib
+import sys
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "submatch"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            for name in names:
+                top = name.split(".")[0]
+                if top != "numpy" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}:{node.lineno} imports {name}")
+    assert not foreign, foreign

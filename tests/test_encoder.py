@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -258,6 +259,22 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["threshold", "param", "decision_cutoff"])
+    def test_non_finite_values_rejected(self, field, tmp_path):
+        ckpt = Checkpoint(config=SMALL, params=init_params(SMALL, seed=5), margin=MarginConfig())
+        path = tmp_path / "model.json"
+        save_checkpoint(ckpt, path)
+        obj = json.loads(path.read_text())
+        if field == "threshold":
+            obj["margin"]["threshold"] = float("nan")
+        elif field == "param":
+            obj["params"]["out.w"]["values"][0] = float("inf")
+        else:
+            obj["decision_cutoff"] = float("nan")
+        path.write_text(json.dumps(obj))  # json writes NaN and Infinity, and reads them back
+        with pytest.raises(CheckpointError, match="finite"):
             load_checkpoint(path)
 
     def test_missing_param_rejected(self, tmp_path):

@@ -12,7 +12,6 @@ from submatch.evaluate import (
     BenchResult,
     auroc,
     bench,
-    confusion,
     make_problem1_instances,
     results_to_csv,
     summarize,
@@ -79,21 +78,6 @@ class TestAuroc:
         labels = (rng.random(40) < 0.5).astype(int)
         labels[0], labels[1] = 1, 0
         assert np.isclose(auroc(scores, labels) + auroc(-scores, labels), 1.0)
-
-
-class TestConfusion:
-    def test_perfect(self):
-        out = confusion([True, False, True], [True, False, True])
-        assert out == {"tp": 2, "fp": 0, "fn": 0, "tn": 1}
-
-    def test_inverted(self):
-        out = confusion([False, True], [True, False])
-        assert out == {"tp": 0, "fp": 1, "fn": 1, "tn": 0}
-
-    def test_hand_counted_six_cases(self):
-        decisions = [True, True, False, False, True, False]
-        labels = [True, False, True, False, True, False]
-        assert confusion(decisions, labels) == {"tp": 2, "fp": 1, "fn": 1, "tn": 2}
 
 
 CFG = EncoderConfig(layers=2, hidden_dim=8, output_dim=8, label_alphabet_size=1)

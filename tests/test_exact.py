@@ -5,14 +5,12 @@ from submatch.datasets import gen_er
 from submatch.exact import (
     MatchBudget,
     MatchOutcome,
-    count_anchored_matches,
     is_subgraph,
     is_subgraph_anchored,
 )
 from submatch.graphs import AnchoredNeighborhood, GraphError, LabeledGraph
 from submatch.smallgraphs import (
     brute_force_anchored,
-    brute_force_count_anchored,
     brute_force_is_subgraph,
     small_catalog,
 )
@@ -85,14 +83,6 @@ class TestUnanchored:
 
 
 class TestCount:
-    def test_edge_into_star(self, star6):
-        edge = LabeledGraph.from_edges(2, [(0, 1)])
-        assert count_anchored_matches(anchored(edge), anchored(star6)) == 5
-
-    def test_triangle_self_matches(self, triangle):
-        a = anchored(triangle)
-        assert count_anchored_matches(a, a) == 2
-
     def test_small_pairs_match_enumeration(self):
         rng = np.random.default_rng(5)
         for trial in range(40):
@@ -101,9 +91,8 @@ class TestCount:
             if not q.is_connected() or not t.is_connected():
                 continue
             qa, ta = anchored(q), anchored(t, 0)
-            got = count_anchored_matches(qa, ta)
-            want = brute_force_count_anchored(q, qa.anchor, t, ta.anchor)
-            assert got == want
+            want = brute_force_anchored(q, qa.anchor, t, ta.anchor)
+            assert is_subgraph_anchored(qa, ta).is_true == want
 
 
 class TestProperties:

@@ -29,7 +29,10 @@ class TestConfig:
     def test_defaults_valid(self):
         MarginConfig()
 
-    @pytest.mark.parametrize("margin,threshold", [(0.0, 0.5), (1.0, 0.0), (1.0, 1.0), (0.5, 0.8)])
+    @pytest.mark.parametrize(
+        "margin,threshold",
+        [(0.0, 0.5), (1.0, 0.0), (1.0, 1.0), (0.5, 0.8), (np.nan, 0.5), (1.0, np.nan), (np.inf, 0.5)],
+    )
     def test_invalid_rejected(self, margin, threshold):
         with pytest.raises(ValueError):
             MarginConfig(margin=margin, threshold=threshold)

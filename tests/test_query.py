@@ -18,7 +18,6 @@ from submatch.query import (
     decide,
     embed_query_nodes,
     load_index,
-    match_neighborhoods,
     save_index,
     vote,
     vote_mask_for,
@@ -73,6 +72,23 @@ class TestIndex:
         assert np.array_equal(loaded.matrix, index.matrix)
         assert loaded.radius == index.radius
 
+    def test_empty_graph_round_trip(self, ckpt, tmp_path):
+        index = build_index(LabeledGraph.from_edges(0, []), ckpt)
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        loaded = load_index(path, ckpt)
+        assert loaded.matrix.shape == (0, CFG.output_dim)
+        assert load_index(path).node_count == 0
+
+    def test_non_finite_embedding_rejected(self, ckpt, target, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index(target, ckpt), path)
+        obj = json.loads(path.read_text())
+        obj["embeddings"][3][1] = float("nan")
+        path.write_text(json.dumps(obj))
+        with pytest.raises(IndexError_, match="finite"):
+            load_index(path, ckpt)
+
     def test_width_mismatch_rejected(self, ckpt, target, tmp_path):
         path = tmp_path / "index.json"
         save_index(build_index(target, ckpt), path)
@@ -91,22 +107,6 @@ class TestIndex:
         )
         with pytest.raises(IndexError_):
             load_index(path, other)
-
-
-class TestMatchNeighborhoods:
-    def test_inherits_prediction_semantics(self, ckpt):
-        cfg = ckpt.margin
-        dec, e = match_neighborhoods(np.array([1.0] * 8), np.array([2.0] * 8), cfg)
-        assert dec and e == 0.0
-        dec, e = match_neighborhoods(np.array([2.0] * 8), np.array([1.0] * 8), cfg)
-        assert not dec and e == 8.0
-
-    def test_boundary_false(self):
-        cfg = MarginConfig(margin=1.0, threshold=0.5)
-        zq = np.zeros(4)
-        zq[0] = np.sqrt(0.5)
-        dec, e = match_neighborhoods(zq, np.zeros(4), cfg)
-        assert np.isclose(e, 0.5) and not dec
 
 
 class TestAlignment:
