@@ -13,17 +13,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import autodiff as ad
 from .graphs import (
     AnchoredNeighborhood,
+    Balls,
     GraphError,
     LabeledGraph,
-    k_hop_neighborhood,
-    structural_features,
+    adjacency_csr,
+    csr_edge_labels,
+    k_hop_balls,
+    k_hop_neighborhood,  # noqa: F401  bench/spans.py wraps encoder.k_hop_neighborhood
+    triangle_counts,
 )
 from .order import MarginConfig
 from .util import atomic_write_text, stable_hash
@@ -108,23 +111,34 @@ def init_params(cfg: EncoderConfig, seed: int = 0) -> dict[str, np.ndarray]:
     return params
 
 
-def build_input_features(n: AnchoredNeighborhood, cfg: EncoderConfig) -> np.ndarray:
-    """Per-node rows: [anchor flag] + one-hot(label) + optional [degree, clustering]."""
-    g = n.graph
-    feats = np.zeros((g.node_count, cfg.input_dim))
-    for v in range(g.node_count):
-        lab = g.node_labels[v]
-        if lab >= cfg.label_alphabet_size:
-            raise GraphError(
-                f"node label {lab} outside encoder alphabet of size "
-                f"{cfg.label_alphabet_size}"
-            )
-        feats[v, 0] = 1.0 if v == n.anchor else 0.0
-        feats[v, 1 + lab] = 1.0
-        if cfg.use_structural_features:
-            deg, clust = structural_features(g, v)
-            feats[v, 1 + cfg.label_alphabet_size] = float(deg)
-            feats[v, 2 + cfg.label_alphabet_size] = clust
+def build_input_features(
+    node_labels: np.ndarray,
+    anchors: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    cfg: EncoderConfig,
+) -> np.ndarray:
+    """Per-row features of a block: [anchor flag] + one-hot(label) + optional
+    [degree, clustering], where (src, dst) lists every edge in both
+    directions. Clustering is 0 when the degree is below 2."""
+    n = len(node_labels)
+    bad = np.flatnonzero(node_labels >= cfg.label_alphabet_size)
+    if len(bad):
+        raise GraphError(
+            f"node label {node_labels[bad[0]]} outside encoder alphabet of size "
+            f"{cfg.label_alphabet_size}"
+        )
+    feats = np.zeros((n, cfg.input_dim))
+    feats[anchors, 0] = 1.0
+    feats[np.arange(n), 1 + node_labels] = 1.0
+    if cfg.use_structural_features:
+        deg = np.bincount(dst, minlength=n)
+        links = triangle_counts(src, dst, deg)
+        clust = np.zeros(n)
+        many = deg >= 2
+        clust[many] = 2.0 * links[many] / (deg[many] * (deg[many] - 1))
+        feats[:, 1 + cfg.label_alphabet_size] = deg
+        feats[:, 2 + cfg.label_alphabet_size] = clust
     return feats
 
 
@@ -132,36 +146,49 @@ class _Block:
     """Disjoint union of a batch of neighborhoods, encoded in one pass.
 
     index is the (src, dst) pair of every directed edge, grouped by dst in
-    node order; label_indexes holds the same pairs split by edge label.
+    row order; label_indexes holds the same pairs split by edge label.
     """
 
-    def __init__(self, neighborhoods: list[AnchoredNeighborhood], cfg: EncoderConfig):
-        feats, anchors, srcs, dsts, edge_labels = [], [], [], [], []
-        offset = 0
-        for nh in neighborhoods:
-            g = nh.graph
-            feats.append(build_input_features(nh, cfg))
-            anchors.append(offset + nh.anchor)
-            degrees = [len(nbrs) for nbrs in g.adjacency]
-            srcs.append(offset + np.fromiter(
-                chain.from_iterable(g.adjacency), dtype=np.intp, count=sum(degrees)))
-            dsts.append(offset + np.repeat(np.arange(g.node_count, dtype=np.intp), degrees))
-            if cfg.edge_label_count > 0:
-                edge_labels += [
-                    g.edge_label(v, w) or 0
-                    for v in range(g.node_count) for w in g.adjacency[v]
-                ]
-            offset += g.node_count
-        self.features = np.concatenate(feats) if feats else np.zeros((0, cfg.input_dim))
-        self.anchors = np.asarray(anchors, dtype=np.intp)
-        src = np.concatenate(srcs) if srcs else np.empty(0, dtype=np.intp)
-        dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=np.intp)
+    def __init__(self, node_labels: np.ndarray, anchors: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, edge_labels: np.ndarray, cfg: EncoderConfig):
+        self.features = build_input_features(node_labels, anchors, src, dst, cfg)
+        self.anchors = anchors
         self.index = (src, dst)
-        edge_labels = np.asarray(edge_labels, dtype=np.intp)
         self.label_indexes = [
             (src[edge_labels == lab], dst[edge_labels == lab])
             for lab in range(cfg.edge_label_count)
         ]
+
+    @classmethod
+    def of_neighborhoods(cls, neighborhoods: list[AnchoredNeighborhood], cfg: EncoderConfig):
+        """Rows in neighborhood order; each neighborhood's edges in adjacency
+        order (training's aggregation order depends on it)."""
+        labels, anchors, srcs, dsts, edge_labels = [], [], [], [], []
+        offset = 0
+        for nh in neighborhoods:
+            g = nh.graph
+            indptr, indices = adjacency_csr(g)
+            labels += g.node_labels
+            anchors.append(offset + nh.anchor)
+            srcs.append(offset + indices)
+            dsts.append(offset + np.repeat(np.arange(g.node_count), np.diff(indptr)))
+            if cfg.edge_label_count > 0:
+                edge_labels.append(csr_edge_labels(g))
+            offset += g.node_count
+        empty = np.empty(0, dtype=np.intp)
+        return cls(
+            np.asarray(labels, dtype=np.intp), np.asarray(anchors, dtype=np.intp),
+            np.concatenate(srcs) if srcs else empty, np.concatenate(dsts) if dsts else empty,
+            np.concatenate(edge_labels) if edge_labels else empty, cfg,
+        )
+
+    @classmethod
+    def of_balls(cls, balls: Balls, node_labels: np.ndarray, edge_labels: np.ndarray,
+                 cfg: EncoderConfig):
+        """Rows of k_hop_balls(); node_labels and edge_labels are the parent's,
+        per node and per CSR position."""
+        return cls(node_labels[balls.nodes], balls.anchors, balls.src, balls.dst,
+                   edge_labels[balls.edges], cfg)
 
 
 def _forward(
@@ -254,7 +281,7 @@ def encode_batch(
     cfg: EncoderConfig,
 ) -> ad.Tensor:
     """Embed a batch of neighborhoods; returns a (B, D) tensor on the tape."""
-    return _forward(tape, _Block(neighborhoods, cfg), params, cfg)
+    return _forward(tape, _Block.of_neighborhoods(neighborhoods, cfg), params, cfg)
 
 
 def encode(
@@ -273,7 +300,7 @@ def encode(
     """
     if tape is not None:
         return encode_batch(tape, [n], _as_tensors(params), cfg)
-    return _infer(_Block([n], cfg), _as_tensors(params), cfg)[0]
+    return _infer(_Block.of_neighborhoods([n], cfg), _as_tensors(params), cfg)[0]
 
 
 CHUNK_ROWS = 4096  # nodes per inference block in encode_all
@@ -283,18 +310,37 @@ def encode_all(
     g: LabeledGraph, k: int, params: dict[str, np.ndarray], cfg: EncoderConfig
 ) -> np.ndarray:
     """Embeddings of every node's k-hop neighborhood, row u for node u, each
-    bit for bit what encode() returns for it. Neighborhoods are encoded in
-    blocks of about CHUNK_ROWS nodes."""
+    bit for bit what encode() returns for it.
+
+    Balls are cut straight from the graph's CSR arrays. The anchors left are
+    split evenly into as many blocks as the mean ball so far says fill about
+    CHUNK_ROWS rows each. A block never holds more than 2 * CHUNK_ROWS rows
+    unless it is one ball larger than that: the BFS hands back fewer anchors
+    when the balls outgrow the estimate.
+    """
     tensors = _as_tensors(params)
     out = np.zeros((g.node_count, cfg.output_dim))
-    chunk: list[AnchoredNeighborhood] = []
-    rows = first = 0
-    for u in range(g.node_count):
-        chunk.append(k_hop_neighborhood(g, u, k))
-        rows += chunk[-1].node_count
-        if rows >= CHUNK_ROWS or u == g.node_count - 1:
-            out[first : u + 1] = _infer(_Block(chunk, cfg), tensors, cfg)
-            chunk, rows, first = [], 0, u + 1
+    indptr, indices = adjacency_csr(g)
+    node_labels = np.asarray(g.node_labels, dtype=np.intp)
+    edge_labels = (csr_edge_labels(g) if cfg.edge_label_count > 0
+                   else np.zeros(len(indices), dtype=np.intp))
+    # rows per ball: first a tree of the graph's mean degree, then the mean so far
+    mean_degree = len(indices) / max(g.node_count, 1)
+    per_ball = 1.0
+    for _ in range(min(k, g.node_count)):
+        per_ball = min(1.0 + mean_degree * per_ball, g.node_count)
+    first = rows = 0
+    while first < g.node_count:
+        left = g.node_count - first
+        blocks = max(1, round(left * per_ball / CHUNK_ROWS))
+        balls = k_hop_balls(indptr, indices, np.arange(first, first + -(-left // blocks)), k,
+                            max_rows=2 * CHUNK_ROWS)
+        last = first + len(balls.anchors)
+        out[first:last] = _infer(_Block.of_balls(balls, node_labels, edge_labels, cfg),
+                                 tensors, cfg)
+        rows += len(balls.nodes)
+        first = last
+        per_ball = rows / first
     return out
 
 

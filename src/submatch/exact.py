@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import time
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graphs import AnchoredNeighborhood, GraphError, LabeledGraph
@@ -106,27 +107,44 @@ class _Search:
         return True
 
     def _extend(self, order: list[int], depth: int, mapping: dict[int, int], used: set[int]) -> bool:
-        if depth == len(order):
+        """Map order[depth:] on top of mapping, depth first, with one candidate
+        iterator per mapped level on a stack instead of recursion. Leaves
+        mapping as given unless it returns True."""
+        n = len(order)
+        if depth == n:
             return True
+        tick, feasible, candidates = self._tick, self._feasible, self._candidates
+        stack = []
         q = order[depth]
-        for t in self._candidates(q, mapping):
-            self._tick()
-            if self._feasible(q, t, mapping, used):
-                mapping[q] = t
-                used.add(t)
-                if self._extend(order, depth + 1, mapping, used):
-                    return True
-                del mapping[q]
-                used.discard(t)
-        return False
+        pool = iter(candidates(q, mapping))
+        while True:
+            for t in pool:
+                tick()
+                if feasible(q, t, mapping, used):
+                    mapping[q] = t
+                    used.add(t)
+                    depth += 1
+                    if depth == n:
+                        return True
+                    stack.append(pool)
+                    q = order[depth]
+                    pool = iter(candidates(q, mapping))
+                    break
+            else:
+                if not stack:
+                    return False
+                pool = stack.pop()
+                depth -= 1
+                q = order[depth]
+                used.discard(mapping.pop(q))
 
-    def _candidates(self, q: int, mapping: dict[int, int]) -> list[int]:
+    def _candidates(self, q: int, mapping: dict[int, int]) -> Sequence[int]:
         # prefer the tightest candidate pool: target neighbors of an already
         # mapped query neighbor; fall back to all target nodes
         for qn in self.query.adjacency[q]:
             if qn in mapping:
-                return list(self.target.adjacency[mapping[qn]])
-        return list(range(self.target.node_count))
+                return self.target.adjacency[mapping[qn]]
+        return range(self.target.node_count)
 
     def run_anchored(self, q_anchor: int, t_anchor: int) -> MatchOutcome:
         order = self._order_from(q_anchor)

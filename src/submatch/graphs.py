@@ -10,6 +10,10 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -216,17 +220,120 @@ def k_hop_neighborhood(g: LabeledGraph, u: int, k: int) -> AnchoredNeighborhood:
     return AnchoredNeighborhood(graph=sub, anchor=0, radius=k)
 
 
-def structural_features(g: LabeledGraph, u: int) -> tuple[int, float]:
-    """(degree, clustering coefficient) of node u; clustering is 0 when deg < 2."""
-    if not 0 <= u < g.node_count:
-        raise GraphError(f"invalid node id {u}")
-    nbrs = g.adjacency[u]
-    deg = len(nbrs)
-    if deg < 2:
-        return deg, 0.0
-    nbr_set = set(nbrs)
-    links = sum(1 for a in nbrs for b in g.adjacency[a] if b in nbr_set) // 2
-    return deg, 2.0 * links / (deg * (deg - 1))
+def adjacency_csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices): node u's neighbors are indices[indptr[u]:indptr[u+1]],
+    in adjacency order."""
+    degrees = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.node_count)
+    indptr = np.zeros(g.node_count + 1, dtype=np.intp)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=indptr[-1])
+    return indptr, indices
+
+
+def csr_edge_labels(g: LabeledGraph) -> np.ndarray:
+    """Edge label at each position of adjacency_csr(g)'s indices; 0 for an
+    edge without one."""
+    return np.array([g.edge_label(v, w) or 0 for v in range(g.node_count)
+                     for w in g.adjacency[v]], dtype=np.intp)
+
+
+class Balls(NamedTuple):
+    """Disjoint union of k-hop balls of one parent graph.
+
+    Ball i occupies consecutive rows, in anchor order, its nodes ordered by
+    parent id. src/dst are the ball-internal edges in both directions,
+    grouped by dst in row order (src ascending within a group), and edges[j]
+    is the position of edge j in the parent's CSR indices.
+    """
+
+    nodes: np.ndarray  # parent id of each row
+    anchors: np.ndarray  # row of each ball's anchor
+    src: np.ndarray
+    dst: np.ndarray
+    edges: np.ndarray
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges [starts[i], starts[i] + counts[i])."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position of each key in sorted_keys, whether it is there)."""
+    pos = np.searchsorted(sorted_keys, keys)
+    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+
+
+def k_hop_balls(
+    indptr: np.ndarray, indices: np.ndarray, anchors: np.ndarray, k: int,
+    max_rows: int | None = None,
+) -> Balls:
+    """The edge-induced k-hop ball of each anchor, found by one frontier BFS
+    over all anchors at once; ball i's rows are the sorted keys i * N + node.
+
+    With max_rows, the BFS drops the last anchors whenever the balls so far
+    exceed max_rows rows (the first ball is always kept), so only a prefix
+    of the anchors may come back: len(result.anchors) says how many.
+    """
+    if k < 0:
+        raise GraphError("hop count must be nonnegative")
+    n = len(indptr) - 1
+    anchors = np.asarray(anchors, dtype=np.intp)
+    degree = np.diff(indptr)
+    seen = frontier = np.arange(len(anchors)) * n + anchors
+    for level in range(k + 1):
+        if max_rows is not None and len(seen) > max_rows and len(anchors) > 1:
+            ends = np.searchsorted(seen, np.arange(1, len(anchors) + 1) * n)
+            anchors = anchors[:max(1, np.searchsorted(ends, max_rows, side="right"))]
+            seen = seen[:ends[len(anchors) - 1]]
+            frontier = frontier[frontier < len(anchors) * n]
+        if level == k:
+            break
+        ball, node = np.divmod(frontier, n)
+        counts = degree[node]
+        reached = np.unique(np.repeat(ball * n, counts)
+                            + indices[_expand(indptr[node], counts)])
+        pos, known = _find(seen, reached)
+        frontier = reached[~known]
+        if not len(frontier):
+            break
+        seen = np.insert(seen, pos[~known], frontier)
+    ball, node = np.divmod(seen, n)
+    counts = degree[node]
+    edges = _expand(indptr[node], counts)
+    dst = np.repeat(np.arange(len(seen)), counts)
+    src, inside = _find(seen, np.repeat(ball * n, counts) + indices[edges])
+    return Balls(
+        nodes=node,
+        anchors=np.searchsorted(seen, np.arange(len(anchors)) * n + anchors),
+        src=src[inside],
+        dst=dst[inside],
+        edges=edges[inside],
+    )
+
+
+def triangle_counts(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Triangles through each node, i.e. edges among its neighbors, of the
+    graph whose edges (src, dst) are listed in both directions.
+
+    Each triangle is found once, as the 2-path v -> a -> c whose nodes rise
+    in (degree, id) order, closed when (v, c) is an edge; a search of the
+    sorted keys dst * n + src tests that. Walking only rising 2-paths keeps a
+    hub from costing the square of its degree.
+    """
+    n = len(degree)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort((np.arange(n), degree))] = np.arange(n)
+    up = rank[src] > rank[dst]
+    keys = np.sort(dst[up] * n + src[up])  # (v, a) with a above v, grouped by v
+    v_of, a_of = np.divmod(keys, n)
+    out_degree = np.bincount(v_of, minlength=n)
+    hops = out_degree[a_of]
+    c = a_of[_expand(np.cumsum(out_degree)[a_of] - hops, hops)]
+    v, a = np.repeat(v_of, hops), np.repeat(a_of, hops)
+    _, closed = _find(keys, v * n + c)
+    return sum(np.bincount(x[closed], minlength=n) for x in (v, a, c))
 
 
 def to_json(g: LabeledGraph) -> str:

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submatch import autodiff as ad
 from submatch import encoder
@@ -21,10 +23,26 @@ from submatch.encoder import (
     save_checkpoint,
     _as_tensors,
 )
-from submatch.graphs import AnchoredNeighborhood, GraphError, LabeledGraph, k_hop_neighborhood
+from submatch.graphs import (
+    AnchoredNeighborhood,
+    GraphError,
+    LabeledGraph,
+    adjacency_csr,
+    k_hop_balls,
+    k_hop_neighborhood,
+)
 from submatch.order import MarginConfig
 
 SMALL = EncoderConfig(layers=3, hidden_dim=12, output_dim=8, label_alphabet_size=2)
+
+
+def features(nh, cfg):
+    """build_input_features of one neighborhood's arrays."""
+    g = nh.graph
+    indptr, indices = adjacency_csr(g)
+    dst = np.repeat(np.arange(g.node_count), np.diff(indptr))
+    return build_input_features(
+        np.asarray(g.node_labels), np.array([nh.anchor]), indices, dst, cfg)
 
 
 def permuted_copy(nh, seed):
@@ -60,7 +78,7 @@ class TestInputFeatures:
             label_alphabet_size=2, use_structural_features=False,
         )
         g = LabeledGraph.from_edges(2, [(0, 1)], node_labels=[0, 1], label_alphabet_size=2)
-        feats = build_input_features(AnchoredNeighborhood(g, 0, 1), cfg)
+        feats = features(AnchoredNeighborhood(g, 0, 1), cfg)
         assert np.array_equal(feats, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     def test_anchor_indicator_sums_to_one(self):
@@ -69,14 +87,14 @@ class TestInputFeatures:
             g = gen_er(10, 0.3, 2, seed=int(rng.integers(1 << 30)))
             u = int(rng.integers(10))
             nh = k_hop_neighborhood(g, u, 2)
-            feats = build_input_features(nh, SMALL)
+            feats = features(nh, SMALL)
             assert feats[:, 0].sum() == 1.0
             assert feats[nh.anchor, 0] == 1.0
 
     def test_structural_columns(self, triangle):
         nh = AnchoredNeighborhood(triangle, 0, 1)
         cfg = EncoderConfig(layers=1, hidden_dim=4, output_dim=4, label_alphabet_size=1)
-        feats = build_input_features(nh, cfg)
+        feats = features(nh, cfg)
         # every triangle node: degree 2, clustering 1.0
         assert np.array_equal(feats[:, -2], [2.0, 2.0, 2.0])
         assert np.array_equal(feats[:, -1], [1.0, 1.0, 1.0])
@@ -85,14 +103,14 @@ class TestInputFeatures:
         g = LabeledGraph.from_edges(2, [(0, 1)], node_labels=[0, 4], label_alphabet_size=5)
         cfg = EncoderConfig(layers=1, hidden_dim=4, output_dim=4, label_alphabet_size=2)
         with pytest.raises(GraphError):
-            build_input_features(AnchoredNeighborhood(g, 0, 1), cfg)
+            features(AnchoredNeighborhood(g, 0, 1), cfg)
 
     def test_row_permutation_equivariance(self):
         g = gen_er(8, 0.4, 2, seed=3)
         nh = k_hop_neighborhood(g, 0, 2)
-        feats = build_input_features(nh, SMALL)
+        feats = features(nh, SMALL)
         copy = permuted_copy(nh, seed=1)
-        feats2 = build_input_features(copy, SMALL)
+        feats2 = features(copy, SMALL)
         assert sorted(map(tuple, feats)) == sorted(map(tuple, feats2))
 
 
@@ -203,6 +221,129 @@ class TestEncodeAll:
         ss_res = float(((y - pred) ** 2).sum())
         ss_tot = float(((y - y.mean()) ** 2).sum())
         assert 1 - ss_res / ss_tot > 0.9
+
+
+def per_node(g, k, params, cfg):
+    return np.stack([encode(k_hop_neighborhood(g, u, k), params, cfg)
+                     for u in range(g.node_count)])
+
+
+class TestBallPath:
+    """encode_all cuts its blocks from the parent graph's CSR arrays; every
+    row must still be what encode() gives for that node's k-hop neighborhood."""
+
+    def test_disconnected_graph_with_isolated_nodes(self):
+        # two triangles joined by a path, a separate edge, and two isolated nodes
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6), (8, 9)]
+        g = LabeledGraph.from_edges(11, edges, [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0], 2)
+        params = init_params(SMALL, seed=1)
+        assert np.array_equal(encode_all(g, 2, params, SMALL), per_node(g, 2, params, SMALL))
+
+    @pytest.mark.parametrize("k", [0, 9, 40])
+    def test_radius_zero_and_beyond_diameter(self, k):
+        g = gen_er(30, 0.12, 2, seed=4)
+        params = init_params(SMALL, seed=2)
+        assert np.array_equal(encode_all(g, k, params, SMALL), per_node(g, k, params, SMALL))
+
+    def test_ball_larger_than_a_block(self, monkeypatch):
+        # the hub's 2-hop ball holds 22 nodes, over four times the block size
+        edges = [(0, i) for i in range(1, 21)] + [(i, i + 1) for i in range(20, 25)]
+        g = LabeledGraph.from_edges(26, edges, [i % 2 for i in range(26)], 2)
+        params = init_params(SMALL, seed=3)
+        direct = per_node(g, 2, params, SMALL)
+        monkeypatch.setattr(encoder, "CHUNK_ROWS", 5)
+        assert np.array_equal(encode_all(g, 2, params, SMALL), direct)
+
+    def test_blocks_stay_within_twice_chunk_rows(self, monkeypatch):
+        # a hub puts 200 nodes into the 2-hop ball of every node near it, far
+        # more than the graph's mean degree suggests; the path's balls are small
+        edges = [(0, i) for i in range(1, 201)] + [(i, i + 1) for i in range(200, 299)]
+        g = LabeledGraph.from_edges(300, edges, [i % 2 for i in range(300)], 2)
+        params = init_params(SMALL, seed=7)
+        direct = per_node(g, 2, params, SMALL)
+        blocks = []
+        infer = encoder._infer
+
+        def recording(block, *args):
+            blocks.append((len(block.features), len(block.anchors)))
+            return infer(block, *args)
+
+        monkeypatch.setattr(encoder, "_infer", recording)
+        monkeypatch.setattr(encoder, "CHUNK_ROWS", 64)
+        assert np.array_equal(encode_all(g, 2, params, SMALL), direct)
+        assert sum(anchors for _, anchors in blocks) == 300
+        assert all(rows <= 2 * 64 or anchors == 1 for rows, anchors in blocks)
+
+    def test_edges_without_a_label_read_as_label_zero(self):
+        cfg = EncoderConfig(layers=3, hidden_dim=12, output_dim=8,
+                            label_alphabet_size=2, edge_label_count=3)
+        params = init_params(cfg, seed=6)
+        rng = np.random.default_rng(8)
+        for seed in range(3):
+            base = gen_er(40, 0.1, 2, seed=seed)
+            labels = {e: int(rng.integers(1, 3)) for e in base.edges() if rng.random() < 0.5}
+            g = LabeledGraph.from_edges(40, base.edges(), list(base.node_labels), 2,
+                                        edge_labels=labels)
+            assert np.array_equal(encode_all(g, 2, params, cfg), per_node(g, 2, params, cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 14), seed=st.integers(0, 10_000), k=st.integers(0, 3),
+           max_rows=st.integers(1, 60))
+    def test_features_are_degree_and_clustering_inside_each_ball(self, n, seed, k, max_rows):
+        nx = pytest.importorskip("networkx")
+        g = gen_er(n, 0.3, 2, seed=seed)
+        indptr, indices = adjacency_csr(g)
+        balls = k_hop_balls(indptr, indices, np.arange(n), k)
+        assert np.all(np.diff(balls.dst) >= 0)  # grouped by dst in row order
+        # a row cap hands back the balls of a prefix of the anchors, unchanged
+        capped = k_hop_balls(indptr, indices, np.arange(n), k, max_rows=max_rows)
+        kept = len(capped.anchors)
+        assert kept >= 1 and (len(capped.nodes) <= max_rows or kept == 1)
+        rows = sum(len(g.bfs_distances(u, max_depth=k)) for u in range(kept))
+        edges = np.searchsorted(balls.dst, rows)
+        assert np.array_equal(capped.nodes, balls.nodes[:rows])
+        assert np.array_equal(capped.anchors, balls.anchors[:kept])
+        for got, want in ((capped.src, balls.src), (capped.dst, balls.dst),
+                          (capped.edges, balls.edges)):
+            assert np.array_equal(got, want[:edges])
+        feats = build_input_features(
+            np.asarray(g.node_labels)[balls.nodes], balls.anchors, balls.src, balls.dst, SMALL)
+        whole = nx.Graph(g.edges())
+        whole.add_nodes_from(range(n))
+        first = 0
+        for u in range(n):
+            ball = sorted(g.bfs_distances(u, max_depth=k))
+            rows = np.arange(first, first + len(ball))
+            first += len(ball)
+            assert balls.nodes[rows].tolist() == ball
+            assert balls.nodes[balls.anchors[u]] == u
+            inside = whole.subgraph(ball)
+            clustering = nx.clustering(inside)
+            for r in rows:
+                v = int(balls.nodes[r])
+                assert feats[r, -2] == inside.degree(v)
+                assert feats[r, -1] == clustering[v]
+        assert first == len(balls.nodes)
+
+    def test_builds_no_graph_objects(self, monkeypatch):
+        g = gen_er(300, 0.015, 2, seed=12)
+        built = []
+        original = LabeledGraph.__post_init__
+        monkeypatch.setattr(LabeledGraph, "__post_init__",
+                            lambda self: built.append(1) or original(self))
+        encode_all(g, 3, init_params(SMALL, seed=0), SMALL)
+        assert built == []
+
+    def test_label_outside_alphabet_rejected(self):
+        g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], node_labels=[0, 1, 2],
+                                    label_alphabet_size=3)
+        with pytest.raises(GraphError, match="node label 2 outside encoder alphabet"):
+            encode_all(g, 1, init_params(SMALL, seed=0), SMALL)
+
+    def test_negative_radius_rejected(self):
+        g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="hop count must be nonnegative"):
+            encode_all(g, -1, init_params(SMALL, seed=0), SMALL)
 
 
 class TestOrderPreservationUnderIdentityAggregation:

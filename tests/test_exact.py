@@ -5,6 +5,7 @@ from submatch.datasets import gen_er
 from submatch.exact import (
     MatchBudget,
     MatchOutcome,
+    _Search,
     is_subgraph,
     is_subgraph_anchored,
 )
@@ -80,6 +81,52 @@ class TestUnanchored:
             got = is_subgraph(q, t)
             assert got.is_decided
             assert got.is_true == brute_force_is_subgraph(q, t)
+
+
+class _RecursiveSearch(_Search):
+    """Slow reference: the search as plain recursion, one frame per query node."""
+
+    def _extend(self, order, depth, mapping, used):
+        if depth == len(order):
+            return True
+        q = order[depth]
+        for t in self._candidates(q, mapping):
+            self._tick()
+            if self._feasible(q, t, mapping, used):
+                mapping[q] = t
+                used.add(t)
+                if self._extend(order, depth + 1, mapping, used):
+                    return True
+                del mapping[q]
+                used.discard(t)
+        return False
+
+
+class TestIterativeSearch:
+    def test_long_path_needs_no_recursion(self):
+        q = LabeledGraph.from_edges(1500, [(i, i + 1) for i in range(1499)])
+        t = LabeledGraph.from_edges(1600, [(i, i + 1) for i in range(1599)])
+        assert is_subgraph(q, t) is MatchOutcome.TRUE
+
+    @pytest.mark.parametrize("max_states", [10_000_000, 60], ids=["decided", "tight"])
+    def test_states_equal_recursive_reference(self, max_states):
+        budget = MatchBudget(max_states=max_states)
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for trial in range(80):
+            q = gen_er(int(rng.integers(3, 9)), 0.4, 2, seed=int(rng.integers(1 << 30)))
+            t = gen_er(int(rng.integers(8, 18)), 0.3, 2, seed=int(rng.integers(1 << 30)))
+            if not q.is_connected():
+                continue
+            got, want = _Search(q, t, budget), _RecursiveSearch(q, t, budget)
+            runs = [(got.run_unanchored(), want.run_unanchored())]
+            u = int(rng.integers(t.node_count))
+            got_a, want_a = _Search(q, t, budget), _RecursiveSearch(q, t, budget)
+            runs.append((got_a.run_anchored(0, u), want_a.run_anchored(0, u)))
+            assert [a for a, _ in runs] == [b for _, b in runs]
+            assert (got.states, got_a.states) == (want.states, want_a.states)
+            outcomes.update(a for a, _ in runs)
+        assert len(outcomes) >= 2
 
 
 class TestCount:

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submatch.encoder import EncoderConfig, build_input_features
 from submatch.exact import is_subgraph
 from submatch.graphs import (
     AnchoredNeighborhood,
     GraphError,
     LabeledGraph,
+    adjacency_csr,
     from_json,
     k_hop_neighborhood,
-    structural_features,
     to_json,
 )
 
@@ -110,6 +111,16 @@ class TestKHop:
             # isomorphic both ways via the exact matcher
             assert is_subgraph(nh1, nh2).is_true
             assert is_subgraph(nh2, nh1).is_true
+
+
+def structural_features(g: LabeledGraph, u: int) -> tuple[float, float]:
+    """(degree, clustering) of node u, as the encoder's feature routine gives them."""
+    indptr, indices = adjacency_csr(g)
+    dst = np.repeat(np.arange(g.node_count), np.diff(indptr))
+    cfg = EncoderConfig(layers=1, hidden_dim=4, output_dim=4,
+                        label_alphabet_size=g.label_alphabet_size)
+    feats = build_input_features(np.asarray(g.node_labels), np.array([u]), indices, dst, cfg)
+    return tuple(feats[u, -2:])
 
 
 class TestStructuralFeatures:
