@@ -162,19 +162,31 @@ def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False)
         src, dst = group_index(groups)
         n_out = len(groups)
     if value_sorted:
-        out_val = _sorted_column_sums(h.value, src, dst, n_out)
+        out = Tensor(_sorted_column_sums(h.value, src, dst, n_out))
     else:
-        out_val = np.zeros((n_out,) + h.shape[1:], dtype=np.float64)
-        np.add.at(out_val, dst, h.value[src])
-    out = Tensor(out_val)
+        out = Tensor(_scatter_rows(n_out, dst, h.value[src]))
 
     def backward(g, grads):
-        gh = np.zeros_like(h.value)
-        np.add.at(gh, src, g[dst])
-        grads.add(h, gh)
+        grads.add(h, _scatter_rows(h.shape[0], src, g[dst]))
 
     tape.push(out, (h,), backward)
     return out
+
+
+def _scatter_rows(n_out: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[idx[i]] += rows[i] over zeros of shape (n_out,) + rows.shape[1:],
+    for nonnegative idx.
+
+    One np.bincount over the flat cell keys idx * d + column. Like np.add.at,
+    it adds each cell's addends in ascending i starting from 0.0, so the bits
+    and the sign of zero are the same; it is just one vectorized pass.
+    """
+    tail = rows.shape[1:]
+    d = int(np.prod(tail))
+    keys = (idx[:, None] * d + np.arange(d)).reshape(-1)
+    out = np.bincount(keys, weights=rows.reshape(-1), minlength=n_out * d)
+    # an empty bincount comes back as integers
+    return out.astype(np.float64, copy=False).reshape((n_out,) + tail)
 
 
 def _sorted_column_sums(values: np.ndarray, src, dst, n_out: int) -> np.ndarray:
@@ -198,9 +210,7 @@ def take_rows(tape: Tape, h: Tensor, idx) -> Tensor:
     out = Tensor(h.value[idx])
 
     def backward(g, grads):
-        gh = np.zeros_like(h.value)
-        np.add.at(gh, idx, g)
-        grads.add(h, gh)
+        grads.add(h, _scatter_rows(h.shape[0], idx, g))
 
     tape.push(out, (h,), backward)
     return out

@@ -27,6 +27,18 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _trusted(cls, **values):
+    """An instance of the frozen dataclass cls that skips __post_init__;
+    a field left out reads its class-level default.
+
+    Only for values derived from an already validated graph whose invariants
+    hold by construction; every public constructor still validates.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Undirected graph with categorical node labels and optional edge labels.
@@ -151,24 +163,31 @@ class LabeledGraph:
         return dist
 
     def induced_on(self, nodes: list[int]) -> "LabeledGraph":
-        """Edge-induced subgraph on a node subset, renumbered by list position."""
+        """Edge-induced subgraph on distinct node ids, renumbered by list
+        position. It is read straight off this graph's sorted adjacency and
+        is valid by construction, so it is not validated again."""
         index = {old: new for new, old in enumerate(nodes)}
-        edges = []
+        if len(index) != len(nodes):
+            raise GraphError("induced_on needs distinct node ids")
+        if nodes and not (0 <= min(nodes) and max(nodes) < self.node_count):
+            raise GraphError(f"induced_on node ids must lie in [0, {self.node_count})")
+        adjacency = []
         edge_labels: EdgeLabels = {}
-        for old_u in nodes:
-            for old_v in self.adjacency[old_u]:
-                if old_v in index and old_u < old_v:
-                    nu, nv = index[old_u], index[old_v]
-                    edges.append((nu, nv))
-                    lab = self.edge_label(old_u, old_v)
+        for new_u, old_u in enumerate(nodes):
+            kept = [v for v in self.adjacency[old_u] if v in index]
+            adjacency.append(tuple(sorted([index[v] for v in kept])))
+            if self.edge_labels is not None:
+                for old_v in kept:
+                    lab = self.edge_labels.get((old_u, old_v)) if old_u < old_v else None
                     if lab is not None:
-                        edge_labels[_edge_key(nu, nv)] = lab
-        return LabeledGraph.from_edges(
+                        edge_labels[_edge_key(new_u, index[old_v])] = lab
+        return _trusted(
+            LabeledGraph,
             node_count=len(nodes),
-            edges=edges,
-            node_labels=[self.node_labels[u] for u in nodes],
+            adjacency=tuple(adjacency),
+            node_labels=tuple(self.node_labels[u] for u in nodes),
             label_alphabet_size=self.label_alphabet_size,
-            edge_labels=edge_labels if self.edge_labels is not None else None,
+            edge_labels=edge_labels or None,
         )
 
     def fingerprint(self) -> str:
@@ -216,8 +235,8 @@ def k_hop_neighborhood(g: LabeledGraph, u: int, k: int) -> AnchoredNeighborhood:
         raise GraphError("hop count must be nonnegative")
     dist = g.bfs_distances(u, max_depth=k)
     order = sorted(dist, key=lambda n: (dist[n], n))
-    sub = g.induced_on(order)
-    return AnchoredNeighborhood(graph=sub, anchor=0, radius=k)
+    # a BFS ball is connected and within k hops of its anchor
+    return _trusted(AnchoredNeighborhood, graph=g.induced_on(order), anchor=0, radius=k)
 
 
 def adjacency_csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -353,36 +372,53 @@ def to_json(g: LabeledGraph) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def from_json(text: str) -> LabeledGraph:
-    """Parse the JSON interchange format; ids must be 0-based and contiguous."""
-    obj = json.loads(text)
-    nodes = obj["nodes"]
-    ids = sorted(n["id"] for n in nodes)
+def _integer(obj: dict, key: str, default: int | None = None) -> int:
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def from_json(text: str | bytes) -> LabeledGraph:
+    """Parse the JSON interchange format; ids must be 0-based and contiguous.
+    Every malformed document raises GraphError."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
+        raise GraphError(f"graph is not valid JSON: {exc}") from None
+    if not (isinstance(obj, dict) and isinstance(obj.get("nodes"), list)
+            and isinstance(obj.get("edges"), list)):
+        raise GraphError('a graph is a JSON object with "nodes" and "edges" lists')
+    nodes, edge_objs = obj["nodes"], obj["edges"]
+    if not all(isinstance(x, dict) for x in nodes + edge_objs):
+        raise GraphError("every node and edge must be a JSON object")
+    ids = sorted(_integer(n, "id") for n in nodes)
     if ids != list(range(len(nodes))):
         raise GraphError("node ids must be 0-based and contiguous")
     labels = [0] * len(nodes)
     for n in nodes:
-        labels[n["id"]] = int(n.get("label", 0))
+        labels[n["id"]] = _integer(n, "label", 0)
     edges = []
     edge_labels: EdgeLabels = {}
     any_edge_label = False
-    for e in obj["edges"]:
-        u, v = int(e["u"]), int(e["v"])
+    for e in edge_objs:
+        u, v = _integer(e, "u"), _integer(e, "v")
         edges.append((u, v))
         if "label" in e:
             any_edge_label = True
-            edge_labels[_edge_key(u, v)] = int(e["label"])
+            edge_labels[_edge_key(u, v)] = _integer(e, "label")
+    alphabet = obj.get("label_alphabet_size")
     return LabeledGraph.from_edges(
         node_count=len(nodes),
         edges=edges,
         node_labels=labels,
-        label_alphabet_size=obj.get("label_alphabet_size"),
+        label_alphabet_size=None if alphabet is None else _integer(obj, "label_alphabet_size"),
         edge_labels=edge_labels if any_edge_label else None,
     )
 
 
 def load_graph(path) -> LabeledGraph:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return from_json(fh.read())
 
 

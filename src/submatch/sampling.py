@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import MatchBudget, MatchOutcome, is_subgraph_anchored
-from .graphs import AnchoredNeighborhood, LabeledGraph, k_hop_neighborhood
+from .graphs import AnchoredNeighborhood, LabeledGraph, _trusted, k_hop_neighborhood
 
 STRATEGIES = ("random_bfs", "random_walk_restart", "mfinder_degree_weighted")
 
@@ -51,9 +51,7 @@ class TrainingPair:
     kind: str | None = None  # "random" or "hard" for negatives, None for positives
 
 
-def _as_neighborhood(
-    g: LabeledGraph, u: int, selected: list[int], origin=None
-) -> AnchoredNeighborhood:
+def _as_neighborhood(g: LabeledGraph, u: int, selected: list[int]) -> AnchoredNeighborhood:
     """Edge-induced neighborhood on the selected nodes, renumbered from u.
 
     Node order is BFS-from-anchor restricted to the selection (ties by
@@ -73,9 +71,10 @@ def _as_neighborhood(
         nxt.sort()
         order.extend(nxt)
         frontier = nxt
-    sub = g.induced_on(order)
-    radius = max(dist.values()) if dist else 0
-    return AnchoredNeighborhood(graph=sub, anchor=0, radius=radius, origin=origin)
+    # connected, and within this BFS's depth of the anchor, by construction
+    return _trusted(
+        AnchoredNeighborhood, graph=g.induced_on(order), anchor=0, radius=max(dist.values())
+    )
 
 
 def random_bfs_sample(
@@ -175,8 +174,8 @@ def _sample_anchored(
         u = cand[int(rng.integers(len(cand)))]
     base = k_hop_neighborhood(g, u, k)
     nh = sample_neighborhood(base.graph, 0, cfg, rng)
-    return AnchoredNeighborhood(
-        graph=nh.graph, anchor=0, radius=nh.radius, origin=("", u)
+    return _trusted(
+        AnchoredNeighborhood, graph=nh.graph, anchor=0, radius=nh.radius, origin=("", u)
     )
 
 

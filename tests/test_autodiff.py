@@ -215,6 +215,66 @@ class TestValueSortedSum:
         assert np.array_equal(grads[0], grads[1])
 
 
+
+def add_at_reference(n_out, idx, rows):
+    out = np.zeros((n_out,) + rows.shape[1:])
+    np.add.at(out, idx, rows)
+    return out
+
+
+# magnitudes where the order of additions shows in the bits (1e16 + 1 == 1e16)
+_scatter_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.5, 3.25e-7])
+
+
+class TestScatterRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bits_equal_add_at(self, data):
+        n_out = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(0, 12))
+        tail = data.draw(st.sampled_from([(), (1,), (3,)]))
+        idx = np.array(data.draw(st.lists(st.integers(0, n_out - 1), min_size=m, max_size=m)),
+                       dtype=np.intp)
+        rows = data.draw(arrays(np.float64, (m,) + tail, elements=_scatter_values))
+        got = ad._scatter_rows(n_out, idx, rows)
+        want = add_at_reference(n_out, idx, rows)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bits, the sign of zero included
+
+    def test_order_and_signed_zero(self):
+        idx = np.array([0, 0, 0, 1])
+        rows = np.array([1e16, 1.0, 1.0, -0.0])
+        got = ad._scatter_rows(2, idx, rows)
+        assert got[0] == 1e16 and got.tobytes() == add_at_reference(2, idx, rows).tobytes()
+        assert not np.signbit(got[1])
+
+    def test_empty(self):
+        got = ad._scatter_rows(3, np.empty(0, dtype=np.intp), np.empty((0, 2)))
+        assert got.dtype == np.float64 and np.array_equal(got, np.zeros((3, 2)))
+
+    def test_training_parameters_match_add_at(self, monkeypatch):
+        from submatch.datasets import gen_er
+        from submatch.encoder import EncoderConfig
+        from submatch.order import MarginConfig
+        from submatch.sampling import SamplerConfig
+        from submatch.training import TrainConfig, train
+
+        def train_tiny():
+            pool = [gen_er(12, 4.0 / 12, 1, seed=s) for s in range(3)]
+            res = train(pool, TrainConfig(epochs=2, min_iterations=2, seed=5),
+                        EncoderConfig(layers=2, hidden_dim=8, output_dim=8,
+                                      label_alphabet_size=1),
+                        MarginConfig(), SamplerConfig(max_nodes=6))
+            return res.checkpoint.params
+
+        fast = train_tiny()
+        monkeypatch.setattr(ad, "_scatter_rows", add_at_reference)
+        reference = train_tiny()
+        assert fast.keys() == reference.keys()
+        for name in fast:
+            assert fast[name].tobytes() == reference[name].tobytes(), name
+
+
 def test_row_stable_matmul_rows_ignore_batch_size():
     rng = np.random.default_rng(3)
     a = ad.Tensor(rng.normal(size=(50, 37)))

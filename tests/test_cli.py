@@ -213,6 +213,18 @@ class TestEmbedAndQuery:
         err = capsys.readouterr().err
         assert "7" in err  # names the offending label
 
+    def test_malformed_graph_file_exits_one(self, smoke_model, tmp_path, capsys):
+        for text in ['{"nodes": 5, "edges": []}', "[]", "{not json",
+                     '{"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0}]}',
+                     '{"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1.5}]}']:
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            code = run_cli("embed", "--graph", str(bad), "--checkpoint",
+                           str(smoke_model / "checkpoint.json"), "--out", str(tmp_path / "i.json"))
+            err = capsys.readouterr().err.strip()
+            assert code == 1, (text, err)
+            assert len(err.splitlines()) == 1, (text, err)
+
     def test_missing_file_exits_one(self, smoke_model):
         code = run_cli(
             "query", "--query", "/nonexistent.json", "--target", "/nonexistent.json",

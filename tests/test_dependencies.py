@@ -20,3 +20,14 @@ def test_numpy_is_the_only_runtime_dependency():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno} imports {name}")
     assert not foreign, foreign
+
+
+def test_one_scatter_primitive():
+    """Scatter-adds go through autodiff._scatter_rows; no ufunc .at() loops."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "at"):
+                calls.append(f"{path.name}:{node.lineno} calls .at()")
+    assert not calls, calls

@@ -16,6 +16,13 @@ from submatch.graphs import (
     k_hop_neighborhood,
     to_json,
 )
+from submatch.sampling import (
+    SamplerConfig,
+    _sample_anchored,
+    mfinder_sample,
+    random_bfs_sample,
+    random_walk_sample,
+)
 
 
 def er_strategy(max_n=8):
@@ -55,6 +62,99 @@ class TestInvariants:
     def test_duplicate_edges_merged(self):
         g = LabeledGraph.from_edges(2, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
+
+
+@st.composite
+def labeled_graphs(draw, max_n=10):
+    """Graphs with node labels, and with all, some or no edges labelled."""
+    n = draw(st.integers(1, max_n))
+    alphabet = draw(st.integers(1, 3))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    labels = draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
+    edge_labels = None
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edge_labels = {(a, b): (a + b) % 3 for (a, b), k in zip(edges, keep) if k} or None
+    return LabeledGraph.from_edges(n, edges, labels, alphabet, edge_labels)
+
+
+def reference_induced_on(g: LabeledGraph, nodes: list[int]) -> LabeledGraph:
+    """The edge list -> from_edges rebuild that induced_on replaced."""
+    index = {old: new for new, old in enumerate(nodes)}
+    edges, edge_labels = [], {}
+    for old_u in nodes:
+        for old_v in g.adjacency[old_u]:
+            if old_v in index and old_u < old_v:
+                nu, nv = index[old_u], index[old_v]
+                edges.append((nu, nv))
+                if g.edge_label(old_u, old_v) is not None:
+                    edge_labels[(min(nu, nv), max(nu, nv))] = g.edge_label(old_u, old_v)
+    return LabeledGraph.from_edges(
+        len(nodes), edges, [g.node_labels[u] for u in nodes], g.label_alphabet_size,
+        edge_labels if g.edge_labels is not None else None,
+    )
+
+
+def revalidated_graph(g: LabeledGraph) -> LabeledGraph:
+    return LabeledGraph(g.node_count, g.adjacency, g.node_labels, g.label_alphabet_size,
+                        g.edge_labels)
+
+
+def revalidated(nh: AnchoredNeighborhood) -> AnchoredNeighborhood:
+    return AnchoredNeighborhood(revalidated_graph(nh.graph), nh.anchor, nh.radius, nh.origin)
+
+
+SAMPLERS = (random_bfs_sample, random_walk_sample, mfinder_sample)
+
+
+class TestDerivedGraphs:
+    """Induced subgraphs and sampled neighborhoods are built without being
+    validated again; they must equal what the validating path builds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_graphs(), st.data())
+    def test_induced_on_matches_from_edges_rebuild(self, g, data):
+        order = data.draw(st.permutations(range(g.node_count)))
+        nodes = order[:data.draw(st.integers(0, g.node_count))]
+        sub = g.induced_on(nodes)
+        assert sub == reference_induced_on(g, nodes)
+        assert revalidated_graph(sub) == sub
+
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_graphs(), st.integers(0, 3), st.integers(0, 10_000))
+    def test_outputs_pass_validating_constructors(self, g, k, seed):
+        u = seed % g.node_count
+        cfg = SamplerConfig(max_nodes=6)
+        rng = np.random.default_rng(seed)
+        made = [k_hop_neighborhood(g, u, k), _sample_anchored(g, k, cfg, rng)]
+        made += [sampler(g, u, cfg, rng) for sampler in SAMPLERS]
+        for nh in made:
+            assert revalidated(nh) == nh
+        for nh in made[1:]:  # a sampled radius is the anchor's eccentricity
+            assert nh.radius == max(nh.graph.bfs_distances(0).values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(labeled_graphs(), st.integers(0, 3), st.integers(0, 10_000))
+    def test_seeded_samples_match_reference_path(self, g, k, seed):
+        def run():
+            rng = np.random.default_rng(seed)
+            cfg = SamplerConfig(max_nodes=7)
+            out = [k_hop_neighborhood(g, seed % g.node_count, k),
+                   _sample_anchored(g, k, cfg, rng)]
+            return out + [sampler(g, seed % g.node_count, cfg, rng) for sampler in SAMPLERS]
+
+        fast = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LabeledGraph, "induced_on", reference_induced_on)
+            reference = run()
+        for a, b in zip(fast, reference):  # graph equality compares adjacency tuples
+            assert (a.graph, a.anchor, a.radius, a.origin) == (b.graph, b.anchor, b.radius, b.origin)
+
+    @pytest.mark.parametrize("nodes", [[-1], [0, 1, 1], [5]])
+    def test_induced_on_rejects_bad_node_ids(self, path3, nodes):
+        with pytest.raises(GraphError):
+            path3.induced_on(nodes)
 
 
 class TestKHop:
@@ -170,3 +270,51 @@ class TestJsonFormat:
         bad = json.dumps({"nodes": [{"id": 0}, {"id": 2}], "edges": []})
         with pytest.raises(GraphError):
             from_json(bad)
+
+    @pytest.mark.parametrize("text", [
+        '{"nodes": 5, "edges": []}',
+        '[{"id": 0}]',
+        '{"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0}]}',
+        '{"nodes": [{"id": 0}]}',
+        'nodes: 0',
+        '{"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1.5}]}',
+        '{"nodes": [{"id": 0, "label": "a"}], "edges": []}',
+        '{"nodes": [{"id": true}], "edges": []}',
+    ])
+    def test_malformed_documents_raise_graph_error(self, text):
+        with pytest.raises(GraphError):
+            from_json(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_graphs(max_n=5), st.data())
+    def test_mutated_documents_raise_only_graph_error(self, g, data):
+        doc = json.loads(to_json(g))
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+                st.sampled_from(["id", "label", "u", "v", "nodes", "edges"]), inner, max_size=3),
+            max_leaves=6,
+        )
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = [(None, None)]  # (container, key); None replaces the whole document
+            stack = [doc] if isinstance(doc, (dict, list)) else []
+            while stack:
+                container = stack.pop()
+                keys = container.keys() if isinstance(container, dict) else range(len(container))
+                for key in keys:
+                    slots.append((container, key))
+                    if isinstance(container[key], (dict, list)):
+                        stack.append(container[key])
+            container, key = data.draw(st.sampled_from(slots))
+            if container is None:
+                doc = data.draw(json_values)
+            elif data.draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = data.draw(json_values)
+        text = json.dumps(doc)
+        text = text[:data.draw(st.integers(0, len(text)))] if data.draw(st.booleans()) else text
+        try:
+            from_json(text)
+        except GraphError:
+            pass
