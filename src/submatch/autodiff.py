@@ -109,10 +109,6 @@ def relu(tape: Tape, a: Tensor) -> Tensor:
     return leaky_relu(tape, a, 0.0)
 
 
-# elementwise max{0, x}; identical semantics and subgradient convention
-max_with_zero = relu
-
-
 def concat(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the feature axis (columns for 2-D, axis 0 for 1-D)."""
     if a.value.ndim != b.value.ndim or a.value.ndim not in (1, 2):

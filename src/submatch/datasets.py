@@ -4,31 +4,10 @@ from __future__ import annotations
 
 import glob
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import GraphError, LabeledGraph
-
-
-@dataclass(frozen=True)
-class SyntheticConfig:
-    family: str = "erdos_renyi"  # or "extended_barabasi"
-    n: int = 30
-    p: float = 0.15
-    m: int = 2
-    p_add: float = 0.2
-    p_rewire: float = 0.2
-    label_alphabet_size: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.family not in ("erdos_renyi", "extended_barabasi"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
 
 
 def _random_labels(n: int, alphabet: int, rng: np.random.Generator) -> list[int]:
@@ -142,14 +121,6 @@ def gen_extended_barabasi(
         edges=edges,
         node_labels=_random_labels(len(nodes), alphabet, rng),
         label_alphabet_size=alphabet,
-    )
-
-
-def generate(cfg: SyntheticConfig) -> LabeledGraph:
-    if cfg.family == "erdos_renyi":
-        return gen_er(cfg.n, cfg.p, cfg.label_alphabet_size, cfg.seed)
-    return gen_extended_barabasi(
-        cfg.n, cfg.m, cfg.p_add, cfg.p_rewire, cfg.label_alphabet_size, cfg.seed
     )
 
 

@@ -12,7 +12,8 @@ stay in the nonnegative orthant the order geometry requires.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .graphs import (
     triangle_counts,
 )
 from .order import MarginConfig
-from .util import atomic_write_text, stable_hash
+from .util import atomic_write_text, json_array, json_object, json_value, stable_hash
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -152,6 +153,11 @@ class _Block:
     def __init__(self, node_labels: np.ndarray, anchors: np.ndarray, src: np.ndarray,
                  dst: np.ndarray, edge_labels: np.ndarray, cfg: EncoderConfig):
         self.features = build_input_features(node_labels, anchors, src, dst, cfg)
+        if cfg.edge_label_count > 0:
+            bad = np.flatnonzero((edge_labels < 0) | (edge_labels >= cfg.edge_label_count))
+            if len(bad):
+                raise GraphError(f"edge label {edge_labels[bad[0]]} outside encoder's "
+                                 f"{cfg.edge_label_count} edge labels")
         self.anchors = anchors
         self.index = (src, dst)
         self.label_indexes = [
@@ -285,21 +291,10 @@ def encode_batch(
 
 
 def encode(
-    n: AnchoredNeighborhood,
-    params: dict[str, np.ndarray],
-    cfg: EncoderConfig,
-    tape: ad.Tape | None = None,
-):
-    """Embedding of one neighborhood.
-
-    Without a tape: inference mode, returns a (D,) array whose bits depend
-    only on the isomorphism class of the anchored neighborhood. With a
-    recording tape: returns a (1, D) tensor using the training-path
-    aggregation order (gradients flow; bits may differ from inference by
-    float rounding).
-    """
-    if tape is not None:
-        return encode_batch(tape, [n], _as_tensors(params), cfg)
+    n: AnchoredNeighborhood, params: dict[str, np.ndarray], cfg: EncoderConfig
+) -> np.ndarray:
+    """Inference embedding of one neighborhood: a (D,) array whose bits
+    depend only on the isomorphism class of the anchored neighborhood."""
     return _infer(_Block.of_neighborhoods([n], cfg), _as_tensors(params), cfg)[0]
 
 
@@ -388,34 +383,53 @@ class CheckpointError(ValueError):
     pass
 
 
+def _config_from_json(cls, obj):
+    """cls built from a JSON object; each key present must be one of cls's
+    fields and hold a value of its default's type."""
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"checkpoint {cls.__name__} must be a JSON object")
+    names = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise CheckpointError(f"unknown checkpoint {cls.__name__} keys: {unknown}")
+    values = {name: json_value(obj, name, type(default), CheckpointError, default)
+              for name, default in names.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise CheckpointError(f"bad checkpoint config: {exc}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
-    with open(path) as fh:
-        obj = json.load(fh)
+    """Read a checkpoint; every malformed document raises CheckpointError."""
+    with open(path, "rb") as fh:
+        obj = json_object(fh.read(), CheckpointError, "checkpoint")
     if obj.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format_version {obj.get('format_version')!r}"
         )
-    try:
-        cfg = EncoderConfig(**obj["config"])
-        margin = MarginConfig(**obj["margin"])
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad checkpoint config: {exc}") from exc
-    decision_cutoff = float(obj.get("decision_cutoff", 0.5))
+    cfg = _config_from_json(EncoderConfig, obj.get("config"))
+    margin = _config_from_json(MarginConfig, obj.get("margin"))
+    decision_cutoff = json_value(obj, "decision_cutoff", float, CheckpointError, 0.5)
     if not np.isfinite(decision_cutoff):
         raise CheckpointError("decision_cutoff must be finite")
     expected = expected_param_shapes(cfg)
+    entries = obj.get("params")
+    if not (isinstance(entries, dict) and all(isinstance(e, dict) for e in entries.values())):
+        raise CheckpointError("checkpoint params must map names to JSON objects")
     params: dict[str, np.ndarray] = {}
-    for name, entry in obj["params"].items():
+    for name, entry in entries.items():
         if name not in expected:
             raise CheckpointError(f"unexpected parameter {name!r}")
-        shape = tuple(entry["shape"])
-        if shape != expected[name]:
+        shape = entry.get("shape")
+        if shape != list(expected[name]):
             raise CheckpointError(
                 f"parameter {name!r} has shape {shape}, expected {expected[name]}"
             )
-        params[name] = np.asarray(entry["values"], dtype=np.float64).reshape(shape)
-        if not np.isfinite(params[name]).all():
-            raise CheckpointError(f"parameter {name!r} has a non-finite value")
+        values = json_array(entry.get("values"), CheckpointError, f"parameter {name!r}")
+        if values.shape != (math.prod(expected[name]),):
+            raise CheckpointError(f"parameter {name!r} needs {math.prod(expected[name])} values")
+        params[name] = values.reshape(expected[name])
     missing = sorted(set(expected) - set(params))
     if missing:
         raise CheckpointError(f"missing parameters: {missing}")
@@ -424,5 +438,5 @@ def load_checkpoint(path) -> Checkpoint:
         params=params,
         margin=margin,
         decision_cutoff=decision_cutoff,
-        radius=int(obj.get("radius", 4)),
+        radius=json_value(obj, "radius", int, CheckpointError, 4),
     )

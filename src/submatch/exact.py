@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import time
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -75,14 +74,7 @@ class _Search:
 
     def _order_from(self, root: int) -> list[int]:
         """Query nodes in BFS order from root, ties broken by node id."""
-        dist: dict[int, int] = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(self.query.adjacency[u]):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+        dist = self.query.bfs_distances(root)
         if len(dist) != self.query.node_count:
             raise GraphError("query graph must be connected")
         return sorted(dist, key=lambda n: (dist[n], n))
@@ -162,8 +154,6 @@ class _Search:
         return MatchOutcome.TRUE if found else MatchOutcome.FALSE
 
     def run_unanchored(self) -> MatchOutcome:
-        if self.query.node_count > self.target.node_count:
-            return MatchOutcome.FALSE
         if self.query.node_count == 0:
             return MatchOutcome.TRUE
         # root at a max-degree query node (lowest id on ties) for pruning power
@@ -171,7 +161,9 @@ class _Search:
             range(self.query.node_count),
             key=lambda n: (-self.query.degree(n), n),
         )
-        order = self._order_from(root)
+        order = self._order_from(root)  # raises on a disconnected query
+        if self.query.node_count > self.target.node_count:
+            return MatchOutcome.FALSE
         try:
             for t_root in range(self.target.node_count):
                 self._tick()
@@ -203,7 +195,6 @@ def is_subgraph(
     target: LabeledGraph,
     budget: MatchBudget = MatchBudget(),
 ) -> MatchOutcome:
-    """Unanchored decision: does query embed anywhere into target?"""
-    if query.node_count > 0 and not query.is_connected():
-        raise GraphError("query graph must be connected")
+    """Unanchored decision: does query embed anywhere into target? A
+    disconnected query raises GraphError."""
     return _Search(query, target, budget).run_unanchored()

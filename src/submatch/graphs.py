@@ -9,11 +9,13 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+
+from .util import atomic_write_text, json_object, json_value
 
 
 class GraphError(ValueError):
@@ -28,8 +30,7 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 def _trusted(cls, **values):
-    """An instance of the frozen dataclass cls that skips __post_init__;
-    a field left out reads its class-level default.
+    """An instance of the frozen dataclass cls that skips __post_init__.
 
     Only for values derived from an already validated graph whose invariants
     hold by construction; every public constructor still validates.
@@ -134,17 +135,7 @@ class LabeledGraph:
         return v in self.adjacency[u]
 
     def is_connected(self) -> bool:
-        if self.node_count == 0:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.node_count
+        return self.node_count == 0 or len(self.bfs_distances(0)) == self.node_count
 
     def bfs_distances(self, source: int, max_depth: int | None = None) -> dict[int, int]:
         """Hop distance from source to every reachable node (within max_depth)."""
@@ -196,27 +187,19 @@ class LabeledGraph:
 
 @dataclass(frozen=True)
 class AnchoredNeighborhood:
-    """A connected subgraph with a distinguished anchor node and hop radius.
+    """A connected graph with a distinguished anchor node.
 
-    Extraction renumbers nodes so the anchor is id 0. ``origin`` optionally
-    records where the neighborhood came from as (source graph id, source node).
+    Extraction renumbers nodes so the anchor is id 0.
     """
 
     graph: LabeledGraph
     anchor: int
-    radius: int
-    origin: tuple[str, int] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.anchor < self.graph.node_count:
             raise GraphError(f"anchor {self.anchor} is not a valid node id")
-        if self.radius < 0:
-            raise GraphError("radius must be nonnegative")
-        dist = self.graph.bfs_distances(self.anchor)
-        if len(dist) != self.graph.node_count:
+        if len(self.graph.bfs_distances(self.anchor)) != self.graph.node_count:
             raise GraphError("neighborhood graph is not connected")
-        if dist and max(dist.values()) > self.radius:
-            raise GraphError("node beyond declared radius from anchor")
 
     @property
     def node_count(self) -> int:
@@ -235,8 +218,8 @@ def k_hop_neighborhood(g: LabeledGraph, u: int, k: int) -> AnchoredNeighborhood:
         raise GraphError("hop count must be nonnegative")
     dist = g.bfs_distances(u, max_depth=k)
     order = sorted(dist, key=lambda n: (dist[n], n))
-    # a BFS ball is connected and within k hops of its anchor
-    return _trusted(AnchoredNeighborhood, graph=g.induced_on(order), anchor=0, radius=k)
+    # a BFS ball is connected
+    return _trusted(AnchoredNeighborhood, graph=g.induced_on(order), anchor=0)
 
 
 def adjacency_csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -373,21 +356,14 @@ def to_json(g: LabeledGraph) -> str:
 
 
 def _integer(obj: dict, key: str, default: int | None = None) -> int:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphError(f"{key!r} must be an integer, got {value!r}")
-    return value
+    return json_value(obj, key, int, GraphError, default)
 
 
 def from_json(text: str | bytes) -> LabeledGraph:
     """Parse the JSON interchange format; ids must be 0-based and contiguous.
     Every malformed document raises GraphError."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
-        raise GraphError(f"graph is not valid JSON: {exc}") from None
-    if not (isinstance(obj, dict) and isinstance(obj.get("nodes"), list)
-            and isinstance(obj.get("edges"), list)):
+    obj = json_object(text, GraphError, "graph")
+    if not (isinstance(obj.get("nodes"), list) and isinstance(obj.get("edges"), list)):
         raise GraphError('a graph is a JSON object with "nodes" and "edges" lists')
     nodes, edge_objs = obj["nodes"], obj["edges"]
     if not all(isinstance(x, dict) for x in nodes + edge_objs):
@@ -423,6 +399,4 @@ def load_graph(path) -> LabeledGraph:
 
 
 def save_graph(g: LabeledGraph, path) -> None:
-    from .util import atomic_write_text
-
     atomic_write_text(path, to_json(g))

@@ -16,7 +16,7 @@ import numpy as np
 from .encoder import Checkpoint, encode_all
 from .graphs import GraphError, LabeledGraph
 from .order import MarginConfig, violation_matrix
-from .util import atomic_write_text
+from .util import atomic_write_text, json_array, json_object, json_value
 
 INDEX_FORMAT_VERSION = 1
 
@@ -69,20 +69,20 @@ def save_index(index: EmbeddingIndex, path) -> None:
 
 
 def load_index(path, checkpoint: Checkpoint | None = None) -> EmbeddingIndex:
-    with open(path) as fh:
-        obj = json.load(fh)
+    """Read an index, checked against checkpoint when given; every malformed
+    document raises IndexError_."""
+    with open(path, "rb") as fh:
+        obj = json_object(fh.read(), IndexError_, "index")
     if obj.get("format_version") != INDEX_FORMAT_VERSION:
         raise IndexError_(f"unsupported index format_version {obj.get('format_version')!r}")
-    matrix = np.asarray(obj["embeddings"], dtype=np.float64)
+    matrix = json_array(obj.get("embeddings"), IndexError_, "index embeddings")
     if matrix.shape == (0,):  # a 0-node graph's (0, D) matrix is saved as []
         matrix = matrix.reshape(0, checkpoint.config.output_dim if checkpoint else 0)
-    if not np.isfinite(matrix).all():
-        raise IndexError_("index embeddings must be finite")
     index = EmbeddingIndex(
-        graph_fingerprint=obj["graph_fingerprint"],
-        radius=int(obj["radius"]),
+        graph_fingerprint=json_value(obj, "graph_fingerprint", str, IndexError_),
+        radius=json_value(obj, "radius", int, IndexError_),
         matrix=matrix,
-        checkpoint_fingerprint=obj["checkpoint_fingerprint"],
+        checkpoint_fingerprint=json_value(obj, "checkpoint_fingerprint", str, IndexError_),
     )
     if checkpoint is not None:
         if index.checkpoint_fingerprint != checkpoint.fingerprint():

@@ -57,24 +57,19 @@ def _as_neighborhood(g: LabeledGraph, u: int, selected: list[int]) -> AnchoredNe
     Node order is BFS-from-anchor restricted to the selection (ties by
     original id), matching the renumbering convention of k-hop extraction.
     """
-    chosen = set(selected)
-    dist = {u: 0}
-    frontier = [u]
-    order = [u]
+    left = set(selected) - {u}
+    order, frontier = [u], [u]
     while frontier:
-        nxt = []
+        reached = []
         for a in frontier:
             for b in g.adjacency[a]:
-                if b in chosen and b not in dist:
-                    dist[b] = dist[a] + 1
-                    nxt.append(b)
-        nxt.sort()
-        order.extend(nxt)
-        frontier = nxt
-    # connected, and within this BFS's depth of the anchor, by construction
-    return _trusted(
-        AnchoredNeighborhood, graph=g.induced_on(order), anchor=0, radius=max(dist.values())
-    )
+                if b in left:
+                    left.remove(b)
+                    reached.append(b)
+        frontier = sorted(reached)
+        order += frontier
+    # connected by construction
+    return _trusted(AnchoredNeighborhood, graph=g.induced_on(order), anchor=0)
 
 
 def random_bfs_sample(
@@ -159,24 +154,19 @@ def sample_neighborhood(
     return best
 
 
-def _anchor_candidates(g: LabeledGraph) -> list[int]:
-    # isolated nodes are never chosen as anchors
-    return [u for u in range(g.node_count) if g.degree(u) > 0] or list(
-        range(g.node_count)
-    )
+def _random_anchor(g: LabeledGraph, rng: np.random.Generator, avoid: int | None = None) -> int:
+    """A uniform draw among g's nodes other than avoid (unless it is the only
+    one); isolated nodes are never chosen while g has an edge."""
+    cand = [u for u in range(g.node_count) if g.degree(u) > 0] or list(range(g.node_count))
+    cand = [u for u in cand if u != avoid] or cand
+    return cand[int(rng.integers(len(cand)))]
 
 
 def _sample_anchored(
-    g: LabeledGraph, k: int, cfg: SamplerConfig, rng: np.random.Generator, u: int | None = None
+    g: LabeledGraph, k: int, cfg: SamplerConfig, rng: np.random.Generator, u: int
 ) -> AnchoredNeighborhood:
-    if u is None:
-        cand = _anchor_candidates(g)
-        u = cand[int(rng.integers(len(cand)))]
-    base = k_hop_neighborhood(g, u, k)
-    nh = sample_neighborhood(base.graph, 0, cfg, rng)
-    return _trusted(
-        AnchoredNeighborhood, graph=nh.graph, anchor=0, radius=nh.radius, origin=("", u)
-    )
+    """A sampled neighborhood inside the k-hop ball of u, anchored at u."""
+    return sample_neighborhood(k_hop_neighborhood(g, u, k).graph, 0, cfg, rng)
 
 
 def sample_positive_pair(
@@ -184,7 +174,7 @@ def sample_positive_pair(
 ) -> TrainingPair:
     """Sample target G_u inside a k-hop neighborhood of a random anchor, then
     re-run the traversal inside G_u from the same anchor to get the query."""
-    target = _sample_anchored(g, k, cfg, rng)
+    target = _sample_anchored(g, k, cfg, rng, _random_anchor(g, rng))
     query = sample_neighborhood(target.graph, 0, cfg, rng)
     pair = TrainingPair(query=query, target=target, label=True)
     outcome = is_subgraph_anchored(query, target, _VERIFY_BUDGET)
@@ -246,8 +236,7 @@ def _perturb_query(
             new_g = LabeledGraph.from_edges(
                 n, g.edges(), new_labels, g.label_alphabet_size, g.edge_labels
             )
-        ecc = max(new_g.bfs_distances(0).values(), default=0)
-        return AnchoredNeighborhood(graph=new_g, anchor=0, radius=ecc)
+        return AnchoredNeighborhood(graph=new_g, anchor=0)
     return None
 
 
@@ -275,13 +264,10 @@ def sample_negative_pair(
     if kind == "random":
         source = query_source if query_source is not None else g
         for _ in range(max_retries):
-            target = _sample_anchored(g, k, cfg, rng)
-            u = target.origin[1]
-            cand = _anchor_candidates(source)
-            if query_source is None:
-                cand = [c for c in cand if c != u] or cand
-            q = cand[int(rng.integers(len(cand)))]
-            query = _sample_anchored(source, k, cfg, rng, u=q)
+            u = _random_anchor(g, rng)
+            target = _sample_anchored(g, k, cfg, rng, u)
+            q = _random_anchor(source, rng, avoid=u if query_source is None else None)
+            query = _sample_anchored(source, k, cfg, rng, q)
             if is_subgraph_anchored(query, target, _VERIFY_BUDGET) is MatchOutcome.FALSE:
                 return TrainingPair(query=query, target=target, label=False, kind="random")
         return None

@@ -90,27 +90,13 @@ def brute_force_is_subgraph(query: LabeledGraph, target: LabeledGraph) -> bool:
 def brute_force_anchored(
     query: LabeledGraph, q_anchor: int, target: LabeledGraph, t_anchor: int
 ) -> bool:
-    return brute_force_count_anchored(query, q_anchor, target, t_anchor, stop_at=1) > 0
-
-
-def brute_force_count_anchored(
-    query: LabeledGraph,
-    q_anchor: int,
-    target: LabeledGraph,
-    t_anchor: int,
-    stop_at: int | None = None,
-) -> int:
-    """Count injective anchored maps by raw enumeration."""
+    """Does query embed into target with q_anchor mapped onto t_anchor? Tries
+    every injective node map."""
     if query.node_count > target.node_count:
-        return 0
+        return False
     rest_q = [v for v in range(query.node_count) if v != q_anchor]
     rest_t = [v for v in range(target.node_count) if v != t_anchor]
-    count = 0
-    for image in itertools.permutations(rest_t, len(rest_q)):
-        mapping = {q_anchor: t_anchor}
-        mapping.update(zip(rest_q, image))
-        if _injection_ok(query, target, mapping):
-            count += 1
-            if stop_at is not None and count >= stop_at:
-                return count
-    return count
+    return any(
+        _injection_ok(query, target, {q_anchor: t_anchor, **dict(zip(rest_q, image))})
+        for image in itertools.permutations(rest_t, len(rest_q))
+    )

@@ -1,5 +1,9 @@
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from submatch.datasets import gen_er, gen_extended_barabasi
 from submatch.encoder import EncoderConfig
@@ -81,3 +85,44 @@ def trained(desk_pool):
     ckpt = result.checkpoint
     ckpt.decision_cutoff = calibrate_decision(ckpt, desk_pool, 40, DESK_TRAIN.seed)
     return result
+
+
+def with_value(doc: dict, keys: list[str], value) -> str:
+    """JSON text of a copy of doc whose entry at the path keys is value."""
+    root = inner = copy.deepcopy(doc)
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return json.dumps(root)
+
+
+def mutated_json_text(doc, data, keys: list[str]) -> str:
+    """A copy of doc after one to three replacements or deletions drawn
+    anywhere in it (the whole document included), as JSON text that may be
+    cut short. Inserted objects use the given keys."""
+    doc = copy.deepcopy(doc)
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+            st.sampled_from(keys), inner, max_size=3),
+        max_leaves=6,
+    )
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = [(None, None)]  # (container, key); None replaces the whole document
+        stack = [doc] if isinstance(doc, (dict, list)) else []
+        while stack:
+            container = stack.pop()
+            keys_in = container.keys() if isinstance(container, dict) else range(len(container))
+            for key in keys_in:
+                slots.append((container, key))
+                if isinstance(container[key], (dict, list)):
+                    stack.append(container[key])
+        container, key = data.draw(st.sampled_from(slots))
+        if container is None:
+            doc = data.draw(json_values)
+        elif data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(json_values)
+    text = json.dumps(doc)
+    return text[:data.draw(st.integers(0, len(text)))] if data.draw(st.booleans()) else text

@@ -225,6 +225,20 @@ class TestEmbedAndQuery:
             assert code == 1, (text, err)
             assert len(err.splitlines()) == 1, (text, err)
 
+    def test_malformed_checkpoint_or_index_exits_one(self, dataset_dir, smoke_model, tmp_path,
+                                                     capsys):
+        ckpt_path = str(smoke_model / "checkpoint.json")
+        target_path = str(dataset_dir / "graph_0000.json")
+        bad = tmp_path / "bad.json"
+        for text in ["[]", "{", '{"format_version": 1}']:
+            bad.write_text(text)
+            for argv in (["--target", target_path, "--checkpoint", str(bad)],
+                         ["--index", str(bad), "--checkpoint", ckpt_path]):
+                code = run_cli("query", "--query", target_path, *argv)
+                err = capsys.readouterr().err.strip()
+                assert code == 1, (text, argv, err)
+                assert len(err.splitlines()) == 1, (text, argv, err)
+
     def test_missing_file_exits_one(self, smoke_model):
         code = run_cli(
             "query", "--query", "/nonexistent.json", "--target", "/nonexistent.json",

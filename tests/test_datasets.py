@@ -3,10 +3,8 @@ import pytest
 
 from submatch.datasets import (
     DatasetFormatError,
-    SyntheticConfig,
     gen_er,
     gen_extended_barabasi,
-    generate,
     load_tu_dataset,
 )
 from submatch.exact import is_subgraph
@@ -59,21 +57,6 @@ class TestExtendedBarabasi:
     def test_bad_mix_rejected(self):
         with pytest.raises(ValueError):
             gen_extended_barabasi(10, m=2, p_add=0.6, p_rewire=0.5, seed=0)
-
-
-class TestSyntheticConfig:
-    def test_generate_dispatch(self):
-        er = generate(SyntheticConfig(family="erdos_renyi", n=12, p=0.3, seed=3))
-        eb = generate(SyntheticConfig(family="extended_barabasi", n=12, seed=3))
-        assert er.node_count == eb.node_count == 12
-
-    def test_invalid_family(self):
-        with pytest.raises(ValueError):
-            SyntheticConfig(family="grid")
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            SyntheticConfig(p=1.5)
 
 
 TU_A = "1, 2\n2, 3\n1, 3\n4, 5\n"

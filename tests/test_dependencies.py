@@ -31,3 +31,16 @@ def test_one_scatter_primitive():
                     and node.func.attr == "at"):
                 calls.append(f"{path.name}:{node.lineno} calls .at()")
     assert not calls, calls
+
+
+def test_one_bfs_queue():
+    """Hop distances come from LabeledGraph.bfs_distances; no other module
+    imports the deque a hand-written BFS would need."""
+    imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.module == "collections"
+                    and any(alias.name == "deque" for alias in node.names)
+                    and path.name != "graphs.py"):
+                imports.append(f"{path.name}:{node.lineno} imports deque")
+    assert not imports, imports

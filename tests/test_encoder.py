@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutated_json_text, with_value
 from submatch import autodiff as ad
 from submatch import encoder
 from submatch.datasets import gen_er
@@ -54,7 +55,7 @@ def permuted_copy(nh, seed):
     edges = [(int(inv[a]), int(inv[b])) for a, b in nh.graph.edges()]
     labels = [nh.graph.node_labels[int(perm[i])] for i in range(n)]
     g = LabeledGraph.from_edges(n, edges, labels, nh.graph.label_alphabet_size)
-    return AnchoredNeighborhood(g, 0, nh.radius)
+    return AnchoredNeighborhood(g, 0)
 
 
 class TestConfig:
@@ -78,7 +79,7 @@ class TestInputFeatures:
             label_alphabet_size=2, use_structural_features=False,
         )
         g = LabeledGraph.from_edges(2, [(0, 1)], node_labels=[0, 1], label_alphabet_size=2)
-        feats = features(AnchoredNeighborhood(g, 0, 1), cfg)
+        feats = features(AnchoredNeighborhood(g, 0), cfg)
         assert np.array_equal(feats, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     def test_anchor_indicator_sums_to_one(self):
@@ -92,7 +93,7 @@ class TestInputFeatures:
             assert feats[nh.anchor, 0] == 1.0
 
     def test_structural_columns(self, triangle):
-        nh = AnchoredNeighborhood(triangle, 0, 1)
+        nh = AnchoredNeighborhood(triangle, 0)
         cfg = EncoderConfig(layers=1, hidden_dim=4, output_dim=4, label_alphabet_size=1)
         feats = features(nh, cfg)
         # every triangle node: degree 2, clustering 1.0
@@ -103,7 +104,7 @@ class TestInputFeatures:
         g = LabeledGraph.from_edges(2, [(0, 1)], node_labels=[0, 4], label_alphabet_size=5)
         cfg = EncoderConfig(layers=1, hidden_dim=4, output_dim=4, label_alphabet_size=2)
         with pytest.raises(GraphError):
-            features(AnchoredNeighborhood(g, 0, 1), cfg)
+            features(AnchoredNeighborhood(g, 0), cfg)
 
     def test_row_permutation_equivariance(self):
         g = gen_er(8, 0.4, 2, seed=3)
@@ -162,7 +163,7 @@ class TestEncode:
         g = gen_er(8, 0.4, 2, seed=9)
         nh = k_hop_neighborhood(g, 0, 2)
         tape = ad.Tape()
-        out = encode(nh, params, SMALL, tape=tape)
+        out = encode_batch(tape, [nh], _as_tensors(params), SMALL)
         loss = ad.sum_all(tape, out)
         grads = ad.backward(tape, loss)
         assert "out.w" in grads and np.any(grads["out.w"] != 0)
@@ -437,8 +438,21 @@ class TestCheckpoint:
         g = LabeledGraph.from_edges(
             3, [(0, 1), (1, 2)], edge_labels={(0, 1): 0, (1, 2): 2}
         )
-        z = encode(AnchoredNeighborhood(g, 0, 2), params, cfg)
+        z = encode(AnchoredNeighborhood(g, 0), params, cfg)
         assert z.shape == (4,) and np.all(z >= 0)
+
+    @pytest.mark.parametrize("label", [5, 2, -3])
+    def test_edge_label_outside_range_rejected(self, label):
+        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4, edge_label_count=2)
+        params = init_params(cfg, seed=0)
+        edge_labels = {(0, 1): 0, (1, 2): label}
+        g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], edge_labels=edge_labels)
+        with pytest.raises(GraphError, match="edge label"):
+            encode_all(g, 2, params, cfg)
+        with pytest.raises(GraphError, match="edge label"):
+            encode_batch(ad.Tape(), [k_hop_neighborhood(g, 0, 2)], _as_tensors(params), cfg)
+        ok = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], edge_labels={**edge_labels, (1, 2): 1})
+        assert encode_all(ok, 2, params, cfg).shape == (3, 4)
 
     def test_edge_label_weights_affect_output(self):
         cfg = EncoderConfig(
@@ -447,9 +461,63 @@ class TestCheckpoint:
         params = init_params(cfg, seed=0)
         g1 = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], edge_labels={(0, 1): 0, (1, 2): 0})
         g2 = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], edge_labels={(0, 1): 0, (1, 2): 1})
-        z1 = encode(AnchoredNeighborhood(g1, 0, 2), params, cfg)
-        z2 = encode(AnchoredNeighborhood(g2, 0, 2), params, cfg)
+        z1 = encode(AnchoredNeighborhood(g1, 0), params, cfg)
+        z2 = encode(AnchoredNeighborhood(g2, 0), params, cfg)
         assert not np.array_equal(z1, z2)
+
+
+TINY = EncoderConfig(layers=1, hidden_dim=2, output_dim=2)
+
+
+@pytest.fixture(scope="module")
+def tiny_doc(tmp_path_factory) -> dict:
+    path = tmp_path_factory.mktemp("tiny") / "model.json"
+    save_checkpoint(Checkpoint(TINY, init_params(TINY, seed=0), MarginConfig(), radius=2), path)
+    return json.loads(path.read_text())
+
+
+BAD_CHECKPOINTS = {
+    "top-level list": lambda doc: "[]",
+    "cut short": lambda doc: "{",
+    "only format_version": lambda doc: '{"format_version": 1}',
+    "params entry not an object": lambda doc: with_value(doc, ["params", "out.b"], [0.1, 0.1]),
+    "text decision_cutoff": lambda doc: with_value(doc, ["decision_cutoff"], "0.5"),
+    "huge decision_cutoff": lambda doc: with_value(doc, ["decision_cutoff"], 10**400),
+    "text radius": lambda doc: with_value(doc, ["radius"], "3"),
+    "fractional radius": lambda doc: with_value(doc, ["radius"], 2.5),
+    "fractional layers": lambda doc: with_value(doc, ["config", "layers"], 1.5),
+    "unknown config key": lambda doc: with_value(doc, ["config", "depth"], 3),
+    "text values": lambda doc: with_value(doc, ["params", "out.b", "values"], ["a", "b"]),
+    "ragged values": lambda doc: with_value(doc, ["params", "out.b", "values"], [[0.1], []]),
+    "too few values": lambda doc: with_value(doc, ["params", "out.b", "values"], [0.1]),
+}
+
+
+class TestMalformedCheckpoint:
+    def test_unedited_document_loads(self, tiny_doc, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(with_value(tiny_doc, ["radius"], 3))
+        assert load_checkpoint(path).radius == 3
+
+    @pytest.mark.parametrize("name", BAD_CHECKPOINTS)
+    def test_raises_checkpoint_error(self, name, tiny_doc, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(BAD_CHECKPOINTS[name](tiny_doc))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_raise_only_checkpoint_error(self, tiny_doc, tmp_path_factory,
+                                                           data):
+        path = tmp_path_factory.mktemp("fuzz") / "model.json"
+        path.write_text(mutated_json_text(tiny_doc, data, [
+            "format_version", "config", "margin", "params", "shape", "values",
+            "layers", "radius", "decision_cutoff"]))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 def test_batch_matches_loop_within_float_noise():

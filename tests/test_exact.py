@@ -18,8 +18,7 @@ from submatch.smallgraphs import (
 
 
 def anchored(g, u=0):
-    dist = g.bfs_distances(u)
-    return AnchoredNeighborhood(g, u, max(dist.values(), default=0))
+    return AnchoredNeighborhood(g, u)
 
 
 class TestAnchored:
@@ -37,8 +36,8 @@ class TestAnchored:
 
     def test_anchor_must_map_to_anchor(self, star6, path3):
         # path anchored at its center needs a degree-2 image; star leaves fail
-        center = AnchoredNeighborhood(path3, 1, 1)
-        leaf = AnchoredNeighborhood(star6, 1, 2)
+        center = AnchoredNeighborhood(path3, 1)
+        leaf = AnchoredNeighborhood(star6, 1)
         assert is_subgraph_anchored(center, leaf) is MatchOutcome.FALSE
 
     def test_label_preservation(self):
@@ -70,6 +69,8 @@ class TestUnanchored:
         t = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(GraphError):
             is_subgraph(q, t)
+        with pytest.raises(GraphError):  # even where size alone would decide FALSE
+            is_subgraph(q, LabeledGraph.from_edges(2, [(0, 1)]))
 
     def test_er_pairs_agree_with_brute_force(self):
         rng = np.random.default_rng(11)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutated_json_text
 from submatch.encoder import EncoderConfig, build_input_features
 from submatch.exact import is_subgraph
 from submatch.graphs import (
@@ -102,7 +103,7 @@ def revalidated_graph(g: LabeledGraph) -> LabeledGraph:
 
 
 def revalidated(nh: AnchoredNeighborhood) -> AnchoredNeighborhood:
-    return AnchoredNeighborhood(revalidated_graph(nh.graph), nh.anchor, nh.radius, nh.origin)
+    return AnchoredNeighborhood(revalidated_graph(nh.graph), nh.anchor)
 
 
 SAMPLERS = (random_bfs_sample, random_walk_sample, mfinder_sample)
@@ -127,12 +128,10 @@ class TestDerivedGraphs:
         u = seed % g.node_count
         cfg = SamplerConfig(max_nodes=6)
         rng = np.random.default_rng(seed)
-        made = [k_hop_neighborhood(g, u, k), _sample_anchored(g, k, cfg, rng)]
+        made = [k_hop_neighborhood(g, u, k), _sample_anchored(g, k, cfg, rng, u)]
         made += [sampler(g, u, cfg, rng) for sampler in SAMPLERS]
         for nh in made:
             assert revalidated(nh) == nh
-        for nh in made[1:]:  # a sampled radius is the anchor's eccentricity
-            assert nh.radius == max(nh.graph.bfs_distances(0).values())
 
     @settings(max_examples=40, deadline=None)
     @given(labeled_graphs(), st.integers(0, 3), st.integers(0, 10_000))
@@ -140,16 +139,15 @@ class TestDerivedGraphs:
         def run():
             rng = np.random.default_rng(seed)
             cfg = SamplerConfig(max_nodes=7)
-            out = [k_hop_neighborhood(g, seed % g.node_count, k),
-                   _sample_anchored(g, k, cfg, rng)]
-            return out + [sampler(g, seed % g.node_count, cfg, rng) for sampler in SAMPLERS]
+            u = seed % g.node_count
+            out = [k_hop_neighborhood(g, u, k), _sample_anchored(g, k, cfg, rng, u)]
+            return out + [sampler(g, u, cfg, rng) for sampler in SAMPLERS]
 
         fast = run()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(LabeledGraph, "induced_on", reference_induced_on)
             reference = run()
-        for a, b in zip(fast, reference):  # graph equality compares adjacency tuples
-            assert (a.graph, a.anchor, a.radius, a.origin) == (b.graph, b.anchor, b.radius, b.origin)
+        assert fast == reference  # graph equality compares adjacency tuples
 
     @pytest.mark.parametrize("nodes", [[-1], [0, 1, 1], [5]])
     def test_induced_on_rejects_bad_node_ids(self, path3, nodes):
@@ -241,14 +239,15 @@ class TestNeighborhoodType:
     def test_disconnected_rejected(self):
         g = LabeledGraph.from_edges(3, [(0, 1)])
         with pytest.raises(GraphError):
-            AnchoredNeighborhood(g, 0, 1)
+            AnchoredNeighborhood(g, 0)
 
-    def test_radius_too_small_rejected(self, path3):
+    @pytest.mark.parametrize("anchor", [-1, 3])
+    def test_bad_anchor_rejected(self, path3, anchor):
         with pytest.raises(GraphError):
-            AnchoredNeighborhood(path3, 0, 1)  # node 2 is two hops away
+            AnchoredNeighborhood(path3, anchor)
 
     def test_valid(self, path3):
-        nh = AnchoredNeighborhood(path3, 1, 1)
+        nh = AnchoredNeighborhood(path3, 2)  # node 0 is two hops away
         assert nh.node_count == 3
 
 
@@ -288,32 +287,8 @@ class TestJsonFormat:
     @settings(max_examples=300, deadline=None)
     @given(labeled_graphs(max_n=5), st.data())
     def test_mutated_documents_raise_only_graph_error(self, g, data):
-        doc = json.loads(to_json(g))
-        json_values = st.recursive(
-            st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=3),
-            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
-                st.sampled_from(["id", "label", "u", "v", "nodes", "edges"]), inner, max_size=3),
-            max_leaves=6,
-        )
-        for _ in range(data.draw(st.integers(1, 3))):
-            slots = [(None, None)]  # (container, key); None replaces the whole document
-            stack = [doc] if isinstance(doc, (dict, list)) else []
-            while stack:
-                container = stack.pop()
-                keys = container.keys() if isinstance(container, dict) else range(len(container))
-                for key in keys:
-                    slots.append((container, key))
-                    if isinstance(container[key], (dict, list)):
-                        stack.append(container[key])
-            container, key = data.draw(st.sampled_from(slots))
-            if container is None:
-                doc = data.draw(json_values)
-            elif data.draw(st.booleans()):
-                del container[key]
-            else:
-                container[key] = data.draw(json_values)
-        text = json.dumps(doc)
-        text = text[:data.draw(st.integers(0, len(text)))] if data.draw(st.booleans()) else text
+        text = mutated_json_text(json.loads(to_json(g)), data,
+                                 ["id", "label", "u", "v", "nodes", "edges"])
         try:
             from_json(text)
         except GraphError:

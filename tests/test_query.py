@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import mutated_json_text, with_value
 from submatch.datasets import gen_er
 from submatch.encoder import Checkpoint, EncoderConfig, encode, init_params
 from submatch.graphs import GraphError, LabeledGraph, k_hop_neighborhood
@@ -107,6 +110,52 @@ class TestIndex:
         )
         with pytest.raises(IndexError_):
             load_index(path, other)
+
+
+@pytest.fixture(scope="module")
+def index_doc(ckpt, tmp_path_factory) -> dict:
+    path = tmp_path_factory.mktemp("index") / "index.json"
+    save_index(build_index(LabeledGraph.from_edges(3, [(0, 1), (1, 2)]), ckpt), path)
+    return json.loads(path.read_text())
+
+
+BAD_INDEXES = {
+    "top-level list": lambda doc: "[]",
+    "cut short": lambda doc: "{",
+    "only format_version": lambda doc: '{"format_version": 1}',
+    "ragged embeddings": lambda doc: with_value(doc, ["embeddings"], [[0.5, 0.5], [0.5]]),
+    "text embeddings": lambda doc: with_value(doc, ["embeddings"], [["0.5"]]),
+    "text radius": lambda doc: with_value(doc, ["radius"], "2"),
+    "fractional radius": lambda doc: with_value(doc, ["radius"], 2.5),
+    "numeric fingerprint": lambda doc: with_value(doc, ["graph_fingerprint"], 7),
+}
+
+
+class TestMalformedIndex:
+    def test_unedited_document_loads(self, index_doc, ckpt, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(index_doc))
+        assert load_index(path, ckpt).node_count == 3
+
+    @pytest.mark.parametrize("name", BAD_INDEXES)
+    def test_raises_index_error(self, name, index_doc, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text(BAD_INDEXES[name](index_doc))
+        with pytest.raises(IndexError_):
+            load_index(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_raise_only_index_error(self, index_doc, ckpt, tmp_path_factory,
+                                                      data):
+        path = tmp_path_factory.mktemp("fuzz") / "index.json"
+        path.write_text(mutated_json_text(index_doc, data, [
+            "format_version", "graph_fingerprint", "radius", "checkpoint_fingerprint",
+            "embeddings"]))
+        try:
+            load_index(path, ckpt if data.draw(st.booleans()) else None)
+        except IndexError_:
+            pass
 
 
 class TestAlignment:

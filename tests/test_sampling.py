@@ -58,7 +58,7 @@ class TestAllSamplers:
         cfg = SamplerConfig(strategy=name, max_nodes=8)
         a = SAMPLERS[name](er20, 2, cfg, np.random.default_rng(42))
         b = SAMPLERS[name](er20, 2, cfg, np.random.default_rng(42))
-        assert a.graph == b.graph and a.radius == b.radius
+        assert a == b
 
     def test_output_is_connected_anchored_subgraph(self, name, er20):
         cfg = SamplerConfig(strategy=name, max_nodes=9)
