@@ -146,10 +146,12 @@ def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False)
     sequences or a precomputed (src, dst) pair from group_index().
 
     Without value_sorted, rows are added in index order. With it, each
-    column's values within a group are added in ascending order, so every
-    output cell is a function of that column's value multiset alone (used by
-    inference for isomorphism-invariant output). Either way a column's sums
-    do not depend on the other columns.
+    column's values within a group are added in ascending order, left to
+    right, and a zero sum comes out as +0.0, so every output cell is a
+    function of that column's value multiset alone, signed zeros included
+    (used by inference for isomorphism-invariant output). Either way a
+    column's sums do not depend on the other columns, and (src, dst) pairs
+    need not be grouped by dst, though grouped pairs are summed faster.
     """
     if isinstance(groups, tuple) and len(groups) == 2:
         src, dst = groups
@@ -185,19 +187,48 @@ def _scatter_rows(n_out: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out.astype(np.float64, copy=False).reshape((n_out,) + tail)
 
 
+NETWORK_MAX_SIZE = 8  # larger groups are sorted by np.sort
+
+
 def _sorted_column_sums(values: np.ndarray, src, dst, n_out: int) -> np.ndarray:
-    """Group sums with each column's addends in ascending order. Groups of
-    equal size are gathered into one (groups, size, columns) array, sorted
-    along the size axis and accumulated left to right."""
+    """Group sums with each column's addends in ascending order, added left
+    to right from the smallest; a zero sum is +0.0.
+
+    Groups of equal size are gathered into one (size, groups, columns)
+    array, with 0.0 added to every cell: that turns -0.0 into +0.0 and
+    changes no other value, so the result depends on the multiset of a
+    column's values and never on their order. Groups of one or two are
+    added unsorted (a + b == b + a, bit for bit), groups of up to
+    NETWORK_MAX_SIZE go through an odd-even transposition network of
+    np.minimum/np.maximum over all groups at once, and larger ones through
+    np.sort. The argsort that groups the pairs by dst is skipped when dst
+    is already in ascending order.
+    """
     cols = values if values.ndim == 2 else values[:, None]
     out = np.zeros((n_out, cols.shape[1]), dtype=np.float64)
-    src = src[np.argsort(dst, kind="stable")]
+    if np.any(dst[1:] < dst[:-1]):
+        src = src[np.argsort(dst, kind="stable")]
     counts = np.bincount(dst, minlength=n_out)
     starts = np.cumsum(counts) - counts
-    for size in np.unique(counts[counts > 0]):
+    for size in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         rows = np.flatnonzero(counts == size)
-        cells = np.sort(cols[src[starts[rows, None] + np.arange(size)]], axis=1)
-        out[rows] = np.add.accumulate(cells, axis=1)[:, -1]
+        cells = cols[src[np.arange(size)[:, None] + starts[rows]]]
+        cells += 0.0
+        if size > NETWORK_MAX_SIZE:
+            cells.sort(axis=0)
+        cells = list(cells)
+        if 2 < size <= NETWORK_MAX_SIZE:
+            spare = np.empty_like(cells[0])
+            for step in range(size):
+                for i in range(step % 2, size - 1, 2):
+                    low, high = cells[i], cells[i + 1]
+                    np.minimum(low, high, out=spare)
+                    np.maximum(low, high, out=high)
+                    cells[i], spare = spare, low
+        total = cells[0] + cells[1] if size > 1 else cells[0]
+        for cell in cells[2:]:
+            total += cell
+        out[rows] = total
     return out.reshape((n_out,) + values.shape[1:])
 
 

@@ -17,16 +17,20 @@ class ConfigError(ValueError):
 
 def parse_kv_file(path) -> dict[str, str]:
     """Parse `key = value` lines; '#' starts a comment; blank lines ignored."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 

@@ -11,9 +11,10 @@ stay in the nonnegative orthant the order geometry requires.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -263,7 +264,7 @@ def _infer(block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig) -> n
         else:
             agg = agg + _gather(sums[0], rows)
         h = dense(agg, f"layer{k}.w1") + params[f"layer{k}.b1"].value
-        h = np.where(h > 0.0, h, h * cfg.leaky_slope)
+        h = np.maximum(h, h * cfg.leaky_slope)  # leaky ReLU, as slope lies in (0, 1)
         fresh = np.zeros((len(block.features), cfg.hidden_dim))
         fresh[rows] = dense(h, f"layer{k}.w2") + params[f"layer{k}.b2"].value
         xs.append(fresh)
@@ -352,16 +353,33 @@ class Checkpoint:
     margin: MarginConfig
     decision_cutoff: float = 0.5
     radius: int = 4
+    # (content key, digest) of the last fingerprint() call
+    _fingerprint_memo: tuple[bytes, str] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def fingerprint(self) -> str:
-        payload = {
-            "config": asdict(self.config),
-            "params": {k: v.tolist() for k, v in sorted(self.params.items())},
-            "margin": asdict(self.margin),
-            "decision_cutoff": self.decision_cutoff,
-            "radius": self.radius,
-        }
-        return stable_hash(payload)
+        """sha256 of the checkpoint's canonical JSON, as saved indexes record
+        it. Serializing every parameter is slow, so the digest is kept until
+        the content key changes: a sha256 of the other fields and of each
+        parameter's name, dtype, shape and raw bytes. Setting a field or
+        writing into a parameter array changes the key."""
+        scalars = [asdict(self.config), asdict(self.margin), self.decision_cutoff, self.radius]
+        content = hashlib.sha256(json.dumps(scalars).encode())
+        for name, value in sorted(self.params.items()):
+            value = np.ascontiguousarray(value)
+            content.update(json.dumps([name, value.dtype.str, value.shape]).encode())
+            content.update(value)
+        key = content.digest()
+        if self._fingerprint_memo is None or self._fingerprint_memo[0] != key:
+            payload = {
+                "config": asdict(self.config),
+                "params": {k: v.tolist() for k, v in sorted(self.params.items())},
+                "margin": asdict(self.margin),
+                "decision_cutoff": self.decision_cutoff,
+                "radius": self.radius,
+            }
+            self._fingerprint_memo = (key, stable_hash(payload))
+        return self._fingerprint_memo[1]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -139,7 +139,7 @@ def alignment(
     """Fill all |V_T| x |V_Q| violation scores for a connected query."""
     _require_nodes(query)
     if not query.is_connected():
-        raise ValueError("query graph must be connected")
+        raise GraphError("query graph must be connected")
     if query_embs is None:
         query_embs = embed_query_nodes(query, checkpoint, index.radius)
     return AlignmentMatrix(values=violation_matrix(query_embs, index.matrix))

@@ -11,6 +11,10 @@ def run(op, *tensors, **kw):
     return op(ad.Tape(record=False), *tensors, **kw).value
 
 
+# magnitudes where the order of additions shows in the bits (1e16 + 1 == 1e16)
+_scatter_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.5, 3.25e-7])
+
+
 class TestForward:
     def test_leaky_relu_values(self):
         out = run(ad.leaky_relu, ad.Tensor([-1.0, 2.0]), slope=0.01)
@@ -212,16 +216,93 @@ class TestValueSortedSum:
             grads.append(ad.backward(tape, ad.sum_all(tape, out))["h"])
         assert np.array_equal(grads[0], grads[1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bits_invariant_under_shuffle_with_signed_zeros(self, data):
+        # numpy's sort may hand back another mix of -0.0 and +0.0 than it was
+        # given, and a sum of zeros is -0.0 only if every addend is
+        sizes = data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=4))
+        n = sum(sizes)
+        zeros = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0])))
+        mixed = data.draw(arrays(np.float64, n, elements=_scatter_values))
+        h = ad.Tensor(np.stack([zeros, mixed], axis=1))
+        groups = [list(g) for g in np.split(np.arange(n), np.cumsum(sizes)[:-1])]
+        out = run(ad.row_sum_aggregate, h, groups, value_sorted=True)
+        assert not np.signbit(out[:, 0]).any()
+        for _ in range(3):
+            shuffled = [data.draw(st.permutations(g)) for g in groups]
+            again = run(ad.row_sum_aggregate, h, shuffled, value_sorted=True)
+            assert again.tobytes() == out.tobytes()
+
+
+def sorted_sums_reference(values, src, dst, n_out):
+    """The canonical sum as first written: gather each size class into a
+    (groups, size, columns) array, np.sort it along the size axis and take
+    the last np.add.accumulate entry."""
+    cols = values if values.ndim == 2 else values[:, None]
+    out = np.zeros((n_out, cols.shape[1]), dtype=np.float64)
+    src = src[np.argsort(dst, kind="stable")]
+    counts = np.bincount(dst, minlength=n_out)
+    starts = np.cumsum(counts) - counts
+    for size in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == size)
+        cells = np.sort(cols[src[starts[rows, None] + np.arange(size)]], axis=1)
+        out[rows] = np.add.accumulate(cells, axis=1)[:, -1]
+    return out.reshape((n_out,) + values.shape[1:])
+
+
+def assert_matches_reference(values, src, dst, n_out):
+    got = ad._sorted_column_sums(values, src, dst, n_out)
+    want = sorted_sums_reference(values, src, dst, n_out) + 0.0  # zeros come out +0.0
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSortedSumsAgainstReference:
+    MAX_SIZE = 40
+
+    @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "ungrouped"])
+    @pytest.mark.parametrize("width", [None, 5], ids=["1-D", "2-D"])
+    def test_every_group_size(self, grouped, width):
+        assert ad.NETWORK_MAX_SIZE < self.MAX_SIZE
+        rng = np.random.default_rng(31)
+        counts = np.repeat(np.arange(self.MAX_SIZE + 1), 3)  # three groups of each size
+        rng.shuffle(counts)
+        dst = np.repeat(np.arange(len(counts)), counts)
+        src = rng.integers(0, 60, size=len(dst))
+        # ties, signed zeros and magnitudes where the order of additions shows
+        values = rng.choice([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.5, 3.25e-7],
+                            size=(60,) + ((width,) if width else ()))
+        values[::3] = rng.normal(size=values[::3].shape)
+        if not grouped:
+            order = rng.permutation(len(dst))
+            src, dst = src[order], dst[order]
+        assert_matches_reference(values, src, dst, len(counts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_groups(self, data):
+        n_out = data.draw(st.integers(1, 6))
+        n_in = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(0, 60))
+        dst = np.array(data.draw(st.lists(st.integers(0, n_out - 1), min_size=m, max_size=m)),
+                       dtype=np.intp)
+        src = np.array(data.draw(st.lists(st.integers(0, n_in - 1), min_size=m, max_size=m)),
+                       dtype=np.intp)
+        if data.draw(st.booleans()):
+            order = np.argsort(dst, kind="stable")
+            src, dst = src[order], dst[order]
+        tail = data.draw(st.sampled_from([(), (1,), (3,)]))
+        values = data.draw(arrays(np.float64, (n_in,) + tail, elements=_scatter_values
+                                  | st.floats(-1e6, 1e6, allow_subnormal=False)))
+        assert_matches_reference(values, src, dst, n_out)
+
 
 
 def add_at_reference(n_out, idx, rows):
     out = np.zeros((n_out,) + rows.shape[1:])
     np.add.at(out, idx, rows)
     return out
-
-
-# magnitudes where the order of additions shows in the bits (1e16 + 1 == 1e16)
-_scatter_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.5, 3.25e-7])
 
 
 class TestScatterRows:

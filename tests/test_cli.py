@@ -111,6 +111,15 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "epochz" in err and "lr" in err
 
+    def test_config_not_utf8_exits_one(self, dataset_dir, tmp_path, capsys):
+        conf = tmp_path / "train.conf"
+        conf.write_bytes(b"train.epochs = 1\n# \xff\xfe is not UTF-8\n")
+        code = run_cli("train", "--data", str(dataset_dir), "--out", str(tmp_path / "m"),
+                       "--config", str(conf))
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "UTF-8" in err
+
 
 class TestEmbedAndQuery:
     def test_pipeline_round_trip(self, dataset_dir, smoke_model, tmp_path, capsys):
@@ -196,6 +205,18 @@ class TestEmbedAndQuery:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and "query graph has no nodes" in err
+
+    def test_disconnected_query_exits_one(self, dataset_dir, smoke_model, tmp_path, capsys):
+        query = tmp_path / "two_edges.json"
+        query.write_text(json.dumps({"nodes": [{"id": i} for i in range(4)],
+                                     "edges": [{"u": 0, "v": 1}, {"u": 2, "v": 3}]}))
+        code = run_cli(
+            "query", "--query", str(query), "--target", str(dataset_dir / "graph_0000.json"),
+            "--checkpoint", str(smoke_model / "checkpoint.json"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "query graph must be connected" in err
 
     def test_out_of_alphabet_label_clean_error(self, smoke_model, tmp_path, capsys):
         ckpt_path = smoke_model / "checkpoint.json"

@@ -17,6 +17,18 @@ class TestParse:
         with pytest.raises(ConfigError, match=":1"):
             parse_kv_file(p)
 
+    def test_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "c.conf"
+        p.write_bytes("a = 1\nb = caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="UTF-8"):
+            parse_kv_file(p)
+
+    def test_line_numbers_count_every_line_break(self, tmp_path):
+        p = tmp_path / "c.conf"
+        p.write_bytes(b"a = 1\r\n\r\nb = 2\rbad line\n")
+        with pytest.raises(ConfigError, match=":4"):
+            parse_kv_file(p)
+
 
 class TestBuild:
     def test_typed_fields(self):

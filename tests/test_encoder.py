@@ -466,6 +466,41 @@ class TestCheckpoint:
         assert not np.array_equal(z1, z2)
 
 
+DESK = EncoderConfig(layers=4, hidden_dim=32, output_dim=32, label_alphabet_size=1)
+
+
+def desk_checkpoint() -> Checkpoint:
+    return Checkpoint(config=DESK, params=init_params(DESK, seed=0),
+                      margin=MarginConfig(threshold=0.5), radius=3)
+
+
+def fresh_copy(ckpt: Checkpoint) -> Checkpoint:
+    return Checkpoint(config=ckpt.config, params={k: v.copy() for k, v in ckpt.params.items()},
+                      margin=ckpt.margin, decision_cutoff=ckpt.decision_cutoff,
+                      radius=ckpt.radius)
+
+
+class TestFingerprint:
+    def test_digest_is_pinned(self):
+        # saved indexes record this digest; a change would orphan them
+        assert desk_checkpoint().fingerprint() == (
+            "ed9493a460bf7dd9306fb8f040d9a35caf55da9d350522acb8f4fe391d81d23f")
+
+    def test_follows_mutation(self):
+        ckpt = desk_checkpoint()
+        digests = [ckpt.fingerprint()]
+        ckpt.decision_cutoff = 0.25  # as the train command sets it after calibration
+        digests.append(ckpt.fingerprint())
+        assert digests[-1] == fresh_copy(ckpt).fingerprint()
+        ckpt.params["layer0.w1"][0, 0] += 1.0  # a write into an array, no new object
+        digests.append(ckpt.fingerprint())
+        assert digests[-1] == fresh_copy(ckpt).fingerprint()
+        ckpt.params["out.b"][:] = -0.0 * ckpt.params["out.b"]
+        digests.append(ckpt.fingerprint())
+        assert digests[-1] == fresh_copy(ckpt).fingerprint()
+        assert len(set(digests)) == len(digests)
+
+
 TINY = EncoderConfig(layers=1, hidden_dim=2, output_dim=2)
 
 

@@ -177,7 +177,7 @@ class TestAlignment:
     def test_disconnected_query_rejected(self, ckpt, target):
         query = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
         index = build_index(target, ckpt)
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError, match="query graph must be connected"):
             alignment(query, index, ckpt)
 
     def test_self_alignment_diagonal_zero(self, ckpt):
