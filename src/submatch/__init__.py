@@ -4,7 +4,7 @@ with an exact backtracking matcher as oracle and baseline."""
 from .exact import MatchBudget, MatchOutcome, is_subgraph, is_subgraph_anchored
 from .encoder import Checkpoint, EncoderConfig, encode, encode_all, load_checkpoint, save_checkpoint
 from .graphs import AnchoredNeighborhood, LabeledGraph, k_hop_neighborhood
-from .order import MarginConfig, intersection, predict_subgraph, violation
+from .order import MarginConfig, intersection, violation
 from .query import EmbeddingIndex, alignment, build_index, decide, vote
 from .sampling import SamplerConfig, TrainingPair
 from .training import TrainConfig, train
@@ -31,7 +31,6 @@ __all__ = [
     "is_subgraph_anchored",
     "k_hop_neighborhood",
     "load_checkpoint",
-    "predict_subgraph",
     "save_checkpoint",
     "train",
     "violation",

@@ -266,13 +266,6 @@ def sum_all(tape: Tape, a: Tensor) -> Tensor:
     return out
 
 
-def mean(tape: Tape, a: Tensor) -> Tensor:
-    n = a.value.size
-    out = Tensor(a.value.mean())
-    tape.push(out, (a,), lambda g, grads: grads.add(a, np.full_like(a.value, g / n)))
-    return out
-
-
 class _GradStore:
     def __init__(self):
         self.by_id: dict[int, np.ndarray] = {}

@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, build_dataclass, parse_kv_file, split_sections
 from .datasets import gen_er, gen_extended_barabasi
 from .encoder import CheckpointError, EncoderConfig, load_checkpoint, save_checkpoint
-from .evaluate import bench as run_bench
+from .evaluate import bench as run_bench, check_bench_request
 from .evaluate import calibrate_decision, make_problem1_instances, write_bench_outputs
 from .graphs import GraphError, LabeledGraph, load_graph, save_graph
 from .order import MarginConfig
@@ -64,6 +64,18 @@ class GenConfig:
     label_alphabet_size: int = 1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.family not in ("mix", "erdos_renyi", "extended_barabasi"):
+            raise ValueError(f"unknown family {self.family!r}")
+        if min(self.n_graphs, self.eb_m, self.label_alphabet_size) < 1 or self.seed < 0:
+            raise ValueError("n_graphs, eb_m and label_alphabet_size must be >= 1, seed >= 0")
+        if not 1 <= self.min_nodes <= self.max_nodes:
+            raise ValueError("need 1 <= min_nodes <= max_nodes")
+        if not all(0.0 <= p <= 1.0 for p in (self.er_p, self.eb_p_add, self.eb_p_rewire)):
+            raise ValueError("er_p, eb_p_add and eb_p_rewire must lie in [0, 1]")
+        if not (self.eb_p_add + self.eb_p_rewire < 1.0 and self.er_avg_degree >= 0.0):
+            raise ValueError("need eb_p_add + eb_p_rewire < 1 and er_avg_degree >= 0")
+
 
 def _load_config_sections(path: str | None, overrides: list[str], prefixes: list[str]):
     raw = parse_kv_file(path) if path else {}
@@ -90,8 +102,6 @@ def cmd_gen(args) -> int:
     if args.seed is not None:
         flat["seed"] = str(args.seed)
     cfg: GenConfig = build_dataclass(GenConfig, flat)
-    if cfg.family not in ("mix", "erdos_renyi", "extended_barabasi"):
-        raise ConfigError(f"unknown family {cfg.family!r}")
     rng = np.random.default_rng(cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     names = []
@@ -215,13 +225,14 @@ def cmd_query(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    check_bench_request(methods, bool(args.checkpoint), args.timeout)
     checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
     targets = _load_targets(args.data)
     rng = np.random.default_rng(args.seed)
     instances = make_problem1_instances(
         targets, args.n_instances, rng, query_ratio=args.query_ratio
     )
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     results, summary = run_bench(
         methods, instances, checkpoint=checkpoint, timeout=args.timeout
     )

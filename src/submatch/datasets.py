@@ -1,13 +1,10 @@
-"""Synthetic graph generators and TU-style dataset ingestion."""
+"""Synthetic graph generators."""
 
 from __future__ import annotations
 
-import glob
-import os
-
 import numpy as np
 
-from .graphs import GraphError, LabeledGraph
+from .graphs import LabeledGraph
 
 
 def _random_labels(n: int, alphabet: int, rng: np.random.Generator) -> list[int]:
@@ -123,106 +120,3 @@ def gen_extended_barabasi(
         label_alphabet_size=alphabet,
     )
 
-
-class DatasetFormatError(GraphError):
-    """Raised on malformed TU-format files; message names the offending line."""
-
-
-def _find_single(directory: str, suffix: str, required: bool) -> str | None:
-    matches = sorted(glob.glob(os.path.join(directory, f"*{suffix}")))
-    if not matches:
-        if required:
-            raise DatasetFormatError(f"no *{suffix} file in {directory}")
-        return None
-    if len(matches) > 1:
-        raise DatasetFormatError(f"multiple *{suffix} files in {directory}")
-    return matches[0]
-
-
-def _read_int_rows(path: str, expect_cols: int) -> list[tuple[int, ...]]:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != expect_cols:
-                raise DatasetFormatError(
-                    f"{os.path.basename(path)}:{lineno}: expected {expect_cols} "
-                    f"comma-separated fields, got {len(parts)}"
-                )
-            try:
-                rows.append(tuple(int(p) for p in parts))
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{os.path.basename(path)}:{lineno}: non-integer field"
-                ) from None
-    return rows
-
-
-def load_tu_dataset(directory: str) -> list[LabeledGraph]:
-    """Load a TU-style collection: *_A.txt, *_graph_indicator.txt, optional
-    *_node_labels.txt. Node ids are 1-based in the files and rebased to 0 per
-    graph; undirected duplicates are merged; nodes named only by the indicator
-    are kept as isolated nodes.
-    """
-    a_path = _find_single(directory, "_A.txt", required=True)
-    ind_path = _find_single(directory, "_graph_indicator.txt", required=True)
-    lab_path = _find_single(directory, "_node_labels.txt", required=False)
-
-    indicator = [row[0] for row in _read_int_rows(ind_path, 1)]
-    n_total = len(indicator)
-    raw_labels = None
-    if lab_path is not None:
-        raw_labels = [row[0] for row in _read_int_rows(lab_path, 1)]
-        if len(raw_labels) != n_total:
-            raise DatasetFormatError(
-                "node label count does not match graph indicator count"
-            )
-
-    graph_ids = sorted(set(indicator))
-    members: dict[int, list[int]] = {gid: [] for gid in graph_ids}
-    for node, gid in enumerate(indicator, start=1):
-        members[gid].append(node)
-    node_to_graph = {node: gid for node, gid in zip(range(1, n_total + 1), indicator)}
-    local_id = {}
-    for gid in graph_ids:
-        for i, node in enumerate(members[gid]):
-            local_id[node] = i
-
-    per_graph_edges: dict[int, set[tuple[int, int]]] = {gid: set() for gid in graph_ids}
-    for u, v in _read_int_rows(a_path, 2):
-        if u not in node_to_graph or v not in node_to_graph:
-            raise DatasetFormatError(f"edge ({u},{v}) references an unknown node")
-        if node_to_graph[u] != node_to_graph[v]:
-            raise DatasetFormatError(f"edge ({u},{v}) crosses graph boundaries")
-        if u == v:
-            continue
-        a, b = local_id[u], local_id[v]
-        per_graph_edges[node_to_graph[u]].add((min(a, b), max(a, b)))
-
-    if raw_labels is None:
-        label_map = None
-        alphabet = 1
-    else:
-        distinct = sorted(set(raw_labels))
-        label_map = {lab: i for i, lab in enumerate(distinct)}
-        alphabet = len(distinct)
-
-    graphs = []
-    for gid in graph_ids:
-        node_labels = (
-            [0] * len(members[gid])
-            if label_map is None
-            else [label_map[raw_labels[node - 1]] for node in members[gid]]
-        )
-        graphs.append(
-            LabeledGraph.from_edges(
-                node_count=len(members[gid]),
-                edges=sorted(per_graph_edges[gid]),
-                node_labels=node_labels,
-                label_alphabet_size=alphabet,
-            )
-        )
-    return graphs

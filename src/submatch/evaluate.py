@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .exact import MatchBudget, MatchOutcome, is_subgraph
 from .graphs import LabeledGraph
 from .query import (
@@ -95,12 +96,15 @@ def _perturbed_query(
     )
 
 
+# certifies each negative instance; a timeout redraws it, never labels it
+ORACLE_BUDGET = MatchBudget(max_states=2_000_000, wall_timeout=10.0)
+
+
 def make_problem1_instances(
     targets: list[LabeledGraph],
     n_instances: int,
     rng: np.random.Generator,
     query_ratio: float = 0.5,
-    oracle_budget: MatchBudget | None = None,
 ) -> list[BenchInstance]:
     """Whole-graph (query, target) decision instances, half positive.
 
@@ -109,7 +113,6 @@ def make_problem1_instances(
     by the exact matcher, resampling on accidental positives or oracle
     timeouts.
     """
-    budget = oracle_budget or MatchBudget(max_states=2_000_000, wall_timeout=10.0)
     instances: list[BenchInstance] = []
     i = 0
     guard = 0
@@ -134,7 +137,7 @@ def make_problem1_instances(
             query = _perturbed_query(_bfs_subgraph(target, max_q, rng), rng)
         if query.node_count < 2 or not query.is_connected():
             continue
-        if is_subgraph(query, target, budget) is not MatchOutcome.FALSE:
+        if is_subgraph(query, target, ORACLE_BUDGET) is not MatchOutcome.FALSE:
             continue
         instances.append(BenchInstance(f"i{i:04d}", query, target, oracle_label=False))
         i += 1
@@ -247,6 +250,20 @@ def bench_neural(
     return results, {"index_build_s": index_time, "n_indexes": float(len(indexes))}
 
 
+BENCH_METHODS = ("exact", "neural", "neural_vote")
+
+
+def check_bench_request(methods: list[str], has_checkpoint: bool, timeout: float) -> None:
+    """Raise ConfigError for a request bench() cannot run, before any instance is drawn."""
+    unknown = sorted(set(methods) - set(BENCH_METHODS))
+    if unknown:
+        raise ConfigError(f"unknown methods {unknown}; choose from {list(BENCH_METHODS)}")
+    if not has_checkpoint and set(methods) - {"exact"}:
+        raise ConfigError("the neural methods need a checkpoint")
+    if not timeout > 0:
+        raise ConfigError(f"timeout must be positive, got {timeout}")
+
+
 def bench(
     methods: list[str],
     instances: list[BenchInstance],
@@ -255,21 +272,18 @@ def bench(
 ) -> tuple[list[BenchResult], dict]:
     """Run the named methods over shared instances; returns per-instance rows
     plus a summary with success curves binned by query size."""
+    check_bench_request(methods, checkpoint is not None, timeout)
     all_results: list[BenchResult] = []
     meta: dict = {}
     for method in methods:
         if method == "exact":
             all_results.extend(bench_exact(instances, timeout=timeout))
-        elif method in ("neural", "neural_vote"):
-            if checkpoint is None:
-                raise ValueError(f"method {method!r} needs a checkpoint")
+        else:
             results, offline = bench_neural(
                 instances, checkpoint, use_vote=(method == "neural_vote")
             )
             all_results.extend(results)
             meta[method] = offline
-        else:
-            raise ValueError(f"unknown method {method!r}")
     return all_results, summarize(all_results, meta)
 
 

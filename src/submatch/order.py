@@ -1,5 +1,5 @@
-"""Order-embedding geometry: violation energy, max-margin loss, thresholded
-prediction, and the elementwise-minimum intersection.
+"""Order-embedding geometry: violation energy, max-margin loss, threshold
+calibration, and the elementwise-minimum intersection.
 
 The violation E(z_q, z_u) = ||max{0, z_q - z_u}||^2 is zero exactly when z_q
 is dominated coordinate-wise by z_u, which is how the embedding space encodes
@@ -63,11 +63,6 @@ def violation_matrix(query_embs: np.ndarray, target_embs: np.ndarray) -> np.ndar
     return out
 
 
-def predict_subgraph(z_q: np.ndarray, z_u: np.ndarray, cfg: MarginConfig) -> bool:
-    """Positive prediction iff the violation is strictly below the threshold."""
-    return violation(z_q, z_u) < cfg.threshold
-
-
 def intersection(z_1: np.ndarray, z_2: np.ndarray) -> np.ndarray:
     """Elementwise minimum; the greatest lower bound under domination."""
     z_1 = np.asarray(z_1, dtype=np.float64)
@@ -115,8 +110,26 @@ def margin_loss_value(
     return float(pos + neg)
 
 
+THRESHOLD_CANDIDATES = 100  # evenly spaced strictly inside the swept range
+
+
+def best_balanced_cut(scores: np.ndarray, labels: np.ndarray, cuts: np.ndarray) -> int:
+    """Index of the first cut c whose prediction scores > c has the highest
+    balanced accuracy, the mean of the true-positive and true-negative rates
+    against the boolean labels."""
+    best, best_acc = 0, -1.0
+    for i, c in enumerate(cuts):
+        pred = scores > c
+        tpr = float(pred[labels].mean())
+        tnr = float((~pred[~labels]).mean())
+        balanced = 0.5 * (tpr + tnr)
+        if balanced > best_acc:
+            best, best_acc = i, balanced
+    return best
+
+
 def calibrate_threshold(
-    violations: np.ndarray, labels: np.ndarray, cfg: MarginConfig, n_candidates: int = 100
+    violations: np.ndarray, labels: np.ndarray, cfg: MarginConfig
 ) -> float:
     """Sweep candidate thresholds over the observed violation range and pick
     the one maximizing balanced accuracy; respects threshold < margin."""
@@ -126,18 +139,9 @@ def calibrate_threshold(
         raise ValueError("calibration needs both classes")
     lo = float(violations.min())
     hi = min(float(violations.max()), cfg.margin)
-    candidates = np.linspace(lo, hi, n_candidates + 2)[1:-1]
+    candidates = np.linspace(lo, hi, THRESHOLD_CANDIDATES + 2)[1:-1]
     candidates = candidates[candidates > 0.0]
     if candidates.size == 0:
         candidates = np.array([cfg.margin / 2.0])
-    best_t, best_acc = float(candidates[0]), -1.0
-    pos = labels == 1
-    neg = ~pos
-    for t in candidates:
-        pred = violations < t
-        tpr = float(pred[pos].mean())
-        tnr = float((~pred[neg]).mean())
-        balanced = 0.5 * (tpr + tnr)
-        if balanced > best_acc:
-            best_acc, best_t = balanced, float(t)
-    return best_t
+    # the prediction v < t, written as -v > -t, which negation leaves exact
+    return float(candidates[best_balanced_cut(-violations, labels == 1, -candidates)])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .encoder import Checkpoint, encode_all
 from .graphs import GraphError, LabeledGraph
-from .order import MarginConfig, violation_matrix
+from .order import MarginConfig, best_balanced_cut, violation_matrix
 from .util import atomic_write_text, json_array, json_object, json_value
 
 INDEX_FORMAT_VERSION = 1
@@ -40,9 +40,6 @@ class EmbeddingIndex:
     @property
     def node_count(self) -> int:
         return self.matrix.shape[0]
-
-    def embedding(self, u: int) -> np.ndarray:
-        return self.matrix[u]
 
 
 def build_index(g: LabeledGraph, checkpoint: Checkpoint, k: int | None = None) -> EmbeddingIndex:
@@ -226,15 +223,7 @@ def calibrate_decision_cutoff(scores, labels) -> float:
         return 0.5
     candidates = np.unique(scores)
     mids = (candidates[:-1] + candidates[1:]) / 2.0 if len(candidates) > 1 else candidates
-    best_cut, best_acc = 0.5, -1.0
-    for c in mids:
-        pred = scores > c
-        tpr = float(pred[labels].mean())
-        tnr = float((~pred[~labels]).mean())
-        acc = 0.5 * (tpr + tnr)
-        if acc > best_acc:
-            best_acc, best_cut = acc, float(c)
-    return best_cut
+    return float(mids[best_balanced_cut(scores, labels, mids)])
 
 
 def vote_mask_for(

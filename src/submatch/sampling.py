@@ -21,6 +21,7 @@ STRATEGIES = ("random_bfs", "random_walk_restart", "mfinder_degree_weighted")
 
 # oracle budget for verifying sampled pair labels; desk-scale graphs are small
 _VERIFY_BUDGET = MatchBudget(max_states=200_000, wall_timeout=5.0)
+SAMPLE_RETRIES = 5  # draws per neighborhood before settling for the largest
 
 
 @dataclass(frozen=True)
@@ -139,13 +140,13 @@ _SAMPLERS = {
 
 
 def sample_neighborhood(
-    g: LabeledGraph, u: int, cfg: SamplerConfig, rng: np.random.Generator, retries: int = 5
+    g: LabeledGraph, u: int, cfg: SamplerConfig, rng: np.random.Generator
 ) -> AnchoredNeighborhood:
     """Dispatch on cfg.strategy; retry a few times if the draw came out below
     min_nodes (degenerate graphs may still return fewer)."""
     sampler = _SAMPLERS[cfg.strategy]
     best = None
-    for _ in range(retries):
+    for _ in range(SAMPLE_RETRIES):
         nh = sampler(g, u, cfg, rng)
         if best is None or nh.node_count > best.node_count:
             best = nh

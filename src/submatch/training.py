@@ -26,6 +26,7 @@ from .util import atomic_write_text
 
 MAX_RADIUS = 4
 MAX_TARGETS = 256
+VALIDATION_CHUNK = 128  # pairs encoded per tape-less batch in pair_violations
 
 
 class TrainingDiverged(RuntimeError):
@@ -77,13 +78,15 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         positive = (
-            self.epochs, self.learning_rate, self.cosine_restart_period,
+            self.epochs, self.learning_rate, self.adam_eps, self.cosine_restart_period,
             self.plateau_patience, self.plateau_delta, self.neg_pos_ratio,
             self.regen_period, self.min_iterations, self.base_batch,
             self.max_batch,
         )
-        if any(x <= 0 for x in positive):
-            raise ValueError("all counts, periods and rates must be positive")
+        if not all(0 < x < math.inf for x in positive):
+            raise ValueError("all counts, periods and rates must be positive and finite")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.seed >= 0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1), seed must be nonnegative")
         for frac in (self.hard_negative_fraction, self.same_target_fraction,
                      self.val_fraction, self.weight_decay):
             if not 0.0 <= frac <= 1.0:
@@ -273,13 +276,12 @@ def pair_violations(
     pairs: list[TrainingPair],
     params: dict[str, np.ndarray],
     cfg: EncoderConfig,
-    chunk: int = 128,
 ) -> np.ndarray:
     """Violation E(z_query, z_target) per pair, computed without a tape."""
     out = np.empty(len(pairs))
     tensors = {k: ad.Tensor(v, name=k) for k, v in params.items()}
-    for start in range(0, len(pairs), chunk):
-        block = pairs[start : start + chunk]
+    for start in range(0, len(pairs), VALIDATION_CHUNK):
+        block = pairs[start : start + VALIDATION_CHUNK]
         nbhds = [p.query for p in block] + [p.target for p in block]
         embs = encode_batch(ad.Tape(record=False), nbhds, tensors, cfg).value
         for i in range(len(block)):

@@ -211,12 +211,16 @@ def test_criterion_6_problem1_decision(trained, problem1_fixture):
     """Mean-violation AUROC of at least 0.80 over two hundred oracle-labeled
     whole-graph decision pairs with a roughly half query:target size ratio."""
     ckpt = trained.checkpoint
-    labels, scores, ratios = [], [], []
+    labels, scores, ratios, density, size = [], [], [], [], []
     for inst, _index, _q_embs, matrix in problem1_fixture:
         verdict = decide(matrix, ckpt.margin, ckpt.decision_cutoff)
         scores.append(-verdict.mean_violation)
         labels.append(1 if inst.oracle_label else 0)
         ratios.append(inst.query.node_count / inst.target.node_count)
+        # model-free baselines, reported only: sparser and smaller queries
+        # are more often contained
+        density.append(-inst.query.edge_count / inst.query.node_count)
+        size.append(-inst.query.node_count)
     score = auroc(np.array(scores), np.array(labels))
     ratio = float(np.mean(ratios))
     ok = score >= 0.80 and len(labels) == 200
@@ -224,7 +228,9 @@ def test_criterion_6_problem1_decision(trained, problem1_fixture):
         "criterion 6 (whole-query decision)",
         ok,
         f"mean-violation AUROC {score:.4f} over {len(labels)} pairs, "
-        f"mean query:target ratio {ratio:.2f}",
+        f"mean query:target ratio {ratio:.2f}; model-free AUROC: "
+        f"-(query edges per node) {auroc(np.array(density), np.array(labels)):.4f}, "
+        f"-(query node count) {auroc(np.array(size), np.array(labels)):.4f}",
     )
     assert len(labels) == 200
     assert score >= 0.80

@@ -100,7 +100,7 @@ class TestBackward:
             h = ad.leaky_relu(tape, h, 0.01)
             h = ad.leaky_relu(tape, ad.matmul(tape, h, p["w2"]), 0.01)
             h = ad.matmul(tape, h, p["w3"])
-            return ad.mean(tape, ad.mul(tape, h, h))
+            return ad.sum_all(tape, ad.mul(tape, h, h))
 
         report = ad.grad_check(net, params, h=1e-5, tol=1e-4)
         assert report.passed, report
@@ -123,7 +123,6 @@ OPS_FOR_GRADCHECK = [
     ),
     ("take_rows", lambda p, t: ad.sum_all(t, ad.mul(t, g := ad.take_rows(t, p["a2"], [0, 2, 2]), g))),
     ("energy", lambda p, t: ad.sum_all(t, ad.squared_l2_of_positive_part(t, p["a"], p["b"]))),
-    ("mean", lambda p, t: ad.mean(t, ad.mul(t, p["a"], p["a"]))),
 ]
 
 

@@ -288,6 +288,37 @@ class TestBenchCommand:
         assert summary["methods"]["exact"]["success_rate"] == 1.0
 
 
+BAD_INPUTS = {
+    "gen-min-above-max": ["gen", "--set", "min_nodes=30", "--set", "max_nodes=16"],
+    "gen-eb-m-zero": ["gen", "--set", "eb_m=0", "--set", "family=extended_barabasi"],
+    "gen-eb-probabilities": ["gen", "--set", "eb_p_add=0.6", "--set", "eb_p_rewire=0.5"],
+    "gen-negative-count": ["gen", "--set", "n_graphs=-3"],
+    "gen-negative-seed": ["gen", "--seed", "-1"],
+    "bench-zero-timeout": ["bench", "--methods", "exact", "--timeout", "0"],
+    "bench-unknown-method": ["bench", "--methods", "foo"],
+    "bench-neural-without-checkpoint": ["bench", "--methods", "neural"],
+    "train-nan-rate": ["train", "--set", "train.learning_rate=nan"],
+    "train-inf-rate": ["train", "--set", "train.learning_rate=inf"],
+    "train-nan-beta": ["train", "--set", "train.beta1=nan"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_one_before_writing(argv, dataset_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    paths = {
+        "gen": ["--out", str(out)],
+        "train": ["--data", str(dataset_dir), "--out", str(out)],
+        "bench": ["--data", str(dataset_dir), "--out-csv", str(out / "rows.csv"),
+                  "--out-json", str(out / "summary.json")],
+    }
+    code = run_cli(*argv, *paths[argv[0]])
+    err = capsys.readouterr().err.strip()
+    assert code == 1, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert not out.exists()
+
+
 class TestSelftestCommand:
     def test_fast_selftest_passes(self, capsys):
         assert run_cli("selftest", "--fast") == 0

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from submatch.datasets import (
-    DatasetFormatError,
-    gen_er,
-    gen_extended_barabasi,
-    load_tu_dataset,
-)
-from submatch.exact import is_subgraph
-from submatch.graphs import from_json, to_json
+from submatch.datasets import gen_er, gen_extended_barabasi
 
 
 class TestER:
@@ -58,59 +51,3 @@ class TestExtendedBarabasi:
         with pytest.raises(ValueError):
             gen_extended_barabasi(10, m=2, p_add=0.6, p_rewire=0.5, seed=0)
 
-
-TU_A = "1, 2\n2, 3\n1, 3\n4, 5\n"
-TU_IND = "1\n1\n1\n2\n2\n"
-TU_LABELS = "7\n7\n9\n9\n7\n"
-
-
-def write_tu(tmp_path, a=TU_A, ind=TU_IND, labels=TU_LABELS, name="DS"):
-    (tmp_path / f"{name}_A.txt").write_text(a)
-    (tmp_path / f"{name}_graph_indicator.txt").write_text(ind)
-    if labels is not None:
-        (tmp_path / f"{name}_node_labels.txt").write_text(labels)
-    return tmp_path
-
-
-class TestTULoader:
-    def test_two_graph_fixture(self, tmp_path):
-        graphs = load_tu_dataset(write_tu(tmp_path))
-        assert [g.node_count for g in graphs] == [3, 2]
-        assert [g.edge_count for g in graphs] == [3, 1]
-        # labels rebased to a contiguous 0-based alphabet
-        assert graphs[0].node_labels == (0, 0, 1)
-        assert graphs[1].node_labels == (1, 0)
-        assert graphs[0].label_alphabet_size == 2
-
-    def test_missing_labels_single_alphabet(self, tmp_path):
-        graphs = load_tu_dataset(write_tu(tmp_path, labels=None))
-        assert graphs[0].label_alphabet_size == 1
-        assert graphs[0].node_labels == (0, 0, 0)
-
-    def test_dangling_node_kept_isolated(self, tmp_path):
-        graphs = load_tu_dataset(
-            write_tu(tmp_path, a="1, 2\n", ind="1\n1\n1\n", labels=None)
-        )
-        assert graphs[0].node_count == 3
-        assert graphs[0].degree(2) == 0
-
-    def test_duplicate_undirected_edges_merged(self, tmp_path):
-        graphs = load_tu_dataset(
-            write_tu(tmp_path, a="1, 2\n2, 1\n", ind="1\n1\n", labels=None)
-        )
-        assert graphs[0].edge_count == 1
-
-    def test_malformed_line_reports_lineno(self, tmp_path):
-        path = write_tu(tmp_path, a="1, 2\nbogus\n", ind="1\n1\n", labels=None)
-        with pytest.raises(DatasetFormatError, match=":2"):
-            load_tu_dataset(path)
-
-    def test_missing_file_reported(self, tmp_path):
-        with pytest.raises(DatasetFormatError, match="_A.txt"):
-            load_tu_dataset(tmp_path)
-
-    def test_round_trip_preserves_isomorphism(self, tmp_path):
-        graphs = load_tu_dataset(write_tu(tmp_path))
-        for g in graphs:
-            back = from_json(to_json(g))
-            assert is_subgraph(back, g).is_true and is_subgraph(g, back).is_true

@@ -11,10 +11,10 @@ from submatch.order import (
     intersection,
     margin_loss,
     margin_loss_value,
-    predict_subgraph,
     violation,
     violation_matrix,
 )
+from submatch.query import AlignmentMatrix, decide
 
 # values below ~1e-154 square-underflow to zero, which would break the strict
 # "zero violation iff dominated" reading; embeddings live at sane magnitudes
@@ -69,20 +69,25 @@ class TestViolation:
                 assert np.isclose(m[i, j], violation(q[j], t[i]))
 
 
+def _decide_pair(z_q, z_u, cfg: MarginConfig) -> bool:
+    """The pair rule inside query.decide, applied to a one-entry matrix."""
+    return decide(AlignmentMatrix(values=[[violation(z_q, z_u)]]), cfg).score == 1.0
+
+
 class TestPrediction:
     def test_dominated_always_true(self):
         cfg = MarginConfig(margin=1.0, threshold=1e-9)
-        assert predict_subgraph([1.0, 1.0], [1.0, 2.0], cfg)
+        assert _decide_pair([1.0, 1.0], [1.0, 2.0], cfg)
 
     def test_boundary_is_false(self):
         cfg = MarginConfig(margin=2.0, threshold=1.0)
         # violation of exactly threshold fails the strict inequality
         assert violation([3.0, 1.0], [2.0, 3.0]) == 1.0
-        assert not predict_subgraph([3.0, 1.0], [2.0, 3.0], cfg)
+        assert not _decide_pair([3.0, 1.0], [2.0, 3.0], cfg)
 
     def test_above_threshold_false(self):
         cfg = MarginConfig(margin=1.0, threshold=0.1)
-        assert not predict_subgraph([3.0, 1.0], [2.0, 3.0], cfg)
+        assert not _decide_pair([3.0, 1.0], [2.0, 3.0], cfg)
 
 
 class TestIntersection:

@@ -65,7 +65,7 @@ class TestIndex:
         index = build_index(target, ckpt)
         for u in (0, 9, 24):
             z = encode(k_hop_neighborhood(target, u, ckpt.radius), ckpt.params, CFG)
-            assert np.array_equal(index.embedding(u), z)
+            assert np.array_equal(index.matrix[u], z)
 
     def test_persistence_round_trip(self, ckpt, target, tmp_path):
         index = build_index(target, ckpt)
