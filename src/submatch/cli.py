@@ -131,6 +131,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.calibration_pairs < 0:
+        raise ConfigError(
+            f"--calibration-pairs must be non-negative, got {args.calibration_pairs}"
+        )
     sections = _load_config_sections(
         args.config, args.set or [], ["train", "encoder", "margin", "sampler"]
     )
@@ -226,7 +230,14 @@ def cmd_query(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    check_bench_request(methods, bool(args.checkpoint), args.timeout)
+    check_bench_request(
+        methods,
+        bool(args.checkpoint),
+        args.timeout,
+        n_instances=args.n_instances,
+        query_ratio=args.query_ratio,
+        seed=args.seed,
+    )
     checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
     targets = _load_targets(args.data)
     rng = np.random.default_rng(args.seed)
@@ -273,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override, e.g. train.epochs=50 or encoder.layers=4")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--calibration-pairs", type=int, default=40)
+    p.add_argument("--calibration-pairs", type=int, default=40,
+                   help="oracle-labeled instances that calibrate the whole-query "
+                        "decision cutoff; 0 keeps the default cutoff of 0.5")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("embed", help="build and persist an embedding index")

@@ -253,8 +253,17 @@ def bench_neural(
 BENCH_METHODS = ("exact", "neural", "neural_vote")
 
 
-def check_bench_request(methods: list[str], has_checkpoint: bool, timeout: float) -> None:
-    """Raise ConfigError for a request bench() cannot run, before any instance is drawn."""
+def check_bench_request(
+    methods: list[str],
+    has_checkpoint: bool,
+    timeout: float,
+    *,
+    n_instances: int | None = None,
+    query_ratio: float | None = None,
+    seed: int | None = None,
+) -> None:
+    """Raise ConfigError for a request bench() cannot run, before any instance
+    is drawn. The make_problem1_instances arguments are checked when given."""
     unknown = sorted(set(methods) - set(BENCH_METHODS))
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {list(BENCH_METHODS)}")
@@ -262,6 +271,12 @@ def check_bench_request(methods: list[str], has_checkpoint: bool, timeout: float
         raise ConfigError("the neural methods need a checkpoint")
     if not timeout > 0:
         raise ConfigError(f"timeout must be positive, got {timeout}")
+    if n_instances is not None and n_instances < 1:
+        raise ConfigError(f"n_instances must be at least 1, got {n_instances}")
+    if query_ratio is not None and not 0 < query_ratio <= 1:
+        raise ConfigError(f"query_ratio must lie in (0, 1], got {query_ratio}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 def bench(

@@ -5,6 +5,12 @@ such that every query edge (a, b) maps to a target edge (f(a), f(b)) and node
 labels (plus edge labels, when both graphs carry them) agree. Target edges
 outside the image are allowed.
 
+The search places query nodes in BFS order and tries, for each, the target
+neighbors of an already placed query neighbor. A state is one candidate
+tried: one (query node, target node) pair whose feasibility is checked. The
+search is deterministic, so its state count is too, and MatchBudget.max_states
+caps that count.
+
 Used as the ground-truth labeler for training data, the correctness oracle in
 tests, and the runtime baseline in benchmarks.
 """
@@ -35,7 +41,11 @@ class MatchOutcome(enum.Enum):
 
 @dataclass(frozen=True)
 class MatchBudget:
-    """Search budget. Exhaustion surfaces as TIMEOUT, never as FALSE."""
+    """Search budget. Exhaustion surfaces as TIMEOUT, never as FALSE.
+
+    max_states caps the candidates tried (one state each); wall_timeout caps
+    seconds, read every 1024 states.
+    """
 
     max_states: int = 10_000_000
     wall_timeout: float = 60.0
@@ -45,12 +55,22 @@ class MatchBudget:
             raise ValueError("budget fields must be strictly positive")
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _edge_labels_agree(t: int, images: list[int], labels: list, t_edge_labels) -> bool:
+    """Does every target edge (t, images[i]) carry the query's labels[i]?"""
+    for tn, label in zip(images, labels):
+        if t_edge_labels.get((t, tn) if t < tn else (tn, t)) != label:
+            return False
+    return True
 
 
 class _Search:
-    """One backtracking search over a fixed (query, target) pair."""
+    """One backtracking search over a fixed (query, target) pair.
+
+    Query nodes are placed in BFS order from a root. A node's candidates are
+    the target neighbors of its first back-neighbor, the first of its query
+    neighbors (in adjacency order) placed before it; the root's candidates
+    are the given root pool. Each candidate tried is one state.
+    """
 
     # wall clock checked every this many states to keep overhead low
     _CLOCK_STRIDE = 1024
@@ -61,16 +81,6 @@ class _Search:
         self.budget = budget
         self.states = 0
         self.deadline = time.monotonic() + budget.wall_timeout
-        self.check_edge_labels = (
-            query.edge_labels is not None and target.edge_labels is not None
-        )
-
-    def _tick(self) -> None:
-        self.states += 1
-        if self.states > self.budget.max_states:
-            raise _BudgetExhausted
-        if self.states % self._CLOCK_STRIDE == 0 and time.monotonic() > self.deadline:
-            raise _BudgetExhausted
 
     def _order_from(self, root: int) -> list[int]:
         """Query nodes in BFS order from root, ties broken by node id."""
@@ -79,79 +89,94 @@ class _Search:
             raise GraphError("query graph must be connected")
         return sorted(dist, key=lambda n: (dist[n], n))
 
-    def _feasible(self, q: int, t: int, mapping: dict[int, int], used: set[int]) -> bool:
-        if t in used:
-            return False
-        if self.query.node_labels[q] != self.target.node_labels[t]:
-            return False
-        if self.target.degree(t) < self.query.degree(q):
-            return False
-        # every already-mapped query neighbor must land on a target neighbor
-        for qn in self.query.adjacency[q]:
-            tn = mapping.get(qn)
-            if tn is None:
-                continue
-            if not self.target.has_edge(t, tn):
-                return False
-            if self.check_edge_labels:
-                if self.query.edge_label(q, qn) != self.target.edge_label(t, tn):
-                    return False
-        return True
-
-    def _extend(self, order: list[int], depth: int, mapping: dict[int, int], used: set[int]) -> bool:
-        """Map order[depth:] on top of mapping, depth first, with one candidate
-        iterator per mapped level on a stack instead of recursion. Leaves
-        mapping as given unless it returns True."""
+    def _run(self, order: list[int], roots: Sequence[int]) -> MatchOutcome:
+        """Map order[0] onto one of roots and the rest depth first, with one
+        candidate iterator per placed depth on a stack instead of recursion."""
+        query, target = self.query, self.target
         n = len(order)
-        if depth == n:
-            return True
-        tick, feasible, candidates = self._tick, self._feasible, self._candidates
+        depth_of = {q: d for d, q in enumerate(order)}
+        # per depth: query label, degree and back-neighbors in adjacency order
+        q_labels = [query.node_labels[q] for q in order]
+        q_degrees = [len(query.adjacency[q]) for q in order]
+        backs = [
+            [qn for qn in query.adjacency[q] if depth_of[qn] < d]
+            for d, q in enumerate(order)
+        ]
+        t_edge_labels = target.edge_labels
+        if query.edge_labels is None or t_edge_labels is None:
+            # pool adjacency already implies the first back-neighbor's edge
+            checks = [back[1:] for back in backs]
+            edge_labels = None
+        else:
+            checks = backs
+            edge_labels = [
+                [query.edge_label(q, qn) for qn in back] for q, back in zip(order, backs)
+            ]
+        t_adj, t_labels = target.adjacency, target.node_labels
+        t_degrees = [len(nbrs) for nbrs in t_adj]
+        mapped = [-1] * query.node_count
+        used = bytearray(target.node_count)
+
+        max_states = self.budget.max_states
+        stride = self._CLOCK_STRIDE
+        deadline, monotonic = self.deadline, time.monotonic
+        states = 0
+        # the next state count at which the budget is checked: the next
+        # clock stride, or the first state past max_states
+        limit = min(stride, max_states + 1)
+
         stack = []
-        q = order[depth]
-        pool = iter(candidates(q, mapping))
+        depth, q, pool = 0, order[0], iter(roots)
+        label, degree = q_labels[0], q_degrees[0]
+        need: list[int] = []  # target images of checks[depth], fixed at this depth
         while True:
             for t in pool:
-                tick()
-                if feasible(q, t, mapping, used):
-                    mapping[q] = t
-                    used.add(t)
-                    depth += 1
-                    if depth == n:
-                        return True
-                    stack.append(pool)
-                    q = order[depth]
-                    pool = iter(candidates(q, mapping))
-                    break
+                states += 1
+                if states >= limit:
+                    if states > max_states or monotonic() > deadline:
+                        self.states = states
+                        return MatchOutcome.TIMEOUT
+                    limit = min(states + stride, max_states + 1)
+                if used[t] or t_labels[t] != label or t_degrees[t] < degree:
+                    continue
+                if need:
+                    adj = t_adj[t]
+                    for tn in need:
+                        if tn not in adj:
+                            break
+                    else:
+                        if edge_labels is None or _edge_labels_agree(
+                            t, need, edge_labels[depth], t_edge_labels
+                        ):
+                            break
+                    continue
+                break
             else:
                 if not stack:
-                    return False
-                pool = stack.pop()
+                    self.states = states
+                    return MatchOutcome.FALSE
+                pool, need = stack.pop()
                 depth -= 1
                 q = order[depth]
-                used.discard(mapping.pop(q))
-
-    def _candidates(self, q: int, mapping: dict[int, int]) -> Sequence[int]:
-        # prefer the tightest candidate pool: target neighbors of an already
-        # mapped query neighbor; fall back to all target nodes
-        for qn in self.query.adjacency[q]:
-            if qn in mapping:
-                return self.target.adjacency[mapping[qn]]
-        return range(self.target.node_count)
+                used[mapped[q]] = 0
+                label, degree = q_labels[depth], q_degrees[depth]
+                continue
+            # t is feasible for q: place it and descend
+            mapped[q] = t
+            used[t] = 1
+            depth += 1
+            if depth == n:
+                self.states = states
+                return MatchOutcome.TRUE
+            stack.append((pool, need))
+            q = order[depth]
+            label, degree = q_labels[depth], q_degrees[depth]
+            pool = iter(t_adj[mapped[backs[depth][0]]])
+            check = checks[depth]
+            need = [mapped[qn] for qn in check] if check else check
 
     def run_anchored(self, q_anchor: int, t_anchor: int) -> MatchOutcome:
-        order = self._order_from(q_anchor)
-        mapping: dict[int, int] = {}
-        used: set[int] = set()
-        try:
-            self._tick()
-            if not self._feasible(q_anchor, t_anchor, mapping, used):
-                return MatchOutcome.FALSE
-            mapping[q_anchor] = t_anchor
-            used.add(t_anchor)
-            found = self._extend(order, 1, mapping, used)
-        except _BudgetExhausted:
-            return MatchOutcome.TIMEOUT
-        return MatchOutcome.TRUE if found else MatchOutcome.FALSE
+        return self._run(self._order_from(q_anchor), (t_anchor,))
 
     def run_unanchored(self) -> MatchOutcome:
         if self.query.node_count == 0:
@@ -164,20 +189,7 @@ class _Search:
         order = self._order_from(root)  # raises on a disconnected query
         if self.query.node_count > self.target.node_count:
             return MatchOutcome.FALSE
-        try:
-            for t_root in range(self.target.node_count):
-                self._tick()
-                mapping: dict[int, int] = {}
-                used: set[int] = set()
-                if not self._feasible(root, t_root, mapping, used):
-                    continue
-                mapping[root] = t_root
-                used.add(t_root)
-                if self._extend(order, 1, mapping, used):
-                    return MatchOutcome.TRUE
-        except _BudgetExhausted:
-            return MatchOutcome.TIMEOUT
-        return MatchOutcome.FALSE
+        return self._run(order, range(self.target.node_count))
 
 
 def is_subgraph_anchored(

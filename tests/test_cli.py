@@ -297,6 +297,10 @@ BAD_INPUTS = {
     "bench-zero-timeout": ["bench", "--methods", "exact", "--timeout", "0"],
     "bench-unknown-method": ["bench", "--methods", "foo"],
     "bench-neural-without-checkpoint": ["bench", "--methods", "neural"],
+    "bench-negative-seed": ["bench", "--methods", "exact", "--seed", "-1"],
+    "bench-nan-query-ratio": ["bench", "--methods", "exact", "--query-ratio", "nan"],
+    "bench-negative-instances": ["bench", "--methods", "exact", "--n-instances", "-2"],
+    "train-negative-calibration-pairs": ["train", "--calibration-pairs", "-3"],
     "train-nan-rate": ["train", "--set", "train.learning_rate=nan"],
     "train-inf-rate": ["train", "--set", "train.learning_rate=inf"],
     "train-nan-beta": ["train", "--set", "train.beta1=nan"],

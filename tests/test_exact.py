@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submatch.datasets import gen_er
 from submatch.exact import (
@@ -84,23 +86,114 @@ class TestUnanchored:
             assert got.is_true == brute_force_is_subgraph(q, t)
 
 
-class _RecursiveSearch(_Search):
-    """Slow reference: the search as plain recursion, one frame per query node."""
+class _Exhausted(Exception):
+    pass
 
-    def _extend(self, order, depth, mapping, used):
+
+class _RecursiveReference:
+    """Slow reference: the search as plain recursion, one frame per query node.
+
+    Query nodes go in BFS order (ties by id) from the anchor, or from a
+    max-degree node (lowest id) when unanchored. A node's candidates are the
+    target neighbors of its first mapped query neighbor in adjacency order,
+    or every target node for the root. One state per candidate tried.
+    """
+
+    def __init__(self, query, target, max_states):
+        self.query, self.target, self.max_states = query, target, max_states
+        self.states = 0
+        self.edge_labels = query.edge_labels is not None and target.edge_labels is not None
+
+    def _tick(self):
+        self.states += 1
+        if self.states > self.max_states:
+            raise _Exhausted
+
+    def _order_from(self, root):
+        dist = self.query.bfs_distances(root)
+        return sorted(dist, key=lambda n: (dist[n], n))
+
+    def _candidates(self, q, mapping):
+        for qn in self.query.adjacency[q]:
+            if qn in mapping:
+                return self.target.adjacency[mapping[qn]]
+        return range(self.target.node_count)
+
+    def _feasible(self, q, t, mapping):
+        if t in mapping.values():
+            return False
+        if self.query.node_labels[q] != self.target.node_labels[t]:
+            return False
+        if self.target.degree(t) < self.query.degree(q):
+            return False
+        for qn in self.query.adjacency[q]:
+            if qn not in mapping:
+                continue
+            tn = mapping[qn]
+            if not self.target.has_edge(t, tn):
+                return False
+            if self.edge_labels and self.query.edge_label(q, qn) != self.target.edge_label(t, tn):
+                return False
+        return True
+
+    def _extend(self, order, depth, mapping):
         if depth == len(order):
             return True
         q = order[depth]
         for t in self._candidates(q, mapping):
             self._tick()
-            if self._feasible(q, t, mapping, used):
+            if self._feasible(q, t, mapping):
                 mapping[q] = t
-                used.add(t)
-                if self._extend(order, depth + 1, mapping, used):
+                if self._extend(order, depth + 1, mapping):
                     return True
                 del mapping[q]
-                used.discard(t)
         return False
+
+    def _decide(self, order, roots):
+        try:
+            for t in roots:
+                self._tick()
+                if self._feasible(order[0], t, {}) and self._extend(order, 1, {order[0]: t}):
+                    return MatchOutcome.TRUE
+        except _Exhausted:
+            return MatchOutcome.TIMEOUT
+        return MatchOutcome.FALSE
+
+    def run_anchored(self, q_anchor, t_anchor):
+        return self._decide(self._order_from(q_anchor), [t_anchor])
+
+    def run_unanchored(self):
+        root = min(range(self.query.node_count), key=lambda n: (-self.query.degree(n), n))
+        if self.query.node_count > self.target.node_count:
+            return MatchOutcome.FALSE
+        return self._decide(self._order_from(root), range(self.target.node_count))
+
+
+def _with_edge_labels(g, alphabet, rng):
+    labels = {e: int(rng.integers(alphabet)) for e in g.edges()}
+    return LabeledGraph.from_edges(
+        g.node_count, g.edges(), list(g.node_labels), g.label_alphabet_size, labels
+    )
+
+
+def _permuted(g, perm):
+    """g with node i renamed perm[i]."""
+    labels = [0] * g.node_count
+    for u, lab in enumerate(g.node_labels):
+        labels[perm[u]] = lab
+    edge_labels = None
+    if g.edge_labels is not None:
+        edge_labels = {
+            (min(perm[u], perm[v]), max(perm[u], perm[v])): lab
+            for (u, v), lab in g.edge_labels.items()
+        }
+    return LabeledGraph.from_edges(
+        g.node_count,
+        [(perm[u], perm[v]) for u, v in g.edges()],
+        labels,
+        g.label_alphabet_size,
+        edge_labels,
+    )
 
 
 class TestIterativeSearch:
@@ -109,8 +202,12 @@ class TestIterativeSearch:
         t = LabeledGraph.from_edges(1600, [(i, i + 1) for i in range(1599)])
         assert is_subgraph(q, t) is MatchOutcome.TRUE
 
-    @pytest.mark.parametrize("max_states", [10_000_000, 60], ids=["decided", "tight"])
-    def test_states_equal_recursive_reference(self, max_states):
+    @pytest.mark.parametrize(
+        "max_states, edge_alphabet",
+        [(10_000_000, 0), (60, 0), (1500, 0), (10_000_000, 2), (60, 2)],
+        ids=["decided", "tight", "past_clock_stride", "edge_labels", "edge_labels_tight"],
+    )
+    def test_states_equal_recursive_reference(self, max_states, edge_alphabet):
         budget = MatchBudget(max_states=max_states)
         rng = np.random.default_rng(23)
         outcomes = set()
@@ -119,15 +216,72 @@ class TestIterativeSearch:
             t = gen_er(int(rng.integers(8, 18)), 0.3, 2, seed=int(rng.integers(1 << 30)))
             if not q.is_connected():
                 continue
-            got, want = _Search(q, t, budget), _RecursiveSearch(q, t, budget)
-            runs = [(got.run_unanchored(), want.run_unanchored())]
+            if edge_alphabet:
+                q = _with_edge_labels(q, edge_alphabet, rng)
+                t = _with_edge_labels(t, edge_alphabet, rng)
             u = int(rng.integers(t.node_count))
-            got_a, want_a = _Search(q, t, budget), _RecursiveSearch(q, t, budget)
-            runs.append((got_a.run_anchored(0, u), want_a.run_anchored(0, u)))
+            got, got_a = _Search(q, t, budget), _Search(q, t, budget)
+            want, want_a = (_RecursiveReference(q, t, max_states) for _ in range(2))
+            runs = [
+                (got.run_unanchored(), want.run_unanchored()),
+                (got_a.run_anchored(0, u), want_a.run_anchored(0, u)),
+            ]
             assert [a for a, _ in runs] == [b for _, b in runs]
             assert (got.states, got_a.states) == (want.states, want_a.states)
             outcomes.update(a for a, _ in runs)
         assert len(outcomes) >= 2
+
+
+class TestAgainstNetworkx:
+    """Independent oracle on graphs too big for brute force: networkx's VF2
+    monomorphism test has the same edge-induced semantics."""
+
+    @staticmethod
+    def _nx_is_subgraph(nx, query, target):
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from((u, {"label": lab}) for u, lab in enumerate(g.node_labels))
+            h.add_edges_from((u, v, {"label": g.edge_label(u, v)}) for u, v in g.edges())
+            return h
+
+        edge_match = None
+        if query.edge_labels is not None and target.edge_labels is not None:
+            edge_match = lambda a, b: a["label"] == b["label"]  # noqa: E731
+        matcher = nx.algorithms.isomorphism.GraphMatcher(
+            to_nx(target),
+            to_nx(query),
+            node_match=lambda a, b: a["label"] == b["label"],
+            edge_match=edge_match,
+        )
+        return matcher.subgraph_is_monomorphic()
+
+    def test_er_pairs_of_ten_to_forty_nodes(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(41)
+        budget = MatchBudget(max_states=200_000, wall_timeout=60.0)
+        decided = {True: 0, False: 0}
+        for trial in range(200):
+            n = int(rng.integers(10, 41))
+            t = gen_er(n, 3.0 / (n - 1), 2, seed=int(rng.integers(1 << 30)))
+            if trial % 3 == 0:
+                t = _with_edge_labels(t, 2, rng)
+            # a connected piece of the target, renumbered, sometimes perturbed
+            ball = t.bfs_distances(int(rng.integers(n)))
+            nodes = sorted(ball, key=lambda v: (ball[v], v))[: int(rng.integers(4, 13))]
+            q = t.induced_on([nodes[i] for i in rng.permutation(len(nodes))])
+            if rng.random() < 0.5:
+                labels = list(q.node_labels)
+                labels[int(rng.integers(q.node_count))] ^= 1
+                q = LabeledGraph.from_edges(
+                    q.node_count, q.edges(), labels, 2, q.edge_labels
+                )
+            got = is_subgraph(q, t, budget)
+            if not got.is_decided:
+                continue
+            want = self._nx_is_subgraph(nx, q, t)
+            assert got.is_true == want, (trial, q.node_count, n)
+            decided[want] += 1
+        assert min(decided.values()) >= 40, decided
 
 
 class TestCount:
@@ -182,6 +336,67 @@ class TestProperties:
             flips += 1
         assert flips >= 5
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_relabeling_nodes_keeps_the_outcome(self, data):
+        seeds = st.integers(0, 1 << 30)
+        q = gen_er(data.draw(st.integers(2, 8)), 0.5, 2, seed=data.draw(seeds))
+        t = gen_er(data.draw(st.integers(4, 16)), 0.3, 2, seed=data.draw(seeds))
+        if not q.is_connected():
+            return
+        if data.draw(st.booleans()):
+            rng = np.random.default_rng(data.draw(seeds))
+            q, t = _with_edge_labels(q, 2, rng), _with_edge_labels(t, 2, rng)
+        budget = MatchBudget(max_states=100_000)
+        before = is_subgraph(q, t, budget)
+        q2 = _permuted(q, data.draw(st.permutations(range(q.node_count))))
+        t2 = _permuted(t, data.draw(st.permutations(range(t.node_count))))
+        for query, target in ((q2, t), (q, t2), (q2, t2)):
+            after = is_subgraph(query, target, budget)
+            if before.is_decided and after.is_decided:
+                assert after is before
+
+
+def _draw_piece(data):
+    """A target and a connected piece of it: the first nodes of a BFS from a
+    drawn start, renumbered so that the start is node 0."""
+    n = data.draw(st.integers(4, 16))
+    t = gen_er(n, 0.35, 2, seed=data.draw(st.integers(0, 1 << 30)))
+    start = data.draw(st.integers(0, n - 1))
+    dist = t.bfs_distances(start)
+    nodes = sorted(dist, key=lambda v: (dist[v], v))
+    return t, start, t.induced_on(nodes[: data.draw(st.integers(1, min(8, len(nodes))))])
+
+
+class TestMonotonicity:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_deleting_a_query_edge_keeps_true(self, data):
+        t, _, q = _draw_piece(data)
+        if q.node_count < 2:
+            return
+        assert is_subgraph(q, t) is MatchOutcome.TRUE
+        edges = q.edges()
+        drop = data.draw(st.integers(0, len(edges) - 1))
+        smaller = LabeledGraph.from_edges(
+            q.node_count, edges[:drop] + edges[drop + 1:], list(q.node_labels), 2
+        )
+        if smaller.is_connected():
+            assert is_subgraph(smaller, t) is MatchOutcome.TRUE
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_anchored_true_implies_unanchored_true(self, data):
+        t, start, q = _draw_piece(data)
+        if q.node_count < 2:
+            return
+        # either anchor may be moved; the search itself is called, since a
+        # neighborhood needs a connected target
+        u = data.draw(st.sampled_from([0, data.draw(st.integers(0, q.node_count - 1))]))
+        v = data.draw(st.sampled_from([start, data.draw(st.integers(0, t.node_count - 1))]))
+        if _Search(q, t, MatchBudget()).run_anchored(u, v) is MatchOutcome.TRUE:
+            assert is_subgraph(q, t) is MatchOutcome.TRUE
+
 
 class TestBudget:
     def test_budget_must_be_positive(self):
@@ -193,6 +408,27 @@ class TestBudget:
         t = gen_er(20, 0.15, 1, seed=4)
         out = is_subgraph(q, t, MatchBudget(max_states=5, wall_timeout=60.0))
         assert out is MatchOutcome.TIMEOUT
+
+    @staticmethod
+    def _grid_and_path():
+        """A 6x6 grid and a 7-node path whose end label the grid lacks: FALSE
+        after exactly 24380 states."""
+        edges = [(6 * r + c, 6 * r + c + 1) for r in range(6) for c in range(5)]
+        edges += [(6 * r + c, 6 * r + c + 6) for r in range(5) for c in range(6)]
+        grid = LabeledGraph.from_edges(36, edges, [0] * 36, 2)
+        path = LabeledGraph.from_edges(7, [(i, i + 1) for i in range(6)], [0] * 6 + [1], 2)
+        return path, grid
+
+    @pytest.mark.parametrize("max_states", [1, 1023, 1024, 1025, 2048, 5000, 24379])
+    def test_exhaustion_counts_exactly_one_state_past_the_budget(self, max_states):
+        search = _Search(*self._grid_and_path(), MatchBudget(max_states=max_states))
+        assert search.run_unanchored() is MatchOutcome.TIMEOUT
+        assert search.states == max_states + 1
+
+    def test_budget_of_exactly_the_states_needed_decides(self):
+        search = _Search(*self._grid_and_path(), MatchBudget(max_states=24380))
+        assert search.run_unanchored() is MatchOutcome.FALSE
+        assert search.states == 24380
 
     def test_outcome_flags(self):
         assert MatchOutcome.TRUE.is_true and MatchOutcome.TRUE.is_decided
