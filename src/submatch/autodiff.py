@@ -267,15 +267,17 @@ def sum_all(tape: Tape, a: Tensor) -> Tensor:
 
 
 class _GradStore:
+    """Gradient per tensor. The first one is kept as given, without a copy,
+    and later ones are added out of place: no backward function writes into
+    an array, so a kept array may be shared with other tensors."""
+
     def __init__(self):
         self.by_id: dict[int, np.ndarray] = {}
 
     def add(self, t: Tensor, g: np.ndarray) -> None:
         key = id(t)
-        if key in self.by_id:
-            self.by_id[key] += g
-        else:
-            self.by_id[key] = np.array(g, dtype=np.float64, copy=True)
+        stored = self.by_id.get(key)
+        self.by_id[key] = g if stored is None else stored + g
 
     def get(self, t: Tensor):
         return self.by_id.get(id(t))

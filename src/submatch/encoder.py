@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -169,25 +170,25 @@ class _Block:
     @classmethod
     def of_neighborhoods(cls, neighborhoods: list[AnchoredNeighborhood], cfg: EncoderConfig):
         """Rows in neighborhood order; each neighborhood's edges in adjacency
-        order (training's aggregation order depends on it)."""
-        labels, anchors, srcs, dsts, edge_labels = [], [], [], [], []
-        offset = 0
-        for nh in neighborhoods:
-            g = nh.graph
-            indptr, indices = adjacency_csr(g)
-            labels += g.node_labels
-            anchors.append(offset + nh.anchor)
-            srcs.append(offset + indices)
-            dsts.append(offset + np.repeat(np.arange(g.node_count), np.diff(indptr)))
-            if cfg.edge_label_count > 0:
-                edge_labels.append(csr_edge_labels(g))
-            offset += g.node_count
-        empty = np.empty(0, dtype=np.intp)
-        return cls(
-            np.asarray(labels, dtype=np.intp), np.asarray(anchors, dtype=np.intp),
-            np.concatenate(srcs) if srcs else empty, np.concatenate(dsts) if dsts else empty,
-            np.concatenate(edge_labels) if edge_labels else empty, cfg,
-        )
+        order (training's aggregation order depends on it). Built in one pass
+        over all rows: a row's edges sit at its CSR positions, shifted by its
+        neighborhood's first row."""
+        graphs = [nh.graph for nh in neighborhoods]
+        sizes = np.fromiter((g.node_count for g in graphs), dtype=np.intp, count=len(graphs))
+        starts = np.cumsum(sizes) - sizes
+        rows = list(chain.from_iterable(g.adjacency for g in graphs))
+        degrees = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=degrees.sum())
+        anchors = starts + np.fromiter((nh.anchor for nh in neighborhoods), dtype=np.intp,
+                                       count=len(graphs))
+        labels = np.fromiter(chain.from_iterable(g.node_labels for g in graphs), dtype=np.intp,
+                             count=len(rows))
+        src = indices + np.repeat(np.repeat(starts, sizes), degrees)
+        dst = np.repeat(np.arange(len(rows), dtype=np.intp), degrees)
+        edge_labels = np.empty(0, dtype=np.intp)
+        if cfg.edge_label_count > 0 and graphs:
+            edge_labels = np.concatenate([csr_edge_labels(g) for g in graphs])
+        return cls(labels, anchors, src, dst, edge_labels, cfg)
 
     @classmethod
     def of_balls(cls, balls: Balls, node_labels: np.ndarray, edge_labels: np.ndarray,

@@ -155,27 +155,69 @@ def sample_neighborhood(
     return best
 
 
-def _random_anchor(g: LabeledGraph, rng: np.random.Generator, avoid: int | None = None) -> int:
+class SampleMemo:
+    """k-hop balls and anchor candidates of the graphs that one batch-building
+    call samples from, computed on first use.
+
+    Both are pure functions of their inputs, so a memo changes no draw. It
+    keys graphs by identity and holds each graph it has seen, so an id is not
+    reused while the memo lives. Misses call the module's k_hop_neighborhood.
+    """
+
+    def __init__(self) -> None:
+        self._by_graph: dict[int, tuple[LabeledGraph, list[int], dict]] = {}
+
+    def _entry(self, g: LabeledGraph) -> tuple[LabeledGraph, list[int], dict]:
+        entry = self._by_graph.get(id(g))
+        if entry is None:
+            # isolated nodes are never anchors while g has an edge
+            cand = [u for u in range(g.node_count) if g.adjacency[u]] or list(
+                range(g.node_count))
+            entry = self._by_graph[id(g)] = (g, cand, {})
+        return entry
+
+    def anchor_candidates(self, g: LabeledGraph) -> list[int]:
+        return self._entry(g)[1]
+
+    def ball(self, g: LabeledGraph, u: int, k: int) -> AnchoredNeighborhood:
+        balls = self._entry(g)[2]
+        nh = balls.get((u, k))
+        if nh is None:
+            nh = balls[(u, k)] = k_hop_neighborhood(g, u, k)
+        return nh
+
+
+def _random_anchor(
+    g: LabeledGraph, rng: np.random.Generator, memo: SampleMemo, avoid: int | None = None
+) -> int:
     """A uniform draw among g's nodes other than avoid (unless it is the only
     one); isolated nodes are never chosen while g has an edge."""
-    cand = [u for u in range(g.node_count) if g.degree(u) > 0] or list(range(g.node_count))
+    cand = memo.anchor_candidates(g)
     cand = [u for u in cand if u != avoid] or cand
     return cand[int(rng.integers(len(cand)))]
 
 
 def _sample_anchored(
-    g: LabeledGraph, k: int, cfg: SamplerConfig, rng: np.random.Generator, u: int
+    g: LabeledGraph, k: int, cfg: SamplerConfig, rng: np.random.Generator, u: int,
+    memo: SampleMemo,
 ) -> AnchoredNeighborhood:
     """A sampled neighborhood inside the k-hop ball of u, anchored at u."""
-    return sample_neighborhood(k_hop_neighborhood(g, u, k).graph, 0, cfg, rng)
+    return sample_neighborhood(memo.ball(g, u, k).graph, 0, cfg, rng)
 
 
 def sample_positive_pair(
-    g: LabeledGraph, k: int, cfg: SamplerConfig, rng: np.random.Generator
+    g: LabeledGraph,
+    k: int,
+    cfg: SamplerConfig,
+    rng: np.random.Generator,
+    *,
+    memo: SampleMemo | None = None,
 ) -> TrainingPair:
     """Sample target G_u inside a k-hop neighborhood of a random anchor, then
-    re-run the traversal inside G_u from the same anchor to get the query."""
-    target = _sample_anchored(g, k, cfg, rng, _random_anchor(g, rng))
+    re-run the traversal inside G_u from the same anchor to get the query.
+    memo, when given, is shared with other calls on the same graphs."""
+    memo = memo or SampleMemo()
+    target = _sample_anchored(g, k, cfg, rng, _random_anchor(g, rng, memo), memo)
     query = sample_neighborhood(target.graph, 0, cfg, rng)
     pair = TrainingPair(query=query, target=target, label=True)
     outcome = is_subgraph_anchored(query, target, _VERIFY_BUDGET)
@@ -249,26 +291,30 @@ def sample_negative_pair(
     rng: np.random.Generator,
     query_source: LabeledGraph | None = None,
     max_retries: int = 30,
+    *,
+    memo: SampleMemo | None = None,
 ) -> TrainingPair | None:
     """Oracle-certified negative pair, or None when the retry budget runs out.
 
     kind="random": anchor the query at a different node (of query_source when
     given, enabling cross-target negatives), resampling on accidental
     positives. kind="hard": perturb a positive pair's query until the exact
-    matcher confirms it is no longer a subgraph of the target.
+    matcher confirms it is no longer a subgraph of the target. memo, when
+    given, is shared with other calls on the same graphs.
     """
     if kind not in ("random", "hard"):
         raise ValueError(f"unknown negative kind {kind!r}")
     if g.node_count < 2:
         raise ValueError("negative sampling needs a graph with >= 2 nodes")
 
+    memo = memo or SampleMemo()
     if kind == "random":
         source = query_source if query_source is not None else g
         for _ in range(max_retries):
-            u = _random_anchor(g, rng)
-            target = _sample_anchored(g, k, cfg, rng, u)
-            q = _random_anchor(source, rng, avoid=u if query_source is None else None)
-            query = _sample_anchored(source, k, cfg, rng, q)
+            u = _random_anchor(g, rng, memo)
+            target = _sample_anchored(g, k, cfg, rng, u, memo)
+            q = _random_anchor(source, rng, memo, avoid=u if query_source is None else None)
+            query = _sample_anchored(source, k, cfg, rng, q, memo)
             if is_subgraph_anchored(query, target, _VERIFY_BUDGET) is MatchOutcome.FALSE:
                 return TrainingPair(query=query, target=target, label=False, kind="random")
         return None
@@ -277,7 +323,7 @@ def sample_negative_pair(
     # oracle confirms the relation is broken; restart from a fresh positive
     # when a walk saturates without leaving the target
     for _ in range(max_retries):
-        pair = sample_positive_pair(g, k, cfg, rng)
+        pair = sample_positive_pair(g, k, cfg, rng, memo=memo)
         current = pair.query
         for _ in range(5):
             perturbed = _perturb_query(current, g.label_alphabet_size, rng)

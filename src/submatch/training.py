@@ -14,9 +14,10 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import Checkpoint, EncoderConfig, encode_batch, init_params
 from .evaluate import auroc
-from .graphs import LabeledGraph
+from .graphs import GraphError, LabeledGraph
 from .order import MarginConfig, calibrate_threshold, margin_loss, violation
 from .sampling import (
+    SampleMemo,
     SamplerConfig,
     TrainingPair,
     sample_negative_pair,
@@ -27,6 +28,9 @@ from .util import atomic_write_text
 MAX_RADIUS = 4
 MAX_TARGETS = 256
 VALIDATION_CHUNK = 128  # pairs encoded per tape-less batch in pair_violations
+# consecutive validation negatives that may fail certification before the
+# data is declared unable to yield any
+MAX_FAILED_NEGATIVES = 100
 
 
 class TrainingDiverged(RuntimeError):
@@ -177,6 +181,7 @@ def _negative(
     radius: int,
     sampler_cfg: SamplerConfig,
     rng: np.random.Generator,
+    memo: SampleMemo,
 ) -> TrainingPair | None:
     for _ in range(4):
         gi = int(rng.integers(len(pool)))
@@ -185,10 +190,10 @@ def _negative(
             others = [j for j in range(len(pool)) if j != gi]
             source = pool[others[int(rng.integers(len(others)))]]
             pair = sample_negative_pair(
-                g, radius, "random", sampler_cfg, rng, query_source=source
+                g, radius, "random", sampler_cfg, rng, query_source=source, memo=memo
             )
         else:
-            pair = sample_negative_pair(g, radius, kind, sampler_cfg, rng)
+            pair = sample_negative_pair(g, radius, kind, sampler_cfg, rng, memo=memo)
         if pair is not None:
             return pair
     return None
@@ -207,6 +212,7 @@ def build_epoch_batches(
     visit. Negatives split hard / same-target random / cross-target random;
     with a single target in the pool the cross-target share folds into the
     same-target share. Iterations are lower-bounded by cfg.min_iterations.
+    One SampleMemo serves the whole epoch.
     """
     if not targets:
         raise ValueError("target pool is empty")
@@ -219,6 +225,7 @@ def build_epoch_batches(
     n_cross = n_neg - n_hard - n_same
     iters = max(cfg.min_iterations, math.ceil(len(targets) / n_pos))
 
+    memo = SampleMemo()
     batches = []
     cursor = 0
     for _ in range(iters):
@@ -226,16 +233,16 @@ def build_epoch_batches(
         for _ in range(n_pos):
             g = targets[cursor % len(targets)]
             cursor += 1
-            pairs.append(sample_positive_pair(g, radius, sampler_cfg, rng))
+            pairs.append(sample_positive_pair(g, radius, sampler_cfg, rng, memo=memo))
         for kind, cross, count in (
             ("hard", False, n_hard),
             ("random", False, n_same),
             ("random", True, n_cross),
         ):
             for _ in range(count):
-                pair = _negative(targets, kind, cross, radius, sampler_cfg, rng)
+                pair = _negative(targets, kind, cross, radius, sampler_cfg, rng, memo)
                 if pair is None and kind == "hard":
-                    pair = _negative(targets, "random", False, radius, sampler_cfg, rng)
+                    pair = _negative(targets, "random", False, radius, sampler_cfg, rng, memo)
                 if pair is not None:
                     pairs.append(pair)
         batches.append(pairs)
@@ -255,20 +262,32 @@ def sample_validation_pairs(
     Validation difficulty stays fixed at the given radius (the final task)
     rather than tracking the curriculum, so per-epoch AUROC is comparable
     across epochs and the best checkpoint is best at the task that matters.
+    Raises GraphError after MAX_FAILED_NEGATIVES negative draws in a row
+    without a certified pair.
     """
+    memo = SampleMemo()
     pairs: list[TrainingPair] = []
     n_pos = n_pairs // 2
     for i in range(n_pos):
         g = datasets[int(rng.integers(len(datasets)))]
-        pairs.append(sample_positive_pair(g, radius, sampler_cfg, rng))
+        pairs.append(sample_positive_pair(g, radius, sampler_cfg, rng, memo=memo))
+    failed = 0
     while len(pairs) < n_pairs:
         kind = "hard" if rng.random() < cfg.hard_negative_fraction else "random"
         cross = kind == "random" and rng.random() < 0.5
-        pair = _negative(datasets, kind, cross, radius, sampler_cfg, rng)
+        pair = _negative(datasets, kind, cross, radius, sampler_cfg, rng, memo)
         if pair is None:
-            pair = _negative(datasets, "random", False, radius, sampler_cfg, rng)
+            pair = _negative(datasets, "random", False, radius, sampler_cfg, rng, memo)
         if pair is not None:
             pairs.append(pair)
+            failed = 0
+            continue
+        failed += 1
+        if failed == MAX_FAILED_NEGATIVES:
+            raise GraphError(
+                f"no negative validation pair could be certified in {failed} draws "
+                "in a row; the training graphs are too small or too uniform"
+            )
     return pairs
 
 
@@ -341,6 +360,12 @@ def train(
     history. Non-finite loss aborts with TrainingDiverged."""
     if not datasets:
         raise ValueError("datasets must contain at least one target graph")
+    small = [i for i, g in enumerate(datasets) if g.node_count < 2]
+    if small:
+        raise GraphError(
+            f"training graph {small[0]} has {datasets[small[0]].node_count} node(s); "
+            "negative sampling needs at least 2"
+        )
     params = init_params(encoder_cfg, seed=cfg.seed)
     adam = AdamState.init(params)
     curriculum = CurriculumState()

@@ -331,26 +331,90 @@ class TestScatterRows:
         assert got.dtype == np.float64 and np.array_equal(got, np.zeros((3, 2)))
 
     def test_training_parameters_match_add_at(self, monkeypatch):
-        from submatch.datasets import gen_er
-        from submatch.encoder import EncoderConfig
-        from submatch.order import MarginConfig
-        from submatch.sampling import SamplerConfig
-        from submatch.training import TrainConfig, train
-
-        def train_tiny():
-            pool = [gen_er(12, 4.0 / 12, 1, seed=s) for s in range(3)]
-            res = train(pool, TrainConfig(epochs=2, min_iterations=2, seed=5),
-                        EncoderConfig(layers=2, hidden_dim=8, output_dim=8,
-                                      label_alphabet_size=1),
-                        MarginConfig(), SamplerConfig(max_nodes=6))
-            return res.checkpoint.params
-
-        fast = train_tiny()
+        fast = _train_tiny_params()
         monkeypatch.setattr(ad, "_scatter_rows", add_at_reference)
-        reference = train_tiny()
+        reference = _train_tiny_params()
         assert fast.keys() == reference.keys()
         for name in fast:
             assert fast[name].tobytes() == reference[name].tobytes(), name
+
+
+class _CopyingGradStore(ad._GradStore):
+    """The gradient store as it was: copies each first gradient and adds
+    later ones in place."""
+
+    def add(self, t, g):
+        if id(t) in self.by_id:
+            self.by_id[id(t)] += g
+        else:
+            self.by_id[id(t)] = np.array(g, dtype=np.float64, copy=True)
+
+
+class _ReadOnlyGradStore(ad._GradStore):
+    """Marks every gradient it keeps read-only, so a backward function that
+    writes into one raises."""
+
+    def add(self, t, g):
+        super().add(t, g)
+        for arr in (g, self.by_id[id(t)]):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+
+
+def _train_tiny_params():
+    from submatch.datasets import gen_er
+    from submatch.encoder import EncoderConfig
+    from submatch.order import MarginConfig
+    from submatch.sampling import SamplerConfig
+    from submatch.training import TrainConfig, train
+
+    pool = [gen_er(12, 4.0 / 12, 1, seed=s) for s in range(3)]
+    res = train(pool, TrainConfig(epochs=2, min_iterations=2, seed=5),
+                EncoderConfig(layers=2, hidden_dim=8, output_dim=8, label_alphabet_size=1),
+                MarginConfig(), SamplerConfig(max_nodes=6))
+    return res.checkpoint.params
+
+
+READ_ONLY_EXTRA_OPS = [
+    ("concat_2d", lambda p, t: ad.sum_all(
+        t, ad.mul(t, c := ad.concat(t, p["a2"], p["a2"]), c))),
+    ("row_sum_sorted", lambda p, t: ad.sum_all(t, ad.row_sum_aggregate(
+        t, p["a2"], [[1, 2], [0], [0, 1]], value_sorted=True))),
+]
+
+
+class TestGradStore:
+    def test_training_parameters_match_copying_store(self, monkeypatch):
+        fast = _train_tiny_params()
+        monkeypatch.setattr(ad, "_GradStore", _CopyingGradStore)
+        reference = _train_tiny_params()
+        assert fast.keys() == reference.keys()
+        for name in fast:
+            assert fast[name].tobytes() == reference[name].tobytes(), name
+
+    def test_shared_gradient_is_not_changed_by_accumulation(self):
+        # add() hands one array to both parents; x then gets a second addend
+        tape = ad.Tape()
+        x = ad.Tensor([1.0, 2.0], name="x")
+        y = ad.Tensor([3.0, 4.0], name="y")
+        loss = ad.sum_all(tape, ad.mul(tape, ad.add(tape, x, y), x))
+        grads = ad.backward(tape, loss)
+        assert np.array_equal(grads["x"], [5.0, 8.0])  # (x + y) + x
+        assert np.array_equal(grads["y"], [1.0, 2.0])
+
+    @pytest.mark.parametrize("name,fn", OPS_FOR_GRADCHECK + READ_ONLY_EXTRA_OPS,
+                             ids=[n for n, _ in OPS_FOR_GRADCHECK + READ_ONLY_EXTRA_OPS])
+    def test_no_backward_writes_into_a_gradient(self, monkeypatch, name, fn):
+        rng = np.random.default_rng(0)
+        params = {"a": rng.normal(size=4), "b": rng.normal(size=4),
+                  "a2": rng.normal(size=(3, 4)), "b2": rng.normal(size=(4, 2)),
+                  "bias": rng.normal(size=4)}
+        monkeypatch.setattr(ad, "_GradStore", _ReadOnlyGradStore)
+        assert ad.grad_check(fn, params).passed
+
+    def test_no_training_step_writes_into_a_gradient(self, monkeypatch):
+        monkeypatch.setattr(ad, "_GradStore", _ReadOnlyGradStore)
+        assert _train_tiny_params()
 
 
 def test_row_stable_matmul_rows_ignore_batch_size():

@@ -1,14 +1,18 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import submatch
 from submatch.cli import main
 from submatch.encoder import load_checkpoint, save_checkpoint
 from submatch.evaluate import make_problem1_instances
-from submatch.graphs import from_json, load_graph, save_graph, to_json
+from submatch.graphs import LabeledGraph, from_json, load_graph, save_graph, to_json
 
 
 def run_cli(*argv):
@@ -319,6 +323,37 @@ def test_bad_input_exits_one_before_writing(argv, dataset_dir, tmp_path, capsys)
     code = run_cli(*argv, *paths[argv[0]])
     err = capsys.readouterr().err.strip()
     assert code == 1, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert not out.exists()
+
+
+DEGENERATE_TRAINING_DATA = {
+    # no negative pair can be certified: every ball is one unlabeled node
+    "two-nodes-no-edges": [LabeledGraph.from_edges(2, [])],
+    "one-node": [LabeledGraph.from_edges(1, [])],
+    "one-node-among-good": [LabeledGraph.from_edges(3, [(0, 1), (1, 2)]),
+                            LabeledGraph.from_edges(1, [])],
+}
+
+
+@pytest.mark.parametrize("graphs", DEGENERATE_TRAINING_DATA.values(),
+                         ids=DEGENERATE_TRAINING_DATA.keys())
+def test_degenerate_training_data_exits_one(graphs, tmp_path):
+    # a child process, so that a sampler that never gives up fails the test
+    # at the timeout instead of stalling the suite
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    for i, g in enumerate(graphs):
+        save_graph(g, data / f"graph_{i:04d}.json")
+    src = str(Path(submatch.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "submatch.cli", "train", "--data", str(data),
+         "--out", str(out), "--epochs", "1"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    err = done.stderr.strip()
+    assert done.returncode == 1, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
     assert not out.exists()
 

@@ -29,6 +29,7 @@ from submatch.graphs import (
     GraphError,
     LabeledGraph,
     adjacency_csr,
+    csr_edge_labels,
     k_hop_balls,
     k_hop_neighborhood,
 )
@@ -227,6 +228,77 @@ class TestEncodeAll:
 def per_node(g, k, params, cfg):
     return np.stack([encode(k_hop_neighborhood(g, u, k), params, cfg)
                      for u in range(g.node_count)])
+
+
+def block_reference(neighborhoods, cfg):
+    """_Block.of_neighborhoods built one neighborhood at a time."""
+    labels, anchors, srcs, dsts, edge_labels = [], [], [], [], []
+    offset = 0
+    for nh in neighborhoods:
+        g = nh.graph
+        indptr, indices = adjacency_csr(g)
+        labels += g.node_labels
+        anchors.append(offset + nh.anchor)
+        srcs.append(offset + indices)
+        dsts.append(offset + np.repeat(np.arange(g.node_count), np.diff(indptr)))
+        if cfg.edge_label_count > 0:
+            edge_labels.append(csr_edge_labels(g))
+        offset += g.node_count
+    empty = np.empty(0, dtype=np.intp)
+    return encoder._Block(
+        np.asarray(labels, dtype=np.intp), np.asarray(anchors, dtype=np.intp),
+        np.concatenate(srcs) if srcs else empty, np.concatenate(dsts) if dsts else empty,
+        np.concatenate(edge_labels) if edge_labels else empty, cfg,
+    )
+
+
+def random_neighborhoods(seed, count, edge_label_count):
+    """k-hop balls of labeled ER graphs, some re-anchored away from row 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        g = gen_er(int(rng.integers(1, 16)), float(rng.uniform(0.1, 0.5)), 2,
+                   seed=int(rng.integers(2**31)))
+        if edge_label_count:
+            g = LabeledGraph.from_edges(
+                g.node_count, g.edges(), list(g.node_labels), 2,
+                {e: int(rng.integers(edge_label_count)) for e in g.edges()})
+        ball = k_hop_neighborhood(g, int(rng.integers(g.node_count)), int(rng.integers(0, 4)))
+        out.append(AnchoredNeighborhood(ball.graph, int(rng.integers(ball.node_count))))
+    return out
+
+
+class TestBlockOfNeighborhoods:
+    """The one-pass block build gives the per-neighborhood arrays exactly."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert np.array_equal(got.features, want.features)
+        for a, b in [(got.anchors, want.anchors), *zip(got.index, want.index)]:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert len(got.label_indexes) == len(want.label_indexes)
+        for pair_got, pair_want in zip(got.label_indexes, want.label_indexes):
+            for a, b in zip(pair_got, pair_want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("edge_label_count", [0, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_neighborhoods(self, seed, edge_label_count):
+        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4, label_alphabet_size=2,
+                            edge_label_count=edge_label_count)
+        nhs = random_neighborhoods(seed, 30, edge_label_count)
+        assert any(nh.node_count == 1 for nh in nhs) and any(nh.anchor for nh in nhs)
+        self.assert_same(encoder._Block.of_neighborhoods(nhs, cfg), block_reference(nhs, cfg))
+
+    @pytest.mark.parametrize("edge_label_count", [0, 2])
+    def test_single_node_and_empty(self, edge_label_count):
+        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4, label_alphabet_size=2,
+                            edge_label_count=edge_label_count)
+        one = AnchoredNeighborhood(LabeledGraph.from_edges(1, [], [1], 2), 0)
+        for nhs in ([one], []):
+            got = encoder._Block.of_neighborhoods(nhs, cfg)
+            self.assert_same(got, block_reference(nhs, cfg))
+            assert got.features.shape == (len(nhs), cfg.input_dim)
 
 
 class TestBallPath:

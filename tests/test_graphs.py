@@ -18,6 +18,7 @@ from submatch.graphs import (
     to_json,
 )
 from submatch.sampling import (
+    SampleMemo,
     SamplerConfig,
     _sample_anchored,
     mfinder_sample,
@@ -128,7 +129,7 @@ class TestDerivedGraphs:
         u = seed % g.node_count
         cfg = SamplerConfig(max_nodes=6)
         rng = np.random.default_rng(seed)
-        made = [k_hop_neighborhood(g, u, k), _sample_anchored(g, k, cfg, rng, u)]
+        made = [k_hop_neighborhood(g, u, k), _sample_anchored(g, k, cfg, rng, u, SampleMemo())]
         made += [sampler(g, u, cfg, rng) for sampler in SAMPLERS]
         for nh in made:
             assert revalidated(nh) == nh
@@ -140,7 +141,7 @@ class TestDerivedGraphs:
             rng = np.random.default_rng(seed)
             cfg = SamplerConfig(max_nodes=7)
             u = seed % g.node_count
-            out = [k_hop_neighborhood(g, u, k), _sample_anchored(g, k, cfg, rng, u)]
+            out = [k_hop_neighborhood(g, u, k), _sample_anchored(g, k, cfg, rng, u, SampleMemo())]
             return out + [sampler(g, u, cfg, rng) for sampler in SAMPLERS]
 
         fast = run()

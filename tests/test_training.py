@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from submatch import autodiff as ad
+from submatch import sampling
+from submatch import training as T
 from submatch.datasets import gen_er
 from submatch.encoder import EncoderConfig, encode_batch, init_params, _as_tensors
 from submatch.exact import is_subgraph_anchored
@@ -172,6 +174,77 @@ class TestEpochBatches:
             build_epoch_batches(
                 [], CurriculumState(), TrainConfig(), SamplerConfig(), np.random.default_rng(0)
             )
+
+
+class _ReferenceMemo:
+    """Computes every ball and candidate list on each request, as the
+    samplers did before they shared a memo; counts the requests."""
+
+    requests = 0
+
+    def anchor_candidates(self, g):
+        return [u for u in range(g.node_count) if g.degree(u) > 0] or list(
+            range(g.node_count))
+
+    def ball(self, g, u, k):
+        _ReferenceMemo.requests += 1
+        return sampling.k_hop_neighborhood(g, u, k)
+
+
+def _memo_pool():
+    # sparse graphs have isolated nodes, three labels make hard negatives
+    # label swaps
+    return tiny_pool(count=3) + [gen_er(12, 0.12, 3, seed=s) for s in (7, 8)]
+
+
+class TestSampleMemo:
+    def draw(self):
+        pool = _memo_pool()
+        cfg = TrainConfig(min_iterations=3)
+        sampler_cfg = SamplerConfig(max_nodes=8)
+        rng = np.random.default_rng(11)
+        batches = [build_epoch_batches(pool, CurriculumState(current_radius=r), cfg,
+                                       sampler_cfg, rng) for r in (1, 2, 3)]
+        val = sample_validation_pairs(pool, 3, cfg, sampler_cfg, rng, 40)
+        return batches, val
+
+    def test_pairs_equal_memo_less_path(self, monkeypatch):
+        fast = self.draw()
+        monkeypatch.setattr(T, "SampleMemo", _ReferenceMemo)
+        monkeypatch.setattr(sampling, "SampleMemo", _ReferenceMemo)
+        _ReferenceMemo.requests = 0
+        reference = self.draw()
+        assert _ReferenceMemo.requests > 0
+        # dataclass equality: query and target graphs and anchors, label, kind
+        assert fast == reference
+
+    def test_one_extraction_per_distinct_ball_per_epoch(self, monkeypatch):
+        calls = []
+        original = sampling.k_hop_neighborhood
+
+        def counted(g, u, k):
+            calls.append((id(g), u, k))
+            return original(g, u, k)
+
+        monkeypatch.setattr(sampling, "k_hop_neighborhood", counted)
+        pool = _memo_pool()
+        cfg = TrainConfig(min_iterations=4)
+        rng = np.random.default_rng(12)
+        for epoch in range(2):
+            calls.clear()
+            build_epoch_batches(pool, CurriculumState(current_radius=2), cfg,
+                                SamplerConfig(max_nodes=8), rng)
+            assert calls and len(calls) == len(set(calls)), epoch
+        calls.clear()
+        sample_validation_pairs(pool, 2, cfg, SamplerConfig(max_nodes=8), rng, 60)
+        assert calls and len(calls) == len(set(calls))
+        # the memo-less path asks for the same balls many times over
+        monkeypatch.setattr(T, "SampleMemo", _ReferenceMemo)
+        monkeypatch.setattr(sampling, "SampleMemo", _ReferenceMemo)
+        calls.clear()
+        build_epoch_batches(pool, CurriculumState(current_radius=2), cfg,
+                            SamplerConfig(max_nodes=8), rng)
+        assert len(calls) > 2 * len(set(calls))
 
 
 class TestTrainLoop:
