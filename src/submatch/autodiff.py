@@ -141,9 +141,66 @@ def group_index(groups) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
+class RankPlan:
+    """The scatter-add out[idx[i]] += values[src[i]] for i = 0, 1, ... over
+    zeros of shape (n_out,) + values.shape[1:], planned once for any values.
+
+    The pairs are taken in stable order of idx. Output rows are ordered by
+    their number of addends, most first, so the rows with more than r
+    addends are a prefix of that order; sources[r] holds the source row of
+    each such row's r-th addend. sum() gathers rank 0 and adds 0.0 to it,
+    then adds rank r into its prefix in place, for r = 1, 2, ..., and writes
+    the rows out. Every cell so gets 0.0 + a0 + a1 + ... in ascending i,
+    the order np.add.at adds in: the bits and the sign of zero are the same.
+    """
+
+    __slots__ = ("n_out", "rows", "sources")
+
+    def __init__(self, n_out: int, idx: np.ndarray, src: np.ndarray):
+        counts = np.bincount(idx, minlength=n_out)
+        rows = np.argsort(-counts, kind="stable")
+        firsts = (np.cumsum(counts) - counts)[rows]  # each row's first pair in by_idx
+        by_idx = src[np.argsort(idx, kind="stable")]
+        widths = n_out - np.cumsum(np.bincount(counts))[:-1]  # rows with more than r addends
+        self.n_out = n_out
+        self.rows = rows[: np.count_nonzero(counts)]
+        self.sources = [by_idx[firsts[:w] + r] for r, w in enumerate(widths)]
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.n_out,) + values.shape[1:])
+        if self.sources:
+            # take() gathers rows faster than fancy indexing
+            part = values.take(self.sources[0], axis=0)
+            part += 0.0  # as if added to zeros: -0.0 becomes +0.0
+            for src in self.sources[1:]:
+                part[: len(src)] += values.take(src, axis=0)
+            out[self.rows] = part
+        return out
+
+
+class IndexPairs(tuple):
+    """A (src, dst) pair that keeps the RankPlans built from it: one that
+    sums into dst (the forward neighbor sum) and one that sums into src
+    (its backward), each built on first use."""
+
+    def __new__(cls, src: np.ndarray, dst: np.ndarray):
+        pairs = super().__new__(cls, (src, dst))
+        pairs.plans = {}
+        return pairs
+
+    def plan(self, n_out: int, into_src: bool) -> RankPlan:
+        key = (n_out, into_src)
+        if key not in self.plans:
+            src, dst = self
+            self.plans[key] = RankPlan(n_out, src, dst) if into_src else RankPlan(
+                n_out, dst, src)
+        return self.plans[key]
+
+
 def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False) -> Tensor:
     """out[i] = sum of h[j] over j in groups[i]; groups may be a list of index
-    sequences or a precomputed (src, dst) pair from group_index().
+    sequences or a (src, dst) pair like group_index() returns. An IndexPairs
+    keeps its plans for the next call; other groups plan for this call.
 
     Without value_sorted, rows are added in index order. With it, each
     column's values within a group are added in ascending order, left to
@@ -154,37 +211,20 @@ def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False)
     need not be grouped by dst, though grouped pairs are summed faster.
     """
     if isinstance(groups, tuple) and len(groups) == 2:
-        src, dst = groups
         n_out = h.shape[0]
     else:
-        src, dst = group_index(groups)
-        n_out = len(groups)
+        groups, n_out = group_index(groups), len(groups)
+    pairs = groups if isinstance(groups, IndexPairs) else IndexPairs(*groups)
     if value_sorted:
-        out = Tensor(_sorted_column_sums(h.value, src, dst, n_out))
+        out = Tensor(_sorted_column_sums(h.value, *pairs, n_out))
     else:
-        out = Tensor(_scatter_rows(n_out, dst, h.value[src]))
+        out = Tensor(pairs.plan(n_out, into_src=False).sum(h.value))
 
     def backward(g, grads):
-        grads.add(h, _scatter_rows(h.shape[0], src, g[dst]))
+        grads.add(h, pairs.plan(h.shape[0], into_src=True).sum(g))
 
     tape.push(out, (h,), backward)
     return out
-
-
-def _scatter_rows(n_out: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """out[idx[i]] += rows[i] over zeros of shape (n_out,) + rows.shape[1:],
-    for nonnegative idx.
-
-    One np.bincount over the flat cell keys idx * d + column. Like np.add.at,
-    it adds each cell's addends in ascending i starting from 0.0, so the bits
-    and the sign of zero are the same; it is just one vectorized pass.
-    """
-    tail = rows.shape[1:]
-    d = int(np.prod(tail))
-    keys = (idx[:, None] * d + np.arange(d)).reshape(-1)
-    out = np.bincount(keys, weights=rows.reshape(-1), minlength=n_out * d)
-    # an empty bincount comes back as integers
-    return out.astype(np.float64, copy=False).reshape((n_out,) + tail)
 
 
 NETWORK_MAX_SIZE = 8  # larger groups are sorted by np.sort
@@ -237,7 +277,7 @@ def take_rows(tape: Tape, h: Tensor, idx) -> Tensor:
     out = Tensor(h.value[idx])
 
     def backward(g, grads):
-        grads.add(h, _scatter_rows(h.shape[0], idx, g))
+        grads.add(h, RankPlan(h.shape[0], idx, np.arange(len(idx))).sum(g))
 
     tape.push(out, (h,), backward)
     return out

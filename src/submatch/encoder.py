@@ -55,6 +55,8 @@ class EncoderConfig:
             raise ValueError("leaky_slope must lie in (0, 1)")
         if self.label_alphabet_size < 1:
             raise ValueError("label_alphabet_size must be >= 1")
+        if self.edge_label_count < 0:
+            raise ValueError("edge_label_count must be >= 0")
         if not self.nonneg_output:
             raise ValueError("nonneg_output is fixed true for order embeddings")
 
@@ -149,7 +151,8 @@ class _Block:
     """Disjoint union of a batch of neighborhoods, encoded in one pass.
 
     index is the (src, dst) pair of every directed edge, grouped by dst in
-    row order; label_indexes holds the same pairs split by edge label.
+    row order; label_indexes holds the same pairs split by edge label. Each
+    is an IndexPairs, so training plans its neighbor sums once per block.
     """
 
     def __init__(self, node_labels: np.ndarray, anchors: np.ndarray, src: np.ndarray,
@@ -161,9 +164,9 @@ class _Block:
                 raise GraphError(f"edge label {edge_labels[bad[0]]} outside encoder's "
                                  f"{cfg.edge_label_count} edge labels")
         self.anchors = anchors
-        self.index = (src, dst)
+        self.index = ad.IndexPairs(src, dst)
         self.label_indexes = [
-            (src[edge_labels == lab], dst[edge_labels == lab])
+            ad.IndexPairs(src[edge_labels == lab], dst[edge_labels == lab])
             for lab in range(cfg.edge_label_count)
         ]
 

@@ -216,14 +216,20 @@ def sample_positive_pair(
     """Sample target G_u inside a k-hop neighborhood of a random anchor, then
     re-run the traversal inside G_u from the same anchor to get the query.
     memo, when given, is shared with other calls on the same graphs."""
-    memo = memo or SampleMemo()
-    target = _sample_anchored(g, k, cfg, rng, _random_anchor(g, rng, memo), memo)
-    query = sample_neighborhood(target.graph, 0, cfg, rng)
-    pair = TrainingPair(query=query, target=target, label=True)
-    outcome = is_subgraph_anchored(query, target, _VERIFY_BUDGET)
+    pair = _draw_positive(g, k, cfg, rng, memo or SampleMemo())
+    outcome = is_subgraph_anchored(pair.query, pair.target, _VERIFY_BUDGET)
     if outcome is MatchOutcome.FALSE:  # construction guarantees this cannot happen
         raise AssertionError("positive pair failed oracle verification")
     return pair
+
+
+def _draw_positive(
+    g: LabeledGraph, k: int, cfg: SamplerConfig, rng: np.random.Generator, memo: SampleMemo
+) -> TrainingPair:
+    """sample_positive_pair's draw, without its oracle check (which uses no rng)."""
+    target = _sample_anchored(g, k, cfg, rng, _random_anchor(g, rng, memo), memo)
+    query = sample_neighborhood(target.graph, 0, cfg, rng)
+    return TrainingPair(query=query, target=target, label=True)
 
 
 def _perturb_query(
@@ -321,9 +327,10 @@ def sample_negative_pair(
 
     # escalate perturbations on top of a positive pair's query until the
     # oracle confirms the relation is broken; restart from a fresh positive
-    # when a walk saturates without leaving the target
+    # when a walk saturates without leaving the target. The positive is not
+    # certified: only the perturbed queries are.
     for _ in range(max_retries):
-        pair = sample_positive_pair(g, k, cfg, rng, memo=memo)
+        pair = _draw_positive(g, k, cfg, rng, memo)
         current = pair.query
         for _ in range(5):
             perturbed = _perturb_query(current, g.label_alphabet_size, rng)

@@ -304,36 +304,69 @@ def add_at_reference(n_out, idx, rows):
     return out
 
 
+class _AddAtPlan:
+    """RankPlan's contract computed by np.add.at from the pairs as given;
+    sums counts the calls."""
+
+    sums = 0
+
+    def __init__(self, n_out, idx, src):
+        self.n_out, self.idx, self.src = n_out, idx, src
+
+    def sum(self, values):
+        _AddAtPlan.sums += 1
+        return add_at_reference(self.n_out, self.idx, values[self.src])
+
+
 class TestScatterRows:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_bits_equal_add_at(self, data):
         n_out = data.draw(st.integers(1, 5))
-        m = data.draw(st.integers(0, 12))
+        n_in = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(0, 14))
         tail = data.draw(st.sampled_from([(), (1,), (3,)]))
         idx = np.array(data.draw(st.lists(st.integers(0, n_out - 1), min_size=m, max_size=m)),
                        dtype=np.intp)
-        rows = data.draw(arrays(np.float64, (m,) + tail, elements=_scatter_values))
-        got = ad._scatter_rows(n_out, idx, rows)
-        want = add_at_reference(n_out, idx, rows)
+        src = np.array(data.draw(st.lists(st.integers(0, n_in - 1), min_size=m, max_size=m)),
+                       dtype=np.intp)
+        values = data.draw(arrays(np.float64, (n_in,) + tail, elements=_scatter_values))
+        got = ad.RankPlan(n_out, idx, src).sum(values)
+        want = add_at_reference(n_out, idx, values[src])
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bits, the sign of zero included
 
     def test_order_and_signed_zero(self):
         idx = np.array([0, 0, 0, 1])
         rows = np.array([1e16, 1.0, 1.0, -0.0])
-        got = ad._scatter_rows(2, idx, rows)
+        got = ad.RankPlan(2, idx, np.arange(4)).sum(rows)
         assert got[0] == 1e16 and got.tobytes() == add_at_reference(2, idx, rows).tobytes()
         assert not np.signbit(got[1])
 
     def test_empty(self):
-        got = ad._scatter_rows(3, np.empty(0, dtype=np.intp), np.empty((0, 2)))
+        empty = np.empty(0, dtype=np.intp)
+        got = ad.RankPlan(3, empty, empty).sum(np.empty((0, 2)))
         assert got.dtype == np.float64 and np.array_equal(got, np.zeros((3, 2)))
+
+    def test_one_plan_serves_every_width(self):
+        # the desk encoder's layer widths, through one pair's two plans
+        rng = np.random.default_rng(4)
+        src, dst = rng.integers(0, 30, size=120), np.sort(rng.integers(0, 30, size=120))
+        pairs = ad.IndexPairs(src, dst)
+        for into_src, (idx, gather) in [(False, (dst, src)), (True, (src, dst))]:
+            plan = pairs.plan(30, into_src)
+            for width in (4, 36, 68, 100):
+                values = rng.choice([1e16, -1e16, 1.0, -0.0, 0.5, 3.25e-7], size=(30, width))
+                got = plan.sum(values)
+                assert got.tobytes() == add_at_reference(30, idx, values[gather]).tobytes()
+                assert pairs.plan(30, into_src) is plan
 
     def test_training_parameters_match_add_at(self, monkeypatch):
         fast = _train_tiny_params()
-        monkeypatch.setattr(ad, "_scatter_rows", add_at_reference)
+        monkeypatch.setattr(ad, "RankPlan", _AddAtPlan)
+        monkeypatch.setattr(_AddAtPlan, "sums", 0)
         reference = _train_tiny_params()
+        assert _AddAtPlan.sums > 0  # every neighbor sum and take_rows backward ran it
         assert fast.keys() == reference.keys()
         for name in fast:
             assert fast[name].tobytes() == reference[name].tobytes(), name

@@ -308,6 +308,7 @@ BAD_INPUTS = {
     "train-nan-rate": ["train", "--set", "train.learning_rate=nan"],
     "train-inf-rate": ["train", "--set", "train.learning_rate=inf"],
     "train-nan-beta": ["train", "--set", "train.beta1=nan"],
+    "train-negative-edge-labels": ["train", "--set", "encoder.edge_label_count=-1"],
 }
 
 

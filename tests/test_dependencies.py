@@ -23,13 +23,18 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 def test_one_scatter_primitive():
-    """Scatter-adds go through autodiff._scatter_rows; no ufunc .at() loops."""
+    """Scatter-adds go through autodiff.RankPlan.sum: no ufunc .at() loops and
+    no weighted np.bincount."""
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "at"):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "at":
                 calls.append(f"{path.name}:{node.lineno} calls .at()")
+            if node.func.attr == "bincount" and (
+                    len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords)):
+                calls.append(f"{path.name}:{node.lineno} calls bincount with weights")
     assert not calls, calls
 
 

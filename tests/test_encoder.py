@@ -71,6 +71,8 @@ class TestConfig:
             EncoderConfig(leaky_slope=1.5)
         with pytest.raises(ValueError):
             EncoderConfig(nonneg_output=False)
+        with pytest.raises(ValueError, match="edge_label_count"):
+            EncoderConfig(edge_label_count=-1)
 
 
 class TestInputFeatures:
@@ -299,6 +301,52 @@ class TestBlockOfNeighborhoods:
             got = encoder._Block.of_neighborhoods(nhs, cfg)
             self.assert_same(got, block_reference(nhs, cfg))
             assert got.features.shape == (len(nhs), cfg.input_dim)
+
+
+class TestNeighborSumPlans:
+    """Training plans each of a block's neighbor sums once per direction,
+    for all its layers; the inference path plans none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class Counting(ad.RankPlan):
+            def __init__(self, n_out, idx, src):
+                built.append(idx)
+                super().__init__(n_out, idx, src)
+
+        monkeypatch.setattr(ad, "RankPlan", Counting)
+        return built
+
+    @pytest.mark.parametrize("edge_label_count", [0, 2])
+    def test_training_step_plans_each_direction_once(self, built, edge_label_count):
+        cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8, label_alphabet_size=2,
+                            edge_label_count=edge_label_count)
+        nhs = random_neighborhoods(1, 12, edge_label_count)
+        params = _as_tensors(init_params(cfg, seed=0))
+
+        def plans_built(tape):
+            built.clear()
+            block = encoder._Block.of_neighborhoods(nhs, cfg)
+            out = encoder._forward(tape, block, params, cfg)
+            if tape.record:
+                ad.backward(tape, ad.sum_all(tape, out))
+            pairs = block.label_indexes if edge_label_count else [block.index]
+            return [id(idx) for idx in built], pairs, block.anchors
+
+        got, pairs, anchors = plans_built(ad.Tape())
+        # forward plans on the first layer; take_rows' one-off plan and the
+        # backward plans on the last layer, which backward() reaches first
+        assert got == ([id(dst) for _, dst in pairs] + [id(anchors)]
+                       + [id(src) for src, _ in reversed(pairs)])
+        got, pairs, _ = plans_built(ad.Tape(record=False))  # validation
+        assert got == [id(dst) for _, dst in pairs]
+
+    def test_encode_all_plans_none(self, built):
+        cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8)
+        encode_all(gen_er(40, 0.1, 1, seed=3), 3, init_params(cfg, seed=0), cfg)
+        assert built == []
 
 
 class TestBallPath:
@@ -593,6 +641,7 @@ BAD_CHECKPOINTS = {
     "text radius": lambda doc: with_value(doc, ["radius"], "3"),
     "fractional radius": lambda doc: with_value(doc, ["radius"], 2.5),
     "fractional layers": lambda doc: with_value(doc, ["config", "layers"], 1.5),
+    "negative edge_label_count": lambda doc: with_value(doc, ["config", "edge_label_count"], -1),
     "unknown config key": lambda doc: with_value(doc, ["config", "depth"], 3),
     "text values": lambda doc: with_value(doc, ["params", "out.b", "values"], ["a", "b"]),
     "ragged values": lambda doc: with_value(doc, ["params", "out.b", "values"], [[0.1], []]),

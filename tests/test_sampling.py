@@ -3,6 +3,7 @@ import pytest
 
 from submatch.datasets import gen_er
 from submatch.exact import MatchBudget, is_subgraph_anchored
+from submatch import sampling
 from submatch.graphs import LabeledGraph
 from submatch.sampling import (
     SamplerConfig,
@@ -180,6 +181,39 @@ class TestPairs:
         pair = sample_negative_pair(tri, 1, "hard", cfg, rng)
         assert pair is not None
         assert pair.label is False
+
+    def test_hard_negative_certifies_only_perturbed_queries(self, er20, monkeypatch):
+        # the oracle never sees a drawn positive's own query, and the pairs
+        # and the rng stream are those of a draw that certifies each positive
+        draw_positive = sampling._draw_positive
+
+        def draw(certify_positive: bool):
+            positives, checked = [], []
+
+            def oracle(query, target, budget):
+                checked.append(query)
+                return is_subgraph_anchored(query, target, budget)
+
+            def positive(*args):
+                pair = draw_positive(*args)
+                positives.append(pair.query)
+                if certify_positive:
+                    oracle(pair.query, pair.target, sampling._VERIFY_BUDGET)
+                return pair
+
+            monkeypatch.setattr(sampling, "is_subgraph_anchored", oracle)
+            monkeypatch.setattr(sampling, "_draw_positive", positive)
+            rng = np.random.default_rng(11)
+            pairs = [sample_negative_pair(er20, 2, "hard", SamplerConfig(max_nodes=8), rng)
+                     for _ in range(40)]
+            monkeypatch.undo()
+            unperturbed = sum(any(q is p for p in positives) for q in checked)
+            return pairs, rng.integers(2**62), unperturbed
+
+        pairs, state, unperturbed = draw(certify_positive=False)
+        ref_pairs, ref_state, ref_unperturbed = draw(certify_positive=True)
+        assert unperturbed == 0 and ref_unperturbed > 0
+        assert pairs == ref_pairs and state == ref_state
 
     def test_retry_exhaustion_reports_none(self):
         # unlabeled 2-node graph: the lone feasible perturbation keeps the
