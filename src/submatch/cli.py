@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", required=True)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("selftest", help="oracle-equivalence and geometry suites")
+    p = sub.add_parser("selftest", help="criteria 1-2's oracle-equivalence and geometry "
+                                        "suites, at smaller sizes")
     p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_selftest)
 
@@ -333,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ConfigError, GraphError, CheckpointError, IndexError_, FileNotFoundError) as exc:
+    except (ConfigError, GraphError, CheckpointError, IndexError_, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

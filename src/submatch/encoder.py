@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -32,7 +32,7 @@ from .graphs import (
     triangle_counts,
 )
 from .order import MarginConfig
-from .util import atomic_write_text, json_array, json_object, json_value, stable_hash
+from .util import atomic_write_text, json_array, json_object, json_value
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -357,33 +357,18 @@ class Checkpoint:
     margin: MarginConfig
     decision_cutoff: float = 0.5
     radius: int = 4
-    # (content key, digest) of the last fingerprint() call
-    _fingerprint_memo: tuple[bytes, str] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def fingerprint(self) -> str:
-        """sha256 of the checkpoint's canonical JSON, as saved indexes record
-        it. Serializing every parameter is slow, so the digest is kept until
-        the content key changes: a sha256 of the other fields and of each
-        parameter's name, dtype, shape and raw bytes. Setting a field or
-        writing into a parameter array changes the key."""
+        """sha256 of the config, margin, cutoff and radius and of each
+        parameter's name, dtype, shape and raw bytes, as saved indexes record
+        it. Setting a field or writing into a parameter array changes it."""
         scalars = [asdict(self.config), asdict(self.margin), self.decision_cutoff, self.radius]
         content = hashlib.sha256(json.dumps(scalars).encode())
         for name, value in sorted(self.params.items()):
             value = np.ascontiguousarray(value)
             content.update(json.dumps([name, value.dtype.str, value.shape]).encode())
             content.update(value)
-        key = content.digest()
-        if self._fingerprint_memo is None or self._fingerprint_memo[0] != key:
-            payload = {
-                "config": asdict(self.config),
-                "params": {k: v.tolist() for k, v in sorted(self.params.items())},
-                "margin": asdict(self.margin),
-                "decision_cutoff": self.decision_cutoff,
-                "radius": self.radius,
-            }
-            self._fingerprint_memo = (key, stable_hash(payload))
-        return self._fingerprint_memo[1]
+        return content.hexdigest()
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -18,7 +18,7 @@ from .graphs import GraphError, LabeledGraph
 from .order import MarginConfig, best_balanced_cut, violation_matrix
 from .util import atomic_write_text, json_array, json_object, json_value
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 
 class IndexError_(ValueError):

@@ -1,9 +1,8 @@
-"""Small shared helpers: atomic file writes, stable hashing and reading
-JSON documents that may be malformed."""
+"""Small shared helpers: atomic file writes and reading JSON documents that
+may be malformed."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -28,13 +27,6 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def stable_hash(obj) -> str:
-    """sha256 of the canonical JSON encoding of obj."""
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}

@@ -24,12 +24,11 @@ from submatch.evaluate import (
     bench_neural,
     make_problem1_instances,
 )
-from submatch.exact import MatchBudget, is_subgraph
 from submatch.graphs import LabeledGraph
-from submatch.order import MarginConfig, intersection, margin_loss, violation, violation_matrix
+from submatch.order import MarginConfig, margin_loss, violation, violation_matrix
 from submatch.query import alignment, build_index, decide, embed_query_nodes, vote, vote_mask_for
 from submatch.sampling import SamplerConfig, random_bfs_sample
-from submatch.smallgraphs import brute_force_is_subgraph, small_catalog
+from submatch.selftest import geometry_suite, oracle_equivalence_suite
 from submatch.training import sample_validation_pairs, pair_violations
 
 from conftest import DESK_SAMPLER, DESK_TRAIN, desk_targets
@@ -43,64 +42,20 @@ def test_criterion_1_oracle_correctness():
     """Exact matcher agrees with exhaustive injection enumeration on the full
     small-graph catalog within five minutes."""
     start = time.perf_counter()
-    queries, targets = small_catalog(5, 6)
-    budget = MatchBudget(max_states=50_000_000, wall_timeout=60.0)
-    disagreements = 0
-    pairs = 0
-    for q in queries:
-        for t in targets:
-            got = is_subgraph(q, t, budget)
-            want = brute_force_is_subgraph(q, t)
-            if not got.is_decided or got.is_true != want:
-                disagreements += 1
-            pairs += 1
+    ok, detail = oracle_equivalence_suite(5, 6)
     elapsed = time.perf_counter() - start
-    ok = disagreements == 0 and elapsed < 300.0
-    report(
-        "criterion 1 (oracle correctness)",
-        ok,
-        f"{pairs} pairs, {disagreements} disagreements, {elapsed:.1f}s",
-    )
-    assert disagreements == 0
+    report("criterion 1 (oracle correctness)", ok and elapsed < 300.0,
+           f"{detail}, {elapsed:.1f}s")
+    assert ok, detail
     assert elapsed < 300.0
 
 
 def test_criterion_2_geometry_axioms():
     """Transitivity, anti-symmetry and the intersection lower bound hold on
     ten thousand random nonnegative triples each, with zero violations."""
-    rng = np.random.default_rng(2024)
-    n, d = 10_000, 16
-    a = rng.uniform(0, 10, size=(n, d))
-    b = a + rng.uniform(0, 2, size=(n, d))
-    c = b + rng.uniform(0, 2, size=(n, d))
-    diff_ac = np.maximum(0.0, a - c)
-    transitivity_bad = int(np.count_nonzero((diff_ac * diff_ac).sum(axis=1)))
-
-    x = rng.uniform(0, 10, size=(n, d))
-    y = x.copy()
-    idx = rng.integers(0, d, size=n)
-    y[np.arange(n), idx] += rng.uniform(1e-9, 2, size=n)
-    fwd = ((np.maximum(0.0, x - y)) ** 2).sum(axis=1)
-    bwd = ((np.maximum(0.0, y - x)) ** 2).sum(axis=1)
-    antisym_bad = int(np.count_nonzero((fwd == 0) & (bwd == 0)))
-
-    u = rng.uniform(0, 10, size=(n, d))
-    v = rng.uniform(0, 10, size=(n, d))
-    meet = np.minimum(u, v)
-    w = np.maximum(0.0, meet - rng.uniform(0, 2, size=(n, d)))
-    glb_bad = int(
-        np.count_nonzero(((np.maximum(0.0, w - meet)) ** 2).sum(axis=1))
-        + np.count_nonzero(((np.maximum(0.0, meet - u)) ** 2).sum(axis=1))
-        + np.count_nonzero(((np.maximum(0.0, meet - v)) ** 2).sum(axis=1))
-    )
-    ok = transitivity_bad == antisym_bad == glb_bad == 0
-    report(
-        "criterion 2 (geometry axioms)",
-        ok,
-        f"violations: transitivity={transitivity_bad}, anti-symmetry={antisym_bad}, "
-        f"intersection-glb={glb_bad} over {n} triples each",
-    )
-    assert ok
+    ok, detail = geometry_suite(10_000, seed=2024)
+    report("criterion 2 (geometry axioms)", ok, detail)
+    assert ok, detail
 
 
 def test_criterion_3_gradient_fidelity():

@@ -255,7 +255,7 @@ class TestEmbedAndQuery:
         ckpt_path = str(smoke_model / "checkpoint.json")
         target_path = str(dataset_dir / "graph_0000.json")
         bad = tmp_path / "bad.json"
-        for text in ["[]", "{", '{"format_version": 1}']:
+        for text in ["[]", "{", '{"format_version": 1}', '{"format_version": 2}']:
             bad.write_text(text)
             for argv in (["--target", target_path, "--checkpoint", str(bad)],
                          ["--index", str(bad), "--checkpoint", ckpt_path]):
@@ -263,6 +263,20 @@ class TestEmbedAndQuery:
                 err = capsys.readouterr().err.strip()
                 assert code == 1, (text, argv, err)
                 assert len(err.splitlines()) == 1, (text, argv, err)
+
+    def test_version_1_index_exits_one(self, dataset_dir, smoke_model, tmp_path, capsys):
+        ckpt_path, target_path = smoke_model / "checkpoint.json", dataset_dir / "graph_0000.json"
+        index_path = tmp_path / "index.json"
+        run_cli("embed", "--graph", str(target_path), "--checkpoint", str(ckpt_path),
+                "--out", str(index_path))
+        obj = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps({**obj, "format_version": 1}))
+        capsys.readouterr()
+        code = run_cli("query", "--query", str(target_path), "--index", str(index_path),
+                       "--checkpoint", str(ckpt_path))
+        err = capsys.readouterr().err.strip()
+        assert code == 1, err
+        assert len(err.splitlines()) == 1 and "format_version 1" in err, err
 
     def test_missing_file_exits_one(self, smoke_model):
         code = run_cli(
@@ -325,6 +339,30 @@ def test_bad_input_exits_one_before_writing(argv, dataset_dir, tmp_path, capsys)
     err = capsys.readouterr().err.strip()
     assert code == 1, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert not out.exists()
+
+
+WRONG_KIND_PATHS = {
+    "gen-config-dir": lambda data, ckpt, out: ["gen", "--out", out, "--config", data],
+    "train-data-file": lambda data, ckpt, out: ["train", "--data", ckpt, "--out", out],
+    "embed-graph-dir": lambda data, ckpt, out: [
+        "embed", "--graph", data, "--checkpoint", ckpt, "--out", out],
+    "embed-checkpoint-dir": lambda data, ckpt, out: [
+        "embed", "--graph", f"{data}/graph_0000.json", "--checkpoint", data, "--out", out],
+    "embed-out-dir": lambda data, ckpt, out: [
+        "embed", "--graph", f"{data}/graph_0000.json", "--checkpoint", ckpt, "--out", data],
+    "query-index-dir": lambda data, ckpt, out: [
+        "query", "--query", f"{data}/graph_0000.json", "--index", data, "--checkpoint", ckpt],
+}
+
+
+@pytest.mark.parametrize("argv", WRONG_KIND_PATHS.values(), ids=WRONG_KIND_PATHS.keys())
+def test_path_of_wrong_kind_exits_one(argv, dataset_dir, smoke_model, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(*argv(str(dataset_dir), str(smoke_model / "checkpoint.json"), str(out)))
+    err = capsys.readouterr().err.strip()
+    assert code == 1, err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:"), err
     assert not out.exists()
 
 

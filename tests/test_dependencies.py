@@ -49,3 +49,18 @@ def test_one_bfs_queue():
                     and path.name != "graphs.py"):
                 imports.append(f"{path.name}:{node.lineno} imports deque")
     assert not imports, imports
+
+
+def test_one_catalog_loop():
+    """The small-graph catalog is swept by selftest.oracle_equivalence_suite
+    alone; criterion 1 and the unit spot check call that suite."""
+    root = PACKAGE.parent.parent
+    calls = []
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        if path.name in ("selftest.py", "smallgraphs.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "small_catalog" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append(f"{path.name}:{node.lineno} calls small_catalog")
+    assert not calls, calls

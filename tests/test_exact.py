@@ -12,11 +12,8 @@ from submatch.exact import (
     is_subgraph_anchored,
 )
 from submatch.graphs import AnchoredNeighborhood, GraphError, LabeledGraph
-from submatch.smallgraphs import (
-    brute_force_anchored,
-    brute_force_is_subgraph,
-    small_catalog,
-)
+from submatch.selftest import oracle_equivalence_suite
+from submatch.smallgraphs import brute_force_anchored, brute_force_is_subgraph
 
 
 def anchored(g, u=0):
@@ -299,12 +296,8 @@ class TestCount:
 
 class TestProperties:
     def test_soundness_small_catalog(self):
-        queries, targets = small_catalog(4, 5)
-        for q in queries:
-            for t in targets:
-                got = is_subgraph(q, t)
-                assert got.is_decided
-                assert got.is_true == brute_force_is_subgraph(q, t)
+        ok, detail = oracle_equivalence_suite(4, 5)
+        assert ok, detail
 
     def test_anchored_implies_unanchored(self):
         rng = np.random.default_rng(2)

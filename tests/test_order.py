@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from submatch import autodiff as ad
+from submatch import selftest
 from submatch.order import (
     MarginConfig,
     calibrate_threshold,
@@ -111,24 +112,19 @@ class TestIntersection:
 
 
 class TestGeometryAxioms:
-    # vectorized sweeps at the scale the acceptance gate requires live in
-    # test_acceptance; these are quick spot versions
+    # the acceptance gate runs the same suite at 10,000 triples per axiom
 
-    def test_transitivity_on_chains(self):
-        rng = np.random.default_rng(1)
-        a = rng.uniform(0, 5, size=(1000, 8))
-        b = a + rng.uniform(0, 1, size=a.shape)
-        c = b + rng.uniform(0, 1, size=a.shape)
-        for i in range(len(a)):
-            assert violation(a[i], c[i]) == 0.0
+    def test_spot_suite(self):
+        ok, detail = selftest.geometry_suite(1_000)
+        assert ok, detail
 
-    def test_antisymmetry_contrapositive(self):
-        rng = np.random.default_rng(2)
-        for _ in range(1000):
-            a = rng.uniform(0, 5, size=8)
-            b = a.copy()
-            b[rng.integers(8)] += rng.uniform(0.001, 1)
-            assert violation(a, b) > 0.0 or violation(b, a) > 0.0
+    def test_suite_catches_violation_blind_to_last_coordinate(self, monkeypatch):
+        def blind(z_q, z_u):
+            return violation(np.asarray(z_q)[:-1], np.asarray(z_u)[:-1])
+
+        monkeypatch.setattr(selftest, "violation", blind)
+        ok, detail = selftest.geometry_suite(10_000, seed=2024)
+        assert not ok, detail
 
 
 class TestMarginLoss:

@@ -122,7 +122,7 @@ def index_doc(ckpt, tmp_path_factory) -> dict:
 BAD_INDEXES = {
     "top-level list": lambda doc: "[]",
     "cut short": lambda doc: "{",
-    "only format_version": lambda doc: '{"format_version": 1}',
+    "only format_version": lambda doc: '{"format_version": 2}',
     "ragged embeddings": lambda doc: with_value(doc, ["embeddings"], [[0.5, 0.5], [0.5]]),
     "text embeddings": lambda doc: with_value(doc, ["embeddings"], [["0.5"]]),
     "text radius": lambda doc: with_value(doc, ["radius"], "2"),
