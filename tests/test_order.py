@@ -114,8 +114,20 @@ class TestIntersection:
 class TestGeometryAxioms:
     # the acceptance gate runs the same suite at 10,000 triples per axiom
 
-    def test_spot_suite(self):
-        ok, detail = selftest.geometry_suite(1_000)
+    @pytest.fixture(scope="class")
+    def spot(self):
+        return selftest.geometry_suite(1_000)
+
+    def test_transitivity_on_chains(self, spot):
+        _, detail = spot
+        assert "transitivity=0," in detail, detail
+
+    def test_antisymmetry_contrapositive(self, spot):
+        _, detail = spot
+        assert "anti-symmetry=0," in detail, detail
+
+    def test_spot_suite(self, spot):
+        ok, detail = spot
         assert ok, detail
 
     def test_suite_catches_violation_blind_to_last_coordinate(self, monkeypatch):
