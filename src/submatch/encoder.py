@@ -32,7 +32,7 @@ from .graphs import (
     triangle_counts,
 )
 from .order import MarginConfig
-from .util import atomic_write_text, json_array, json_object, json_value
+from .util import atomic_write_text, json_array, json_object, json_value, keep_freed_heap
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -317,7 +317,12 @@ def encode_all(
     CHUNK_ROWS rows each. A block never holds more than 2 * CHUNK_ROWS rows
     unless it is one ball larger than that: the BFS hands back fewer anchors
     when the balls outgrow the estimate.
+
+    Each block allocates and frees many arrays of 0.1-2 MB, so the first call
+    runs util.keep_freed_heap: from then on the process keeps up to 256 MiB
+    of freed heap instead of returning it to the kernel (glibc only).
     """
+    keep_freed_heap()
     tensors = _as_tensors(params)
     out = np.zeros((g.node_count, cfg.output_dim))
     indptr, indices = adjacency_csr(g)

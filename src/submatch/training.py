@@ -23,7 +23,7 @@ from .sampling import (
     sample_negative_pair,
     sample_positive_pair,
 )
-from .util import atomic_write_text
+from .util import atomic_write_text, keep_freed_heap
 
 MAX_RADIUS = 4
 MAX_TARGETS = 256
@@ -357,7 +357,12 @@ def train(
 ) -> TrainResult:
     """Fit the encoder on the target pool; returns the best-validation
     checkpoint (threshold calibrated on held-out violations) plus per-epoch
-    history. Non-finite loss aborts with TrainingDiverged."""
+    history. Non-finite loss aborts with TrainingDiverged.
+
+    Each step allocates and frees many arrays of 0.1-2 MB, so the first call
+    runs util.keep_freed_heap: from then on the process keeps up to 256 MiB
+    of freed heap instead of returning it to the kernel (glibc only)."""
+    keep_freed_heap()
     if not datasets:
         raise ValueError("datasets must contain at least one target graph")
     small = [i for i, g in enumerate(datasets) if g.node_count < 2]

@@ -1,8 +1,11 @@
-"""Small shared helpers: atomic file writes and reading JSON documents that
-may be malformed."""
+"""Small shared helpers: atomic file writes, reading JSON documents that may
+be malformed, and the one platform-specific call, keep_freed_heap, which
+tells glibc's allocator to keep freed memory instead of returning it."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import os
 import tempfile
@@ -27,6 +30,34 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+# glibc's mallopt parameters and the values keep_freed_heap sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # the largest that glibc accepts on 64-bit
+_TRIM_THRESHOLD = 256 << 20
+
+
+@functools.cache
+def keep_freed_heap() -> bool:
+    """From the first call on, the process keeps up to 256 MiB of freed heap
+    instead of returning it to the kernel; later calls do nothing.
+
+    glibc serves blocks above its mmap threshold (128 KB by default) with a
+    fresh mmap and unmaps them on free, so every numpy temporary of a few
+    hundred KB is faulted in page by page again. Raising the mmap threshold
+    to 32 MiB puts such blocks on the heap, and raising the trim threshold
+    to 256 MiB keeps the heap's freed top mapped. Only the allocator's
+    bookkeeping changes, never a computed value. Where the C library has no
+    mallopt (not glibc) it does nothing; returns whether mallopt was called.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return False
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    return True
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}

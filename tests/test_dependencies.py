@@ -51,6 +51,23 @@ def test_one_bfs_queue():
     assert not imports, imports
 
 
+def test_one_ctypes_import():
+    """The platform-specific allocator call stays in util.py: no other module
+    imports ctypes."""
+    imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if path.name != "util.py" and any(n.split(".")[0] == "ctypes" for n in names):
+                imports.append(f"{path.name}:{node.lineno} imports ctypes")
+    assert not imports, imports
+
+
 def test_one_catalog_loop():
     """The small-graph catalog is swept by selftest.oracle_equivalence_suite
     alone; criterion 1 and the unit spot check call that suite."""

@@ -1,4 +1,5 @@
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from submatch.encoder import EncoderConfig, encode_batch, init_params, _as_tenso
 from submatch.exact import is_subgraph_anchored
 from submatch.order import MarginConfig, margin_loss
 from submatch.sampling import SamplerConfig
+from submatch.util import keep_freed_heap
 from submatch.training import (
     AdamState,
     CurriculumState,
@@ -340,6 +342,26 @@ class TestTrainLoop:
         assert sum(labels) == 12
         for p in pairs[:8]:
             assert is_subgraph_anchored(p.query, p.target).is_true == p.label
+
+
+def test_second_training_run_does_not_refault_its_memory():
+    """train keeps freed heap memory, so a repeated run reuses the pages the
+    first one faulted in instead of faulting its temporaries in afresh."""
+    if not keep_freed_heap():
+        pytest.skip("the C library has no mallopt")
+    rng = np.random.default_rng(0)
+    pool = [gen_er(n, 4.0 / n, 1, seed=100 + i)
+            for i, n in enumerate(rng.integers(16, 31, size=8))]
+    enc = EncoderConfig(layers=4, hidden_dim=32, output_dim=32, label_alphabet_size=1)
+    cfg = TrainConfig(epochs=2, min_iterations=4, seed=0)
+
+    def run() -> int:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(pool, cfg, enc, MarginConfig(), SamplerConfig(max_nodes=15))
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    run()
+    assert run() < 500
 
 
 def test_history_csv_format():
