@@ -162,21 +162,21 @@ class LabeledGraph:
             raise GraphError("induced_on needs distinct node ids")
         if nodes and not (0 <= min(nodes) and max(nodes) < self.node_count):
             raise GraphError(f"induced_on node ids must lie in [0, {self.node_count})")
-        adjacency = []
+        adjacency = self.adjacency
         edge_labels: EdgeLabels = {}
-        for new_u, old_u in enumerate(nodes):
-            kept = [v for v in self.adjacency[old_u] if v in index]
-            adjacency.append(tuple(sorted([index[v] for v in kept])))
-            if self.edge_labels is not None:
-                for old_v in kept:
-                    lab = self.edge_labels.get((old_u, old_v)) if old_u < old_v else None
-                    if lab is not None:
-                        edge_labels[_edge_key(new_u, index[old_v])] = lab
+        if self.edge_labels is not None:
+            for new_u, old_u in enumerate(nodes):
+                for old_v in adjacency[old_u]:
+                    if old_u < old_v and old_v in index:
+                        lab = self.edge_labels.get((old_u, old_v))
+                        if lab is not None:
+                            edge_labels[_edge_key(new_u, index[old_v])] = lab
         return _trusted(
             LabeledGraph,
             node_count=len(nodes),
-            adjacency=tuple(adjacency),
-            node_labels=tuple(self.node_labels[u] for u in nodes),
+            adjacency=tuple([tuple(sorted([index[v] for v in adjacency[u] if v in index]))
+                             for u in nodes]),
+            node_labels=tuple([self.node_labels[u] for u in nodes]),
             label_alphabet_size=self.label_alphabet_size,
             edge_labels=edge_labels or None,
         )

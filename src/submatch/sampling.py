@@ -52,22 +52,21 @@ class TrainingPair:
     kind: str | None = None  # "random" or "hard" for negatives, None for positives
 
 
-def _as_neighborhood(g: LabeledGraph, u: int, selected: list[int]) -> AnchoredNeighborhood:
+def _as_neighborhood(g: LabeledGraph, u: int, selected: set[int]) -> AnchoredNeighborhood:
     """Edge-induced neighborhood on the selected nodes, renumbered from u.
 
     Node order is BFS-from-anchor restricted to the selection (ties by
     original id), matching the renumbering convention of k-hop extraction.
     """
-    left = set(selected) - {u}
-    order, frontier = [u], [u]
+    order, frontier, reached = [u], [u], {u}
     while frontier:
-        reached = []
+        level = []
         for a in frontier:
             for b in g.adjacency[a]:
-                if b in left:
-                    left.remove(b)
-                    reached.append(b)
-        frontier = sorted(reached)
+                if b in selected and b not in reached:
+                    reached.add(b)
+                    level.append(b)
+        frontier = sorted(level)
         order += frontier
     # connected by construction
     return _trusted(AnchoredNeighborhood, graph=g.induced_on(order), anchor=0)
@@ -77,22 +76,26 @@ def random_bfs_sample(
     g: LabeledGraph, u: int, cfg: SamplerConfig, rng: np.random.Generator
 ) -> AnchoredNeighborhood:
     """Breadth-first traversal from u keeping each scanned edge with fixed
-    probability, until max_nodes nodes are collected."""
+    probability, until max_nodes nodes are collected.
+
+    Each expanded node's unselected neighbors are scanned in the order of one
+    rng.permutation, drawn only for two or more of them: a permutation of
+    fewer items draws nothing."""
     selected = {u}
     queue = [u]
-    while queue and len(selected) < cfg.max_nodes:
-        node = queue.pop(0)
-        nbrs = [v for v in g.adjacency[node] if v not in selected]
-        for i in rng.permutation(len(nbrs)):
-            v = nbrs[int(i)]
-            if v in selected:
-                continue
+    head = 0
+    while head < len(queue) and len(selected) < cfg.max_nodes:
+        nbrs = [v for v in g.adjacency[queue[head]] if v not in selected]
+        head += 1
+        if len(nbrs) > 1:
+            nbrs = [nbrs[i] for i in rng.permutation(len(nbrs)).tolist()]
+        for v in nbrs:
             if rng.random() < cfg.edge_keep_probability:
                 selected.add(v)
                 queue.append(v)
                 if len(selected) >= cfg.max_nodes:
                     break
-    return _as_neighborhood(g, u, sorted(selected))
+    return _as_neighborhood(g, u, selected)
 
 
 def random_walk_sample(
@@ -111,7 +114,7 @@ def random_walk_sample(
         nbrs = g.adjacency[current]
         current = nbrs[int(rng.integers(len(nbrs)))]
         selected.add(current)
-    return _as_neighborhood(g, u, sorted(selected))
+    return _as_neighborhood(g, u, selected)
 
 
 def mfinder_sample(
@@ -129,7 +132,7 @@ def mfinder_sample(
         selected.add(v)
         frontier.discard(v)
         frontier.update(w for w in g.adjacency[v] if w not in selected)
-    return _as_neighborhood(g, u, sorted(selected))
+    return _as_neighborhood(g, u, selected)
 
 
 _SAMPLERS = {

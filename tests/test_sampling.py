@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submatch.datasets import gen_er
 from submatch.exact import MatchBudget, is_subgraph_anchored
 from submatch import sampling
-from submatch.graphs import LabeledGraph
+from submatch.graphs import AnchoredNeighborhood, LabeledGraph, _trusted
 from submatch.sampling import (
     SamplerConfig,
     mfinder_sample,
@@ -74,6 +76,100 @@ class TestAllSamplers:
 
             whole = k_hop_neighborhood(er20, u, er20.node_count)
             assert is_subgraph_anchored(nh, whole).is_true
+
+
+def reference_as_neighborhood(g, u, selected):
+    """sampling._as_neighborhood as it was before the sampler was made cheaper."""
+    left = set(selected) - {u}
+    order, frontier = [u], [u]
+    while frontier:
+        reached = []
+        for a in frontier:
+            for b in g.adjacency[a]:
+                if b in left:
+                    left.remove(b)
+                    reached.append(b)
+        frontier = sorted(reached)
+        order += frontier
+    # connected by construction
+    return _trusted(AnchoredNeighborhood, graph=g.induced_on(order), anchor=0)
+
+
+def reference_random_bfs_sample(g, u, cfg, rng):
+    """sampling.random_bfs_sample as it was before the sampler was made cheaper."""
+    selected = {u}
+    queue = [u]
+    while queue and len(selected) < cfg.max_nodes:
+        node = queue.pop(0)
+        nbrs = [v for v in g.adjacency[node] if v not in selected]
+        for i in rng.permutation(len(nbrs)):
+            v = nbrs[int(i)]
+            if v in selected:
+                continue
+            if rng.random() < cfg.edge_keep_probability:
+                selected.add(v)
+                queue.append(v)
+                if len(selected) >= cfg.max_nodes:
+                    break
+    return reference_as_neighborhood(g, u, sorted(selected))
+
+
+@st.composite
+def sampler_graphs(draw):
+    """Random graphs with hubs, leaves and isolated nodes, with or without
+    edge labels."""
+    core = draw(st.integers(1, 16))
+    pairs = [(a, b) for a in range(core) for b in range(a + 1, core)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * core))
+                if pairs else [])
+    for hub in draw(st.lists(st.integers(0, core - 1), unique=True, max_size=2)):
+        spokes = draw(st.lists(st.integers(0, core - 1), max_size=core))
+        edges |= {(min(hub, v), max(hub, v)) for v in spokes if v != hub}
+    leaves = draw(st.lists(st.integers(0, core - 1), max_size=5))
+    edges |= {(v, core + i) for i, v in enumerate(leaves)}
+    n = core + len(leaves) + draw(st.integers(0, 3))  # the rest are isolated
+    alphabet = draw(st.integers(1, 3))
+    edges = sorted(edges)
+    edge_labels = None
+    if draw(st.booleans()):
+        codes = draw(st.lists(st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
+        edge_labels = dict(zip(edges, codes)) or None
+    labels = draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
+    return LabeledGraph.from_edges(n, edges, labels, alphabet, edge_labels)
+
+
+class TestDrawsKept:
+    """The samplers draw what the reference implementations draw: the same
+    neighborhood, and the rng left in the same state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sampler_graphs(), st.data())
+    def test_same_neighborhoods_and_rng_states(self, g, data):
+        for _ in range(4):
+            u = data.draw(st.integers(0, g.node_count - 1))
+            cfg = SamplerConfig(
+                max_nodes=data.draw(st.integers(1, 15)),
+                edge_keep_probability=data.draw(st.sampled_from([0.1, 0.5, 0.9, 1.0])),
+            )
+            seed = data.draw(st.integers(0, 2**32))
+            for name, sampler in SAMPLERS.items():
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                nh = sampler(g, u, cfg, rng)
+                if name == "random_bfs":
+                    ref = reference_random_bfs_sample(g, u, cfg, ref_rng)
+                else:  # the walk and mfinder draws are unchanged; their renumbering is not
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(sampling, "_as_neighborhood", reference_as_neighborhood)
+                        ref = sampler(g, u, cfg, ref_rng)
+                assert nh.graph == ref.graph and nh.anchor == ref.anchor == 0, name
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, name
+
+    def test_permutation_of_fewer_than_two_items_draws_nothing(self):
+        for n in (0, 1):
+            rng = np.random.default_rng(n)
+            state = rng.bit_generator.state
+            rng.permutation(n)
+            assert rng.bit_generator.state == state
 
 
 class TestMFinderWeighting:
