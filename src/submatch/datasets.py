@@ -13,14 +13,33 @@ def _random_labels(n: int, alphabet: int, rng: np.random.Generator) -> list[int]
     return [int(x) for x in rng.integers(0, alphabet, size=n)]
 
 
+_COINS_PER_CALL = 1 << 16  # pairs per rng.random call; bounds gen_er's memory
+
+
 def gen_er(n: int, p: float, alphabet: int, seed: int) -> LabeledGraph:
-    """Erdos-Renyi G(n, p) with uniform-random node labels."""
+    """Erdos-Renyi G(n, p) with uniform-random node labels.
+
+    One coin decides each pair u < v, in the row-major order of
+    np.triu_indices(n, 1). The coins are drawn _COINS_PER_CALL at a time:
+    rng.random(a) then rng.random(b) gives the values of rng.random(a + b),
+    so the graph does not depend on the block size, and memory stays bounded
+    however large n is.
+    """
     rng = np.random.default_rng(seed)
     edges = []
     if n > 1 and p > 0.0:
-        iu, iv = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < p
-        edges = [(int(u), int(v)) for u, v in zip(iu[mask], iv[mask])]
+        total = n * (n - 1) // 2
+        first_row = 0  # the row of the block's first pair
+        for start in range(0, total, _COINS_PER_CALL):
+            stop = min(start + _COINS_PER_CALL, total)
+            # a block spans at most _COINS_PER_CALL rows, and the next block
+            # starts in the row after them at the latest
+            rows = np.arange(first_row, min(first_row + _COINS_PER_CALL + 1, n - 1))
+            row_starts = rows * (2 * n - rows - 1) // 2  # flat index of (u, u + 1)
+            hits = start + np.flatnonzero(rng.random(stop - start) < p)
+            at = np.searchsorted(row_starts, hits, side="right") - 1
+            edges += zip(rows[at].tolist(), (hits - row_starts[at] + rows[at] + 1).tolist())
+            first_row = int(rows[np.searchsorted(row_starts, stop, side="right") - 1])
     return LabeledGraph.from_edges(
         node_count=n,
         edges=edges,

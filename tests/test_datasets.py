@@ -1,7 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from submatch import datasets
 from submatch.datasets import gen_er, gen_extended_barabasi
+from submatch.graphs import LabeledGraph
+
+
+def reference_gen_er(n, p, alphabet, seed):
+    """gen_er as it was before it drew its coins in blocks: one coin per pair,
+    all at once."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    if n > 1 and p > 0.0:
+        iu, iv = np.triu_indices(n, k=1)
+        mask = rng.random(iu.shape[0]) < p
+        edges = [(int(u), int(v)) for u, v in zip(iu[mask], iv[mask])]
+    return LabeledGraph.from_edges(
+        node_count=n,
+        edges=edges,
+        node_labels=datasets._random_labels(n, alphabet, rng),
+        label_alphabet_size=alphabet,
+    )
 
 
 class TestER:
@@ -23,6 +44,27 @@ class TestER:
     def test_labels_within_alphabet(self):
         g = gen_er(30, 0.2, 4, seed=1)
         assert all(0 <= lab < 4 for lab in g.node_labels)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64, datasets._COINS_PER_CALL])
+    def test_equals_one_piece_draw(self, block, monkeypatch):
+        # any block size draws the graphs, labels included, that one
+        # rng.random call over all pairs drew
+        monkeypatch.setattr(datasets, "_COINS_PER_CALL", block)
+        for n in [0, 1, 2, 3, 5, 17, 33, 60]:
+            for p in (0.0, 0.05, 0.3, 0.7, 1.0):
+                for seed in range(3):
+                    assert gen_er(n, p, 3, seed) == reference_gen_er(n, p, 3, seed), (n, p, seed)
+
+    def test_memory_is_bounded(self):
+        # one coin per pair at once peaks at about 110 MB here (4.5M pairs)
+        tracemalloc.start()
+        try:
+            g = gen_er(3000, 4.0 / 3000, 1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.node_count == 3000 and g.edge_count > 0
+        assert peak < 16 * 2**20, peak
 
 
 class TestExtendedBarabasi:
