@@ -34,7 +34,7 @@ def atomic_write_text(path, text: str) -> None:
 
 # glibc's mallopt parameters and the values keep_freed_heap sets
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 32 << 20  # the largest that glibc accepts on 64-bit
+_MMAP_THRESHOLD = 32 << 20  # glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit; older glibc rejects more
 _TRIM_THRESHOLD = 256 << 20
 
 
@@ -55,6 +55,7 @@ def keep_freed_heap() -> bool:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
         return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
     return True
