@@ -4,6 +4,7 @@ import resource
 import numpy as np
 import pytest
 
+from conftest import DESK_ENCODER, DESK_SAMPLER
 from submatch import autodiff as ad
 from submatch import sampling
 from submatch import training as T
@@ -12,7 +13,6 @@ from submatch.encoder import EncoderConfig, encode_batch, init_params, _as_tenso
 from submatch.exact import is_subgraph_anchored
 from submatch.order import MarginConfig, margin_loss
 from submatch.sampling import SamplerConfig
-from submatch.util import keep_freed_heap
 from submatch.training import (
     AdamState,
     CurriculumState,
@@ -27,6 +27,7 @@ from submatch.training import (
     sample_validation_pairs,
     train,
 )
+from submatch.util import keep_freed_heap
 
 TINY_ENC = EncoderConfig(layers=2, hidden_dim=8, output_dim=8, label_alphabet_size=1)
 
@@ -352,12 +353,11 @@ def test_second_training_run_does_not_refault_its_memory():
     rng = np.random.default_rng(0)
     pool = [gen_er(n, 4.0 / n, 1, seed=100 + i)
             for i, n in enumerate(rng.integers(16, 31, size=8))]
-    enc = EncoderConfig(layers=4, hidden_dim=32, output_dim=32, label_alphabet_size=1)
     cfg = TrainConfig(epochs=2, min_iterations=4, seed=0)
 
     def run() -> int:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train(pool, cfg, enc, MarginConfig(), SamplerConfig(max_nodes=15))
+        train(pool, cfg, DESK_ENCODER, MarginConfig(), DESK_SAMPLER)
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
     run()
