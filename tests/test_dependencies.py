@@ -5,8 +5,9 @@ import sys
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "submatch"
 
 
-def test_numpy_is_the_only_runtime_dependency():
-    foreign = []
+def absolute_imports():
+    """(file name, line, top-level module) of each absolute import in the
+    package; relative imports stay inside it."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -14,11 +15,14 @@ def test_numpy_is_the_only_runtime_dependency():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
             else:
-                continue  # relative imports stay inside the package
+                continue
             for name in names:
-                top = name.split(".")[0]
-                if top != "numpy" and top not in sys.stdlib_module_names:
-                    foreign.append(f"{path.name}:{node.lineno} imports {name}")
+                yield path.name, node.lineno, name.split(".")[0]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    foreign = [f"{file}:{line} imports {top}" for file, line, top in absolute_imports()
+               if top != "numpy" and top not in sys.stdlib_module_names]
     assert not foreign, foreign
 
 
@@ -54,17 +58,8 @@ def test_one_bfs_queue():
 def test_one_ctypes_import():
     """The platform-specific allocator call stays in util.py: no other module
     imports ctypes."""
-    imports = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if path.name != "util.py" and any(n.split(".")[0] == "ctypes" for n in names):
-                imports.append(f"{path.name}:{node.lineno} imports ctypes")
+    imports = [f"{file}:{line} imports ctypes" for file, line, top in absolute_imports()
+               if top == "ctypes" and file != "util.py"]
     assert not imports, imports
 
 
