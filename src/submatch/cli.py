@@ -22,18 +22,9 @@ from .evaluate import bench as run_bench, check_bench_request
 from .evaluate import calibrate_decision, make_problem1_instances, write_bench_outputs
 from .graphs import GraphError, LabeledGraph, load_graph, save_graph
 from .order import MarginConfig
-from .query import (
-    IndexError_,
-    alignment,
-    build_index,
-    decide,
-    embed_query_nodes,
-    load_index,
-    save_index,
-    vote_mask_for,
-)
+from .query import IndexError_, answer, build_index, load_index, save_index
 from .sampling import SamplerConfig
-from .training import TrainConfig, save_history, train
+from .training import TrainConfig, TrainingDiverged, save_history, train
 from .util import atomic_write_text
 
 USAGE_ERROR = 1
@@ -192,27 +183,14 @@ def cmd_query(args) -> int:
         index = load_index(args.index, checkpoint)
         if args.vote and not args.target:
             raise ConfigError("--vote needs --target for neighborhood adjacency")
-    if args.target:
-        target = load_graph(args.target)
-        if not args.index:
-            index = build_index(target, checkpoint)
-        elif index.graph_fingerprint != target.fingerprint():
-            raise ConfigError(
-                f"index {args.index} was built from another graph than {args.target}"
-            )
-    elif not args.index:
+    elif not args.target:
         raise ConfigError("query needs --index or --target")
-
-    query_embs = embed_query_nodes(query, checkpoint, index.radius)
-    matrix = alignment(query, index, checkpoint, query_embs=query_embs)
-    vote_mask = None
-    if args.vote:
-        vote_mask = vote_mask_for(
-            matrix, query, target, query_embs, index, checkpoint.margin
-        )
-    verdict = decide(
-        matrix, checkpoint.margin, checkpoint.decision_cutoff, vote_mask=vote_mask
-    )
+    target = load_graph(args.target) if args.target else None
+    if not args.index:
+        index = build_index(target, checkpoint)
+    elif target is not None and index.graph_fingerprint != target.fingerprint():
+        raise ConfigError(f"index {args.index} was built from another graph than {args.target}")
+    matrix, verdict = answer(query, index, checkpoint, vote_on=target if args.vote else None)
     print(f"decision: {'subgraph' if verdict.decision else 'not-subgraph'}")
     print(f"indicator score: {verdict.score:.4f} (cutoff {checkpoint.decision_cutoff:.4f})")
     print(f"mean violation: {verdict.mean_violation:.4f}")
@@ -334,8 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ConfigError, GraphError, CheckpointError, IndexError_, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError) as exc:
+    except (ConfigError, GraphError, CheckpointError, IndexError_, TrainingDiverged,
+            FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -12,14 +12,7 @@ import numpy as np
 from .config import ConfigError
 from .exact import MatchBudget, MatchOutcome, is_subgraph
 from .graphs import LabeledGraph
-from .query import (
-    alignment,
-    build_index,
-    calibrate_decision_cutoff,
-    decide,
-    embed_query_nodes,
-    vote_mask_for,
-)
+from .query import answer, build_index, calibrate_decision_cutoff
 from .util import atomic_write_text
 
 
@@ -114,7 +107,6 @@ def make_problem1_instances(
     timeouts.
     """
     instances: list[BenchInstance] = []
-    i = 0
     guard = 0
     while len(instances) < n_instances and guard < 50 * n_instances:
         guard += 1
@@ -126,9 +118,8 @@ def make_problem1_instances(
             if query.node_count < 2:
                 continue
             instances.append(
-                BenchInstance(f"i{i:04d}", query, target, oracle_label=True)
+                BenchInstance(f"i{len(instances):04d}", query, target, oracle_label=True)
             )
-            i += 1
             continue
         if rng.random() < 0.5 and len(targets) > 1:
             others = [t for t in targets if t is not target]
@@ -139,8 +130,9 @@ def make_problem1_instances(
             continue
         if is_subgraph(query, target, ORACLE_BUDGET) is not MatchOutcome.FALSE:
             continue
-        instances.append(BenchInstance(f"i{i:04d}", query, target, oracle_label=False))
-        i += 1
+        instances.append(
+            BenchInstance(f"i{len(instances):04d}", query, target, oracle_label=False)
+        )
     return instances
 
 
@@ -151,10 +143,10 @@ def calibrate_decision(checkpoint, targets: list[LabeledGraph], n_pairs: int, se
     instances = make_problem1_instances(targets, n_pairs, np.random.default_rng([seed, 4]))
     if not instances:
         return checkpoint.decision_cutoff
-    scores = []
-    for inst in instances:
-        index = build_index(inst.target, checkpoint)
-        scores.append(decide(alignment(inst.query, index, checkpoint), checkpoint.margin).score)
+    scores = [
+        answer(inst.query, build_index(inst.target, checkpoint), checkpoint)[1].score
+        for inst in instances
+    ]
     return calibrate_decision_cutoff(scores, [inst.oracle_label for inst in instances])
 
 
@@ -222,15 +214,8 @@ def bench_neural(
     for inst in instances:
         index = indexes[inst.target.fingerprint()]
         start = time.perf_counter()
-        query_embs = embed_query_nodes(inst.query, checkpoint, index.radius)
-        matrix = alignment(inst.query, index, checkpoint, query_embs=query_embs)
-        vote_mask = None
-        if use_vote:
-            vote_mask = vote_mask_for(
-                matrix, inst.query, inst.target, query_embs, index, checkpoint.margin
-            )
-        verdict = decide(
-            matrix, checkpoint.margin, checkpoint.decision_cutoff, vote_mask=vote_mask
+        _, verdict = answer(
+            inst.query, index, checkpoint, vote_on=inst.target if use_vote else None
         )
         elapsed = time.perf_counter() - start
         results.append(

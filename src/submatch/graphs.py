@@ -376,12 +376,10 @@ def from_json(text: str | bytes) -> LabeledGraph:
         labels[n["id"]] = _integer(n, "label", 0)
     edges = []
     edge_labels: EdgeLabels = {}
-    any_edge_label = False
     for e in edge_objs:
         u, v = _integer(e, "u"), _integer(e, "v")
         edges.append((u, v))
         if "label" in e:
-            any_edge_label = True
             edge_labels[_edge_key(u, v)] = _integer(e, "label")
     alphabet = obj.get("label_alphabet_size")
     return LabeledGraph.from_edges(
@@ -389,7 +387,7 @@ def from_json(text: str | bytes) -> LabeledGraph:
         edges=edges,
         node_labels=labels,
         label_alphabet_size=None if alphabet is None else _integer(obj, "label_alphabet_size"),
-        edge_labels=edge_labels if any_edge_label else None,
+        edge_labels=edge_labels,
     )
 
 

@@ -4,6 +4,8 @@ refinement.
 
 The offline stage embeds every target node once; a query then costs one pass
 over its own nodes plus |V_T| * |V_Q| coordinate comparisons, with no search.
+`answer` is that online stage, and the one place that turns a query into a
+decision.
 """
 
 from __future__ import annotations
@@ -255,3 +257,22 @@ def vote_mask_for(
             shells=(q_shells[q], u_shells[u]),
         )
     return mask
+
+
+def answer(
+    query: LabeledGraph,
+    index: EmbeddingIndex,
+    checkpoint: Checkpoint,
+    vote_on: LabeledGraph | None = None,
+) -> tuple[AlignmentMatrix, Decision]:
+    """The online stage: embed the query's nodes at the index radius, fill
+    the alignment matrix, vote against vote_on when given (it must be the
+    indexed target), and decide with the checkpoint's margin and cutoff."""
+    query_embs = embed_query_nodes(query, checkpoint, index.radius)
+    matrix = alignment(query, index, checkpoint, query_embs=query_embs)
+    vote_mask = None
+    if vote_on is not None:
+        vote_mask = vote_mask_for(matrix, query, vote_on, query_embs, index, checkpoint.margin)
+    return matrix, decide(
+        matrix, checkpoint.margin, checkpoint.decision_cutoff, vote_mask=vote_mask
+    )

@@ -357,7 +357,8 @@ def train(
 ) -> TrainResult:
     """Fit the encoder on the target pool; returns the best-validation
     checkpoint (threshold calibrated on held-out violations) plus per-epoch
-    history. Non-finite loss aborts with TrainingDiverged.
+    history. Non-finite loss aborts with TrainingDiverged, without a numpy
+    warning.
 
     Each step allocates and frees many arrays of 0.1-2 MB, so the first call
     runs util.keep_freed_heap: from then on the process keeps up to 256 MiB
@@ -406,12 +407,15 @@ def train(
             tape = ad.Tape()
             tensors = {k: ad.Tensor(v, name=k) for k, v in params.items()}
             nbhds = [p.query for p in pairs] + [p.target for p in pairs]
-            embs = encode_batch(tape, nbhds, tensors, encoder_cfg)
-            n = len(pairs)
-            z_q = ad.take_rows(tape, embs, np.arange(n))
-            z_u = ad.take_rows(tape, embs, np.arange(n, 2 * n))
-            labels = np.array([1 if p.label else 0 for p in pairs])
-            loss = margin_loss(tape, z_q, z_u, labels, margin_cfg)
+            # the check below reports a forward pass that overflows, so numpy's
+            # own warning would only repeat it
+            with np.errstate(over="ignore", invalid="ignore"):
+                embs = encode_batch(tape, nbhds, tensors, encoder_cfg)
+                n = len(pairs)
+                z_q = ad.take_rows(tape, embs, np.arange(n))
+                z_u = ad.take_rows(tape, embs, np.arange(n, 2 * n))
+                labels = np.array([1 if p.label else 0 for p in pairs])
+                loss = margin_loss(tape, z_q, z_u, labels, margin_cfg)
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} (lr={lr:.3g}); "

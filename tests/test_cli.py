@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,9 @@ BAD_INPUTS = {
     "train-inf-rate": ["train", "--set", "train.learning_rate=inf"],
     "train-nan-beta": ["train", "--set", "train.beta1=nan"],
     "train-negative-edge-labels": ["train", "--set", "encoder.edge_label_count=-1"],
+    "train-diverging-margin": ["train", "--set", "train.epochs=1", "--set",
+                               "train.min_iterations=1", "--calibration-pairs", "0",
+                               "--set", "margin.margin=1e308"],
 }
 
 
@@ -335,10 +339,14 @@ def test_bad_input_exits_one_before_writing(argv, dataset_dir, tmp_path, capsys)
         "bench": ["--data", str(dataset_dir), "--out-csv", str(out / "rows.csv"),
                   "--out-json", str(out / "summary.json")],
     }
-    code = run_cli(*argv, *paths[argv[0]])
+    # pytest's own warning capture would keep a numpy warning out of capsys
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*argv, *paths[argv[0]])
     err = capsys.readouterr().err.strip()
     assert code == 1, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert not caught, [str(w.message) for w in caught]
     assert not out.exists()
 
 
@@ -425,10 +433,9 @@ class TestTrainedModelQuery:
             )
             assert code == 0
         # decisions checked through the API for assertion clarity
-        from submatch.query import alignment, build_index, decide
+        from submatch.query import answer, build_index
 
         for inst in positives:
-            index = build_index(inst.target, ckpt)
-            verdict = decide(alignment(inst.query, index, ckpt), ckpt.margin, ckpt.decision_cutoff)
+            _, verdict = answer(inst.query, build_index(inst.target, ckpt), ckpt)
             hits += int(verdict.decision)
         assert hits >= len(positives) - 1  # allow one borderline miss

@@ -1,6 +1,13 @@
-import pytest
+from dataclasses import fields
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from submatch.cli import GenConfig
 from submatch.config import ConfigError, build_dataclass, parse_kv_file, split_sections
+from submatch.encoder import EncoderConfig
+from submatch.order import MarginConfig
 from submatch.sampling import SamplerConfig
 from submatch.training import TrainConfig
 
@@ -38,8 +45,6 @@ class TestBuild:
         assert cfg.epochs == 12 and cfg.learning_rate == 0.01 and cfg.seed == 5
 
     def test_bool_parsing(self):
-        from submatch.encoder import EncoderConfig
-
         cfg = build_dataclass(
             EncoderConfig, {"use_structural_features": "false", "layers": "2"}
         )
@@ -72,3 +77,49 @@ class TestSections:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="optimizer.beta"):
             split_sections({"optimizer.beta": "0.9"}, ["train"])
+
+
+CONFIG_CLASSES = [TrainConfig, EncoderConfig, MarginConfig, SamplerConfig, GenConfig]
+SECTIONS = ["train", "encoder", "margin", "sampler", "gen"]
+# values a hand-edited file or a mistyped --set may hold: non-finite and
+# overflowing floats, an integer past Python's 4300-digit parse limit,
+# full-width digits, a NUL
+ODD_VALUES = ["nan", "-inf", "1e400", "-1e400", "9" * 5000, "\uff11\uff12", "\x00", "1\x002",
+              "", "0x10", "1_000", "+3", " 4 ", "true", "random_bfs", "mix"]
+VALUES = (st.sampled_from(ODD_VALUES) | st.text(max_size=8) | st.integers().map(str)
+          | st.floats().map(repr))
+
+
+class TestFuzz:
+    """The loader and the --set parser raise ConfigError and nothing else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_build_dataclass(self, data):
+        cls = data.draw(st.sampled_from(CONFIG_CLASSES))
+        keys = st.sampled_from([f.name for f in fields(cls)]) | st.text(max_size=8)
+        try:
+            build_dataclass(cls, data.draw(st.dictionaries(keys, VALUES, max_size=6)))
+        except ConfigError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.builds("{}.{}".format, st.sampled_from(SECTIONS) | st.text(max_size=4),
+                  st.text(max_size=6)) | st.text(max_size=8),
+        VALUES, max_size=6), st.lists(st.sampled_from(SECTIONS), unique=True))
+    def test_split_sections(self, values, prefixes):
+        try:
+            split_sections(values, prefixes)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200) | st.text(max_size=200).map(str.encode))
+    def test_parse_kv_file(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzz.conf"
+        path.write_bytes(content)
+        try:
+            parse_kv_file(path)
+        except ConfigError:
+            pass

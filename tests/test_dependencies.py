@@ -76,3 +76,21 @@ def test_one_catalog_loop():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 calls.append(f"{path.name}:{node.lineno} calls small_catalog")
     assert not calls, calls
+
+
+ONLINE_STEPS = ("embed_query_nodes", "alignment", "vote_mask_for", "decide")
+
+
+def test_one_online_decision_path():
+    """query.answer is the one place in the package that turns a query into
+    a decision: no other module calls the four steps it chains."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "query.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ONLINE_STEPS:
+                    calls.append(f"{path.name}:{node.lineno} calls {name}")
+    assert not calls, calls

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from submatch.query import (
     EmbeddingIndex,
     IndexError_,
     alignment,
+    answer,
     build_index,
     calibrate_decision_cutoff,
     decide,
@@ -328,3 +330,37 @@ def test_decision_dataclass_fields():
 def test_index_embedding_matrix_must_be_2d():
     with pytest.raises(IndexError_):
         EmbeddingIndex("fp", 2, np.zeros(5), "cfp")
+
+
+def _connected(n: int, extra: float, seed: int) -> LabeledGraph:
+    """A random tree on n nodes plus each other pair with probability extra."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    edges |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < extra}
+    return LabeledGraph.from_edges(n, sorted(edges))
+
+
+class TestAnswer:
+    # thresholds around the random-init model's violation quantiles, so that
+    # plain and voted scores span (0, 1) and voting rejects some entries
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 30), st.integers(0, 2**31), st.booleans(),
+           st.sampled_from([1e-4, 3e-3, 1e-2, 0.25]), st.sampled_from([None, 0.0]))
+    def test_equals_the_four_steps(self, ckpt, n_q, n_t, seed, voted, threshold, cutoff):
+        ckpt = replace(ckpt, margin=MarginConfig(margin=1.0, threshold=threshold))
+        if cutoff is not None:
+            ckpt = replace(ckpt, decision_cutoff=cutoff)
+        query, target = _connected(n_q, 0.4, seed), _connected(n_t, 0.1, seed + 1)
+        index = build_index(target, ckpt)
+        matrix, verdict = answer(query, index, ckpt, vote_on=target if voted else None)
+
+        q_embs = embed_query_nodes(query, ckpt, index.radius)
+        expected = alignment(query, index, ckpt, query_embs=q_embs)
+        mask = None
+        if voted:
+            mask = vote_mask_for(expected, query, target, q_embs, index, ckpt.margin)
+        want = decide(expected, ckpt.margin, ckpt.decision_cutoff, vote_mask=mask)
+        assert matrix.values.tobytes() == expected.values.tobytes()
+        assert (verdict.score, verdict.decision) == (want.score, want.decision)
+        assert np.float64(verdict.mean_violation).tobytes() == (
+            np.float64(want.mean_violation).tobytes())
