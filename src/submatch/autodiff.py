@@ -197,7 +197,9 @@ class IndexPairs(tuple):
         return self.plans[key]
 
 
-def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False) -> Tensor:
+def row_sum_aggregate(
+    tape: Tape, h: Tensor, groups, value_sorted: bool = False, previous: Tensor | None = None
+) -> Tensor:
     """out[i] = sum of h[j] over j in groups[i]; groups may be a list of index
     sequences or a (src, dst) pair like group_index() returns. An IndexPairs
     keeps its plans for the next call; other groups plan for this call.
@@ -209,6 +211,12 @@ def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False)
     (used by inference for isomorphism-invariant output). Either way a
     column's sums do not depend on the other columns, and (src, dst) pairs
     need not be grouped by dst, though grouped pairs are summed faster.
+
+    previous, when given, must hold the index-order sums of h's trailing
+    columns over the same groups, as a 2-D h's skip concatenation keeps
+    them: only the leading columns are summed, and previous's values are
+    appended, which gives the same bits. The backward still sums the whole
+    gradient into h, and previous gets none.
     """
     if isinstance(groups, tuple) and len(groups) == 2:
         n_out = h.shape[0]
@@ -217,6 +225,10 @@ def row_sum_aggregate(tape: Tape, h: Tensor, groups, value_sorted: bool = False)
     pairs = groups if isinstance(groups, IndexPairs) else IndexPairs(*groups)
     if value_sorted:
         out = Tensor(_sorted_column_sums(h.value, *pairs, n_out))
+    elif previous is not None:
+        fresh = h.shape[1] - previous.shape[1]
+        out = Tensor(np.concatenate(
+            [pairs.plan(n_out, into_src=False).sum(h.value[:, :fresh]), previous.value], axis=1))
     else:
         out = Tensor(pairs.plan(n_out, into_src=False).sum(h.value))
 

@@ -75,24 +75,48 @@ def gen_extended_barabasi(
         for v in range(u + 1, seed_size):
             nbrs[u].add(v)
             nbrs[v].add(u)
+    weight = np.ones(max(n, 0))  # len(nbrs[u]) + 1 for every node u
+    weight[:seed_size] = seed_size
+
+    def link(u: int, v: int) -> None:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        weight[u] += 1.0
+        weight[v] += 1.0
+
+    def unlink(u: int, v: int) -> None:
+        nbrs[u].discard(v)
+        nbrs[v].discard(u)
+        weight[u] -= 1.0
+        weight[v] -= 1.0
 
     def pick_preferential(exclude: set[int]) -> int | None:
-        cand = [u for u in nodes if u not in exclude]
-        if not cand:
+        """A node outside exclude, drawn with probability proportional to
+        its degree plus one; candidates in node order."""
+        allowed = np.ones(len(nodes), dtype=bool)
+        allowed[list(exclude)] = False
+        cand = allowed.nonzero()[0]
+        if not len(cand):
             return None
-        weights = np.array([len(nbrs[u]) + 1 for u in cand], dtype=float)
-        return cand[int(rng.choice(len(cand), p=weights / weights.sum()))]
+        weights = weight[cand]
+        return int(cand[rng.choice(len(cand), p=weights / weights.sum())])
 
-    def connected() -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(nodes)
+    def reaches(start: int, goal: int) -> bool:
+        """Is goal reachable from start (another node)? A BFS that stops
+        when it gets there."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in nbrs[a]:
+                    if b == goal:
+                        return True
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        return False
 
     while len(nodes) < n:
         r = rng.random()
@@ -101,8 +125,7 @@ def gen_extended_barabasi(
                 u = int(rng.integers(len(nodes)))
                 v = pick_preferential(exclude=nbrs[u] | {u})
                 if v is not None:
-                    nbrs[u].add(v)
-                    nbrs[v].add(u)
+                    link(u, v)
         elif r < p_add + p_rewire and len(nodes) > 2:
             for _ in range(m):
                 u = int(rng.integers(len(nodes)))
@@ -112,15 +135,12 @@ def gen_extended_barabasi(
                 new = pick_preferential(exclude=nbrs[u] | {u})
                 if new is None:
                     continue
-                nbrs[u].discard(old)
-                nbrs[old].discard(u)
-                nbrs[u].add(new)
-                nbrs[new].add(u)
-                if not connected():
-                    nbrs[u].discard(new)
-                    nbrs[new].discard(u)
-                    nbrs[u].add(old)
-                    nbrs[old].add(u)
+                unlink(u, old)
+                link(u, new)
+                # the graph was connected, so it still is iff old reaches u
+                if not reaches(old, u):
+                    unlink(u, new)
+                    link(u, old)
         else:
             new_id = len(nodes)
             nodes.append(new_id)
@@ -128,8 +148,7 @@ def gen_extended_barabasi(
             for _ in range(min(m, new_id)):
                 v = pick_preferential(exclude=nbrs[new_id] | {new_id})
                 if v is not None:
-                    nbrs[new_id].add(v)
-                    nbrs[v].add(new_id)
+                    link(new_id, v)
 
     edges = [(u, v) for u in nodes for v in nbrs[u] if u < v]
     return LabeledGraph.from_edges(

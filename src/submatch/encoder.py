@@ -205,16 +205,23 @@ class _Block:
 def _forward(
     tape: ad.Tape, block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig
 ) -> ad.Tensor:
-    """Training forward pass: neighbor sums in index order, BLAS matmuls."""
+    """Training forward pass: neighbor sums in index order, BLAS matmuls.
+
+    x = concat(h, previous x), so each layer sums only the newest column
+    block and appends the previous layer's neighbor sums, as _infer does;
+    row_sum_aggregate keeps the full-width backward over x."""
     x = ad.Tensor(block.features)
+    sums: list[ad.Tensor | None] = [None] * max(cfg.edge_label_count, 1)  # of x, per index
     for k in range(cfg.layers):
         if cfg.edge_label_count > 0:
             agg = x
             for lab in range(cfg.edge_label_count):
-                msg = ad.row_sum_aggregate(tape, x, block.label_indexes[lab])
-                agg = ad.add(tape, agg, ad.matmul(tape, msg, params[f"layer{k}.edge{lab}"]))
+                sums[lab] = ad.row_sum_aggregate(tape, x, block.label_indexes[lab],
+                                                 previous=sums[lab])
+                agg = ad.add(tape, agg, ad.matmul(tape, sums[lab], params[f"layer{k}.edge{lab}"]))
         else:
-            agg = ad.add(tape, x, ad.row_sum_aggregate(tape, x, block.index))
+            sums[0] = ad.row_sum_aggregate(tape, x, block.index, previous=sums[0])
+            agg = ad.add(tape, x, sums[0])
         h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
         h = ad.leaky_relu(tape, h, cfg.leaky_slope)
         h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])

@@ -136,15 +136,26 @@ def make_problem1_instances(
     return instances
 
 
+def _indexes_by_target(instances: list[BenchInstance], checkpoint) -> dict:
+    """One index per distinct target, keyed by the target's fingerprint."""
+    indexes = {}
+    for inst in instances:
+        key = inst.target.fingerprint()
+        if key not in indexes:
+            indexes[key] = build_index(inst.target, checkpoint)
+    return indexes
+
+
 def calibrate_decision(checkpoint, targets: list[LabeledGraph], n_pairs: int, seed: int) -> float:
     """Whole-query decision cutoff calibrated on n_pairs oracle-labeled
     instances drawn from targets; the checkpoint's own cutoff when no instance
-    could be drawn."""
+    could be drawn. Each distinct target is indexed once."""
     instances = make_problem1_instances(targets, n_pairs, np.random.default_rng([seed, 4]))
     if not instances:
         return checkpoint.decision_cutoff
+    indexes = _indexes_by_target(instances, checkpoint)
     scores = [
-        answer(inst.query, build_index(inst.target, checkpoint), checkpoint)[1].score
+        answer(inst.query, indexes[inst.target.fingerprint()], checkpoint)[1].score
         for inst in instances
     ]
     return calibrate_decision_cutoff(scores, [inst.oracle_label for inst in instances])
@@ -202,14 +213,9 @@ def bench_neural(
     """Time the online query path with indexes prebuilt. Index-build wall time
     is reported separately as the offline cost."""
     method = "neural_vote" if use_vote else "neural"
-    index_time = 0.0
-    indexes = {}
-    for inst in instances:
-        key = inst.target.fingerprint()
-        if key not in indexes:
-            start = time.perf_counter()
-            indexes[key] = build_index(inst.target, checkpoint)
-            index_time += time.perf_counter() - start
+    start = time.perf_counter()
+    indexes = _indexes_by_target(instances, checkpoint)
+    index_time = time.perf_counter() - start
     results = []
     for inst in instances:
         index = indexes[inst.target.fingerprint()]

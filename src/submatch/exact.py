@@ -11,6 +11,12 @@ tried: one (query node, target node) pair whose feasibility is checked. The
 search is deterministic, so its state count is too, and MatchBudget.max_states
 caps that count.
 
+Before an anchored search, counting alone may settle the answer FALSE
+(Ullmann's degree filter): a query with more nodes than the target, a query
+anchor of higher degree than the target anchor, or a descending degree
+sequence that the target's does not dominate elementwise. A FALSE settled by
+counting costs no state.
+
 Used as the ground-truth labeler for training data, the correctness oracle in
 tests, and the runtime baseline in benchmarks.
 """
@@ -61,6 +67,21 @@ def _edge_labels_agree(t: int, images: list[int], labels: list, t_edge_labels) -
         if t_edge_labels.get((t, tn) if t < tn else (tn, t)) != label:
             return False
     return True
+
+
+def _ruled_out_by_degrees(
+    query: LabeledGraph, q_anchor: int, target: LabeledGraph, t_anchor: int
+) -> bool:
+    """True when no anchored embedding can exist by counting alone: the query
+    has more nodes than the target, its anchor more neighbors than the
+    target's, or its i-th largest degree exceeds the target's for some i."""
+    if query.node_count > target.node_count:
+        return True
+    if len(query.adjacency[q_anchor]) > len(target.adjacency[t_anchor]):
+        return True
+    q_degrees = sorted(map(len, query.adjacency), reverse=True)
+    t_degrees = sorted(map(len, target.adjacency), reverse=True)
+    return any(a > b for a, b in zip(q_degrees, t_degrees))
 
 
 class _Search:
@@ -176,6 +197,8 @@ class _Search:
             need = [mapped[qn] for qn in check] if check else check
 
     def run_anchored(self, q_anchor: int, t_anchor: int) -> MatchOutcome:
+        if _ruled_out_by_degrees(self.query, q_anchor, self.target, t_anchor):
+            return MatchOutcome.FALSE
         return self._run(self._order_from(q_anchor), (t_anchor,))
 
     def run_unanchored(self) -> MatchOutcome:

@@ -79,8 +79,9 @@ def random_bfs_sample(
     probability, until max_nodes nodes are collected.
 
     Each expanded node's unselected neighbors are scanned in the order of one
-    rng.permutation, drawn only for two or more of them: a permutation of
-    fewer items draws nothing."""
+    rng.shuffle of their list, drawn only for two or more of them. Shuffling
+    a list in place makes the same draws as rng.permutation of its length,
+    so it gives the order that indexing by that permutation gives."""
     selected = {u}
     queue = [u]
     head = 0
@@ -88,7 +89,7 @@ def random_bfs_sample(
         nbrs = [v for v in g.adjacency[queue[head]] if v not in selected]
         head += 1
         if len(nbrs) > 1:
-            nbrs = [nbrs[i] for i in rng.permutation(len(nbrs)).tolist()]
+            rng.shuffle(nbrs)
         for v in nbrs:
             if rng.random() < cfg.edge_keep_probability:
                 selected.add(v)

@@ -67,7 +67,93 @@ class TestER:
         assert peak < 16 * 2**20, peak
 
 
+def reference_gen_extended_barabasi(n, m=2, p_add=0.2, p_rewire=0.2, alphabet=1, seed=0):
+    """gen_extended_barabasi as it was before its picks and rewires were made
+    cheaper: candidate lists and weights rebuilt in Python on every pick, and
+    a DFS over the whole graph after every rewire."""
+    rng = np.random.default_rng(seed)
+    seed_size = min(n, m + 1)
+    nodes = list(range(seed_size))
+    nbrs = [set() for _ in range(seed_size)]
+    for u in range(seed_size):
+        for v in range(u + 1, seed_size):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+
+    def pick_preferential(exclude):
+        cand = [u for u in nodes if u not in exclude]
+        if not cand:
+            return None
+        weights = np.array([len(nbrs[u]) + 1 for u in cand], dtype=float)
+        return cand[int(rng.choice(len(cand), p=weights / weights.sum()))]
+
+    def connected():
+        seen = {0}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v in nbrs[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == len(nodes)
+
+    while len(nodes) < n:
+        r = rng.random()
+        if r < p_add and len(nodes) > 2:
+            for _ in range(m):
+                u = int(rng.integers(len(nodes)))
+                v = pick_preferential(exclude=nbrs[u] | {u})
+                if v is not None:
+                    nbrs[u].add(v)
+                    nbrs[v].add(u)
+        elif r < p_add + p_rewire and len(nodes) > 2:
+            for _ in range(m):
+                u = int(rng.integers(len(nodes)))
+                if not nbrs[u]:
+                    continue
+                old = sorted(nbrs[u])[int(rng.integers(len(nbrs[u])))]
+                new = pick_preferential(exclude=nbrs[u] | {u})
+                if new is None:
+                    continue
+                nbrs[u].discard(old)
+                nbrs[old].discard(u)
+                nbrs[u].add(new)
+                nbrs[new].add(u)
+                if not connected():
+                    nbrs[u].discard(new)
+                    nbrs[new].discard(u)
+                    nbrs[u].add(old)
+                    nbrs[old].add(u)
+        else:
+            new_id = len(nodes)
+            nodes.append(new_id)
+            nbrs.append(set())
+            for _ in range(min(m, new_id)):
+                v = pick_preferential(exclude=nbrs[new_id] | {new_id})
+                if v is not None:
+                    nbrs[new_id].add(v)
+                    nbrs[v].add(new_id)
+
+    edges = [(u, v) for u in nodes for v in nbrs[u] if u < v]
+    return LabeledGraph.from_edges(
+        node_count=len(nodes),
+        edges=edges,
+        node_labels=datasets._random_labels(len(nodes), alphabet, rng),
+        label_alphabet_size=alphabet,
+    )
+
+
 class TestExtendedBarabasi:
+    @pytest.mark.parametrize("n, m, p_add, p_rewire, alphabet", [
+        (0, 2, 0.2, 0.2, 1), (1, 2, 0.2, 0.2, 1), (3, 2, 0.2, 0.2, 1), (12, 2, 0.2, 0.2, 1),
+        (40, 3, 0.3, 0.3, 2), (60, 1, 0.1, 0.6, 3), (100, 2, 0.2, 0.2, 1),
+    ])
+    def test_equals_reference_generator(self, n, m, p_add, p_rewire, alphabet):
+        for seed in range(200):
+            want = reference_gen_extended_barabasi(n, m, p_add, p_rewire, alphabet, seed)
+            assert gen_extended_barabasi(n, m, p_add, p_rewire, alphabet, seed) == want, seed
+
     def test_seed_clique_only(self):
         g = gen_extended_barabasi(3, m=2, seed=0)
         assert g.edge_count == 3  # complete graph on m+1 nodes

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from submatch.datasets import gen_er
 from submatch.encoder import Checkpoint, EncoderConfig, init_params
+from submatch import evaluate
 from submatch.evaluate import (
     BenchInstance,
     BenchResult,
     auroc,
     bench,
+    calibrate_decision,
     make_problem1_instances,
     results_to_csv,
     summarize,
@@ -19,6 +21,7 @@ from submatch.evaluate import (
 )
 from submatch.exact import MatchBudget, is_subgraph
 from submatch.order import MarginConfig
+from submatch.query import answer, build_index, calibrate_decision_cutoff
 
 
 def brute_force_auroc(scores, labels):
@@ -113,6 +116,27 @@ class TestInstances:
         assert sum(labels) == 5
         ratios = [i.query.node_count / i.target.node_count for i in instances]
         assert 0.25 < np.mean(ratios) < 0.75
+
+
+class TestCalibrateDecision:
+    def test_one_index_per_distinct_target_and_the_same_cutoff(self, ckpt, monkeypatch):
+        targets = [gen_er(14, 0.25, 1, seed=s) for s in (7, 8, 9)]
+        instances = make_problem1_instances(targets, 12, np.random.default_rng([3, 4]))
+        # the cutoff as calibrated with one index per instance
+        scores = [answer(inst.query, build_index(inst.target, ckpt), ckpt)[1].score
+                  for inst in instances]
+        want = calibrate_decision_cutoff(scores, [inst.oracle_label for inst in instances])
+        built = []
+
+        def counted(g, checkpoint, k=None):
+            built.append(g.fingerprint())
+            return build_index(g, checkpoint, k)
+
+        monkeypatch.setattr(evaluate, "build_index", counted)
+        got = calibrate_decision(ckpt, targets, 12, 3)
+        distinct = {inst.target.fingerprint() for inst in instances}
+        assert sorted(built) == sorted(distinct) and len(distinct) < len(instances)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestBench:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from submatch.datasets import gen_er
 from submatch.exact import (
     MatchBudget,
     MatchOutcome,
+    _ruled_out_by_degrees,
     _Search,
     is_subgraph,
     is_subgraph_anchored,
@@ -93,7 +94,9 @@ class _RecursiveReference:
     Query nodes go in BFS order (ties by id) from the anchor, or from a
     max-degree node (lowest id) when unanchored. A node's candidates are the
     target neighbors of its first mapped query neighbor in adjacency order,
-    or every target node for the root. One state per candidate tried.
+    or every target node for the root. One state per candidate tried. An
+    anchored run first applies the counting checks, which settle some FALSE
+    answers at no state.
     """
 
     def __init__(self, query, target, max_states):
@@ -157,6 +160,14 @@ class _RecursiveReference:
         return MatchOutcome.FALSE
 
     def run_anchored(self, q_anchor, t_anchor):
+        q_degrees = sorted((self.query.degree(v) for v in range(self.query.node_count)),
+                           reverse=True)
+        t_degrees = sorted((self.target.degree(v) for v in range(self.target.node_count)),
+                           reverse=True)
+        if (self.query.node_count > self.target.node_count
+                or self.query.degree(q_anchor) > self.target.degree(t_anchor)
+                or any(q_degrees[i] > t_degrees[i] for i in range(len(q_degrees)))):
+            return MatchOutcome.FALSE
         return self._decide(self._order_from(q_anchor), [t_anchor])
 
     def run_unanchored(self):
@@ -234,10 +245,15 @@ class TestAgainstNetworkx:
     monomorphism test has the same edge-induced semantics."""
 
     @staticmethod
-    def _nx_is_subgraph(nx, query, target):
-        def to_nx(g):
+    def _nx_is_subgraph(nx, query, target, anchors=None):
+        """anchors, when given, is (q_anchor, t_anchor): only maps that send
+        one onto the other count."""
+        q_anchor, t_anchor = anchors or (None, None)
+
+        def to_nx(g, anchor):
             h = nx.Graph()
-            h.add_nodes_from((u, {"label": lab}) for u, lab in enumerate(g.node_labels))
+            h.add_nodes_from((u, {"label": (lab, u == anchor)})
+                             for u, lab in enumerate(g.node_labels))
             h.add_edges_from((u, v, {"label": g.edge_label(u, v)}) for u, v in g.edges())
             return h
 
@@ -245,8 +261,8 @@ class TestAgainstNetworkx:
         if query.edge_labels is not None and target.edge_labels is not None:
             edge_match = lambda a, b: a["label"] == b["label"]  # noqa: E731
         matcher = nx.algorithms.isomorphism.GraphMatcher(
-            to_nx(target),
-            to_nx(query),
+            to_nx(target, t_anchor),
+            to_nx(query, q_anchor),
             node_match=lambda a, b: a["label"] == b["label"],
             edge_match=edge_match,
         )
@@ -279,6 +295,34 @@ class TestAgainstNetworkx:
             assert got.is_true == want, (trial, q.node_count, n)
             decided[want] += 1
         assert min(decided.values()) >= 40, decided
+
+
+class TestDegreeFilter:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.data())
+    def test_ruled_out_pairs_are_never_true(self, data):
+        nx = pytest.importorskip("networkx")
+        seeds = st.integers(0, 1 << 30)
+        q = gen_er(data.draw(st.integers(1, 7)), 0.5, 2, seed=data.draw(seeds))
+        t = gen_er(data.draw(st.integers(1, 8)), 0.35, 2, seed=data.draw(seeds))
+        u = data.draw(st.integers(0, q.node_count - 1))
+        v = data.draw(st.integers(0, t.node_count - 1))
+        assume(_ruled_out_by_degrees(q, u, t, v))
+        assert not brute_force_anchored(q, u, t, v)
+        assert not TestAgainstNetworkx._nx_is_subgraph(nx, q, t, anchors=(u, v))
+        if q.is_connected():
+            search = _Search(q, t, MatchBudget())
+            assert search.run_anchored(u, v) is MatchOutcome.FALSE and search.states == 0
+
+    def test_each_check_rules_out(self):
+        star = LabeledGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        path4 = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        path3 = LabeledGraph.from_edges(3, [(0, 1), (1, 2)])
+        assert _ruled_out_by_degrees(path4, 0, path3, 0)  # more nodes
+        assert _ruled_out_by_degrees(path3, 1, path4, 0)  # anchor degree 2 > 1
+        assert _ruled_out_by_degrees(star, 1, path4, 0)  # degrees 3,1,1,1 vs 2,2,1,1
+        assert not _ruled_out_by_degrees(path3, 1, star, 0)
+        assert is_subgraph_anchored(anchored(path3, 1), anchored(star, 0)).is_true
 
 
 class TestCount:

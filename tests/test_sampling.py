@@ -171,6 +171,17 @@ class TestDrawsKept:
             rng.permutation(n)
             assert rng.bit_generator.state == state
 
+    def test_shuffle_in_place_equals_permutation_indexing(self):
+        # random_bfs_sample shuffles its neighbor list in place
+        for seed in range(200):
+            for k in range(17):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                items = [3 * i + 1 for i in range(k)]
+                want = [items[i] for i in ref_rng.permutation(k).tolist()]
+                rng.shuffle(items)
+                assert items == want, (seed, k)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, (seed, k)
+
 
 class TestMFinderWeighting:
     # leaves carry distinct labels so the sampled 2-node neighborhood reveals

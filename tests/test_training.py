@@ -1,16 +1,23 @@
+import hashlib
 import math
+import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import DESK_ENCODER, DESK_SAMPLER
 from submatch import autodiff as ad
+from submatch import encoder as E
 from submatch import sampling
 from submatch import training as T
 from submatch.datasets import gen_er
 from submatch.encoder import EncoderConfig, encode_batch, init_params, _as_tensors
-from submatch.exact import is_subgraph_anchored
+from submatch.exact import _Search, is_subgraph_anchored
+from submatch.graphs import LabeledGraph
 from submatch.order import MarginConfig, margin_loss
 from submatch.sampling import SamplerConfig
 from submatch.training import (
@@ -372,3 +379,144 @@ def test_history_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "epoch,loss,val_auroc,radius,n_targets,lr"
     assert lines[1].startswith("0,1.5,88.25,1,1,")
+
+
+def _permutation_bfs_sample(g, u, cfg, rng):
+    """sampling.random_bfs_sample as it was: neighbor lists re-indexed by
+    rng.permutation instead of shuffled in place."""
+    _permutation_bfs_sample.calls += 1
+    selected = {u}
+    queue = [u]
+    head = 0
+    while head < len(queue) and len(selected) < cfg.max_nodes:
+        nbrs = [v for v in g.adjacency[queue[head]] if v not in selected]
+        head += 1
+        if len(nbrs) > 1:
+            nbrs = [nbrs[i] for i in rng.permutation(len(nbrs)).tolist()]
+        for v in nbrs:
+            if rng.random() < cfg.edge_keep_probability:
+                selected.add(v)
+                queue.append(v)
+                if len(selected) >= cfg.max_nodes:
+                    break
+    return sampling._as_neighborhood(g, u, selected)
+
+
+def _full_width_forward(tape, block, params, cfg):
+    """encoder._forward as it was: every layer sums all of x's columns."""
+    _full_width_forward.calls += 1
+    x = ad.Tensor(block.features)
+    for k in range(cfg.layers):
+        if cfg.edge_label_count > 0:
+            agg = x
+            for lab in range(cfg.edge_label_count):
+                msg = ad.row_sum_aggregate(tape, x, block.label_indexes[lab])
+                agg = ad.add(tape, agg, ad.matmul(tape, msg, params[f"layer{k}.edge{lab}"]))
+        else:
+            agg = ad.add(tape, x, ad.row_sum_aggregate(tape, x, block.index))
+        h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
+        h = ad.leaky_relu(tape, h, cfg.leaky_slope)
+        h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])
+        x = ad.concat(tape, h, x)
+    final = ad.take_rows(tape, x, block.anchors)
+    z = ad.add(tape, ad.matmul(tape, final, params["out.w"]), params["out.b"])
+    return ad.relu(tape, z)
+
+
+def _search_only_anchored(self, q_anchor, t_anchor):
+    """exact._Search.run_anchored without the counting checks."""
+    _search_only_anchored.calls += 1
+    return self._run(self._order_from(q_anchor), (t_anchor,))
+
+
+def _edge_labeled_pool():
+    rng = np.random.default_rng(6)
+    pool = []
+    for g in tiny_pool(count=3, seed=20):
+        labels = {e: int(rng.integers(2)) for e in g.edges()}
+        pool.append(LabeledGraph.from_edges(g.node_count, g.edges(), list(g.node_labels),
+                                            g.label_alphabet_size, labels))
+    return pool
+
+
+class TestShortcutsKeepTheBits:
+    """A small training run is the same, bit for bit, with each shortcut of
+    the training path swapped for what it replaced: the shuffled BFS sampler,
+    the forward that reuses the previous layer's neighbor sums, and the
+    counting checks before the anchored search."""
+
+    @staticmethod
+    def run(monkeypatch, pool, enc):
+        pairs = []
+
+        def recorded(draw):
+            def wrapper(*args, **kwargs):
+                out = draw(*args, **kwargs)
+                pairs.append(out)
+                return out
+            return wrapper
+
+        with monkeypatch.context() as mp:
+            mp.setattr(T, "build_epoch_batches", recorded(T.build_epoch_batches))
+            mp.setattr(T, "sample_validation_pairs", recorded(T.sample_validation_pairs))
+            res = train(pool, TrainConfig(epochs=3, min_iterations=3, plateau_patience=1,
+                                          plateau_delta=100.0, seed=4),
+                        enc, MarginConfig(), SamplerConfig(max_nodes=7))
+        return res, pairs
+
+    @pytest.mark.parametrize("edge_labels", [False, True], ids=["plain", "edge_labels"])
+    def test_training_equals_reference_paths(self, monkeypatch, edge_labels):
+        pool = _edge_labeled_pool() if edge_labels else tiny_pool(count=3)
+        enc = EncoderConfig(layers=3, hidden_dim=8, output_dim=8, label_alphabet_size=1,
+                            edge_label_count=2 if edge_labels else 0)
+        fast, fast_pairs = self.run(monkeypatch, pool, enc)
+        references = (_permutation_bfs_sample, _full_width_forward, _search_only_anchored)
+        for fn in references:
+            monkeypatch.setattr(fn, "calls", 0, raising=False)
+        monkeypatch.setitem(sampling._SAMPLERS, "random_bfs", _permutation_bfs_sample)
+        monkeypatch.setattr(E, "_forward", _full_width_forward)
+        monkeypatch.setattr(_Search, "run_anchored", _search_only_anchored)
+        reference, reference_pairs = self.run(monkeypatch, pool, enc)
+        assert all(fn.calls > 0 for fn in references)
+        assert fast_pairs == reference_pairs  # graphs, anchors, labels and kinds
+        assert history_to_csv(fast.history) == history_to_csv(reference.history)
+        assert fast.checkpoint.margin == reference.checkpoint.margin
+        params, want = fast.checkpoint.params, reference.checkpoint.params
+        assert params.keys() == want.keys()
+        for name in params:
+            assert params[name].tobytes() == want[name].tobytes(), name
+
+
+# sha256 of checkpoint.json and history.csv from the run below, at one BLAS
+# thread. The checkpoint keeps the best validation epoch's parameters; the
+# history's losses depend on every epoch's.
+PINNED_SHA256 = {
+    "checkpoint.json": "a40008d0fcca419d960f2bc193200b95e57ed0e3c2a0b6aae867321208d64bee",
+    "history.csv": "d2e30f5382b817205904747844b1ff0c5836256f717683cc2579a99f9d7b140d",
+}
+
+
+def test_gen_then_train_writes_pinned_bits(tmp_path):
+    """The CLI's gen -> train path, run in a child process with one BLAS
+    thread, writes files of pinned bits. The curriculum advances every epoch,
+    so all four radii and two pool sizes are trained on. A change meant to
+    keep every bit of training (a faster sampler, oracle or forward pass)
+    must leave the pins as they are; a change meant to alter training
+    updates them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    data, out = tmp_path / "data", tmp_path / "model"
+    for argv in (
+        ["gen", "--out", str(data), "--seed", "7", "--set", "n_graphs=8"],
+        ["train", "--data", str(data), "--out", str(out), "--epochs", "6", "--seed", "7",
+         "--calibration-pairs", "10", "--set", "train.min_iterations=8",
+         "--set", "train.plateau_patience=1", "--set", "train.plateau_delta=100",
+         "--set", "encoder.layers=3", "--set", "encoder.hidden_dim=16",
+         "--set", "encoder.output_dim=16"],
+    ):
+        subprocess.run([sys.executable, "-m", "submatch.cli", *argv], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
