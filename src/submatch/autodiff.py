@@ -226,9 +226,10 @@ def row_sum_aggregate(
     if value_sorted:
         out = Tensor(_sorted_column_sums(h.value, *pairs, n_out))
     elif previous is not None:
-        fresh = h.shape[1] - previous.shape[1]
+        # a contiguous copy: take() gathers rows of a column slice slowly
+        leading = np.ascontiguousarray(h.value[:, : h.shape[1] - previous.shape[1]])
         out = Tensor(np.concatenate(
-            [pairs.plan(n_out, into_src=False).sum(h.value[:, :fresh]), previous.value], axis=1))
+            [pairs.plan(n_out, into_src=False).sum(leading), previous.value], axis=1))
     else:
         out = Tensor(pairs.plan(n_out, into_src=False).sum(h.value))
 
