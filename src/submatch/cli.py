@@ -47,7 +47,6 @@ class GenConfig:
     family: str = "mix"  # mix | erdos_renyi | extended_barabasi
     min_nodes: int = 16
     max_nodes: int = 30
-    er_p: float = 0.0  # 0 means "use er_avg_degree / n"
     er_avg_degree: float = 4.0
     eb_m: int = 2
     eb_p_add: float = 0.2
@@ -62,8 +61,8 @@ class GenConfig:
             raise ValueError("n_graphs, eb_m and label_alphabet_size must be >= 1, seed >= 0")
         if not 1 <= self.min_nodes <= self.max_nodes:
             raise ValueError("need 1 <= min_nodes <= max_nodes")
-        if not all(0.0 <= p <= 1.0 for p in (self.er_p, self.eb_p_add, self.eb_p_rewire)):
-            raise ValueError("er_p, eb_p_add and eb_p_rewire must lie in [0, 1]")
+        if not all(0.0 <= p <= 1.0 for p in (self.eb_p_add, self.eb_p_rewire)):
+            raise ValueError("eb_p_add and eb_p_rewire must lie in [0, 1]")
         if not (self.eb_p_add + self.eb_p_rewire < 1.0 and self.er_avg_degree >= 0.0):
             raise ValueError("need eb_p_add + eb_p_rewire < 1 and er_avg_degree >= 0")
 
@@ -103,7 +102,7 @@ def cmd_gen(args) -> int:
         if family == "mix":
             family = "erdos_renyi" if i % 2 == 0 else "extended_barabasi"
         if family == "erdos_renyi":
-            p = cfg.er_p if cfg.er_p > 0 else min(1.0, cfg.er_avg_degree / max(n - 1, 1))
+            p = min(1.0, cfg.er_avg_degree / max(n - 1, 1))
             g = gen_er(n, p, cfg.label_alphabet_size, seed)
         else:
             g = gen_extended_barabasi(

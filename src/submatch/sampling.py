@@ -31,7 +31,6 @@ class SamplerConfig:
     restart_probability: float = 0.15
     min_nodes: int = 1
     max_nodes: int = 15
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import Checkpoint, EncoderConfig, encode_batch, init_params
+from .encoder import Checkpoint, EncoderConfig, _as_tensors, encode_batch, init_params
 from .evaluate import auroc
 from .graphs import GraphError, LabeledGraph
 from .order import MarginConfig, calibrate_threshold, margin_loss, violation
@@ -31,6 +31,21 @@ VALIDATION_CHUNK = 128  # pairs encoded per tape-less batch in pair_violations
 # consecutive validation negatives that may fail certification before the
 # data is declared unable to yield any
 MAX_FAILED_NEGATIVES = 100
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+COSINE_RESTART_PERIOD = 100  # epochs
+# the fixed negative mix: negatives per positive, the hard share of the
+# negatives, and the same-target share of the non-hard ones
+NEG_POS_RATIO = 3
+HARD_NEGATIVE_FRACTION = 0.10
+SAME_TARGET_FRACTION = 0.5
+# pairs per batch: BASE_BATCH per pool target, at most MAX_BATCH
+BASE_BATCH = 16
+MAX_BATCH = 64
+# validation pairs drawn per training pair of one epoch (at least 32)
+VAL_FRACTION = 0.1
 
 
 class TrainingDiverged(RuntimeError):
@@ -57,20 +72,10 @@ class CurriculumState:
 class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    cosine_restart_period: int = 100
     plateau_patience: int = 20
     plateau_delta: float = 0.1  # percentage points of validation AUROC
-    neg_pos_ratio: int = 3
-    hard_negative_fraction: float = 0.10
-    same_target_fraction: float = 0.5  # of the non-hard negatives
     regen_period: int = 50
     min_iterations: int = 64
-    base_batch: int = 16
-    max_batch: int = 64
-    val_fraction: float = 0.1
     val_radius: int = MAX_RADIUS
     # fraction of weight magnitude decayed per step at the base learning rate
     # (anneals with the cosine schedule, biases exempt); counterweight to the
@@ -82,19 +87,15 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         positive = (
-            self.epochs, self.learning_rate, self.adam_eps, self.cosine_restart_period,
-            self.plateau_patience, self.plateau_delta, self.neg_pos_ratio,
-            self.regen_period, self.min_iterations, self.base_batch,
-            self.max_batch,
+            self.epochs, self.learning_rate, self.plateau_patience, self.plateau_delta,
+            self.regen_period, self.min_iterations,
         )
         if not all(0 < x < math.inf for x in positive):
             raise ValueError("all counts, periods and rates must be positive and finite")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.seed >= 0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1), seed must be nonnegative")
-        for frac in (self.hard_negative_fraction, self.same_target_fraction,
-                     self.val_fraction, self.weight_decay):
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError("fractions must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not 0.0 <= self.weight_decay <= 1.0:
+            raise ValueError("weight_decay must lie in [0, 1]")
 
 
 @dataclass
@@ -116,31 +117,28 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> dict[str, np.ndarray]:
     """One bias-corrected Adam update; parameters without a gradient entry are
     treated as having zero gradient (their moments decay)."""
     state.t += 1
-    correction1 = 1.0 - beta1 ** state.t
-    correction2 = 1.0 - beta2 ** state.t
+    correction1 = 1.0 - ADAM_BETA1 ** state.t
+    correction2 = 1.0 - ADAM_BETA2 ** state.t
     new_params = {}
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p)
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / correction1
         v_hat = state.v[name] / correction2
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params
 
 
-def cosine_lr(epoch: int, base_lr: float, restart_period: int) -> float:
-    """Cosine annealing restarted every restart_period epochs."""
-    phase = (epoch % restart_period) / restart_period
+def cosine_lr(epoch: int, base_lr: float) -> float:
+    """Cosine annealing restarted every COSINE_RESTART_PERIOD epochs."""
+    phase = (epoch % COSINE_RESTART_PERIOD) / COSINE_RESTART_PERIOD
     return base_lr * (1.0 + math.cos(math.pi * phase)) / 2.0
 
 
@@ -170,8 +168,8 @@ def curriculum_update(
     )
 
 
-def batch_size_for(curriculum: CurriculumState, cfg: TrainConfig) -> int:
-    return min(cfg.max_batch, cfg.base_batch * curriculum.current_target_count)
+def batch_size_for(curriculum: CurriculumState) -> int:
+    return min(MAX_BATCH, BASE_BATCH * curriculum.current_target_count)
 
 
 def _negative(
@@ -217,11 +215,11 @@ def build_epoch_batches(
     if not targets:
         raise ValueError("target pool is empty")
     radius = curriculum.current_radius
-    batch = batch_size_for(curriculum, cfg)
-    n_pos = max(1, round(batch / (1 + cfg.neg_pos_ratio)))
+    batch = batch_size_for(curriculum)
+    n_pos = max(1, round(batch / (1 + NEG_POS_RATIO)))
     n_neg = batch - n_pos
-    n_hard = int(round(cfg.hard_negative_fraction * n_neg))
-    n_same = int(round(cfg.same_target_fraction * (n_neg - n_hard)))
+    n_hard = int(round(HARD_NEGATIVE_FRACTION * n_neg))
+    n_same = int(round(SAME_TARGET_FRACTION * (n_neg - n_hard)))
     n_cross = n_neg - n_hard - n_same
     iters = max(cfg.min_iterations, math.ceil(len(targets) / n_pos))
 
@@ -252,7 +250,6 @@ def build_epoch_batches(
 def sample_validation_pairs(
     datasets: list[LabeledGraph],
     radius: int,
-    cfg: TrainConfig,
     sampler_cfg: SamplerConfig,
     rng: np.random.Generator,
     n_pairs: int,
@@ -273,7 +270,7 @@ def sample_validation_pairs(
         pairs.append(sample_positive_pair(g, radius, sampler_cfg, rng, memo=memo))
     failed = 0
     while len(pairs) < n_pairs:
-        kind = "hard" if rng.random() < cfg.hard_negative_fraction else "random"
+        kind = "hard" if rng.random() < HARD_NEGATIVE_FRACTION else "random"
         cross = kind == "random" and rng.random() < 0.5
         pair = _negative(datasets, kind, cross, radius, sampler_cfg, rng, memo)
         if pair is None:
@@ -298,7 +295,7 @@ def pair_violations(
 ) -> np.ndarray:
     """Violation E(z_query, z_target) per pair, computed without a tape."""
     out = np.empty(len(pairs))
-    tensors = {k: ad.Tensor(v, name=k) for k, v in params.items()}
+    tensors = _as_tensors(params)
     for start in range(0, len(pairs), VALIDATION_CHUNK):
         block = pairs[start : start + VALIDATION_CHUNK]
         nbhds = [p.query for p in block] + [p.target for p in block]
@@ -390,22 +387,22 @@ def train(
 
     def refresh_val() -> None:
         nonlocal val_pairs
-        per_epoch = cfg.min_iterations * batch_size_for(curriculum, cfg)
-        n_val = max(32, int(cfg.val_fraction * per_epoch))
+        per_epoch = cfg.min_iterations * batch_size_for(curriculum)
+        n_val = max(32, int(VAL_FRACTION * per_epoch))
         val_pairs = sample_validation_pairs(
-            datasets, cfg.val_radius, cfg, sampler_cfg, val_rng, n_val
+            datasets, cfg.val_radius, sampler_cfg, val_rng, n_val
         )
 
     for epoch in range(cfg.epochs):
         if epoch % cfg.regen_period == 0:
             refresh_pool()
             refresh_val()
-        lr = cosine_lr(epoch, cfg.learning_rate, cfg.cosine_restart_period)
+        lr = cosine_lr(epoch, cfg.learning_rate)
         batches = build_epoch_batches(pool, curriculum, cfg, sampler_cfg, data_rng)
         epoch_loss = 0.0
         for pairs in batches:
             tape = ad.Tape()
-            tensors = {k: ad.Tensor(v, name=k) for k, v in params.items()}
+            tensors = _as_tensors(params)
             nbhds = [p.query for p in pairs] + [p.target for p in pairs]
             # the check below reports a forward pass that overflows, so numpy's
             # own warning would only repeat it
@@ -422,9 +419,7 @@ def train(
                     "lower the learning rate or check the data"
                 )
             grads = ad.backward(tape, loss)
-            params = adam_step(
-                params, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.adam_eps
-            )
+            params = adam_step(params, grads, adam, lr)
             if cfg.weight_decay > 0.0:
                 keep = 1.0 - cfg.weight_decay * lr / cfg.learning_rate
                 params = {

@@ -101,7 +101,7 @@ def _balanced_test_pairs(pool, strategy, seed, n_pairs=300):
         max_nodes=DESK_SAMPLER.max_nodes,
     )
     rng = np.random.default_rng(seed)
-    return sample_validation_pairs(pool, DESK_TRAIN.val_radius, DESK_TRAIN, cfg, rng, n_pairs)
+    return sample_validation_pairs(pool, DESK_TRAIN.val_radius, cfg, rng, n_pairs)
 
 
 def _pair_auroc(pairs, ckpt):

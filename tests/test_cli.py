@@ -313,6 +313,7 @@ BAD_INPUTS = {
     "gen-eb-probabilities": ["gen", "--set", "eb_p_add=0.6", "--set", "eb_p_rewire=0.5"],
     "gen-negative-count": ["gen", "--set", "n_graphs=-3"],
     "gen-negative-seed": ["gen", "--seed", "-1"],
+    "gen-removed-er-p": ["gen", "--set", "er_p=0.3"],
     "bench-zero-timeout": ["bench", "--methods", "exact", "--timeout", "0"],
     "bench-unknown-method": ["bench", "--methods", "foo"],
     "bench-neural-without-checkpoint": ["bench", "--methods", "neural"],
@@ -323,6 +324,9 @@ BAD_INPUTS = {
     "train-nan-rate": ["train", "--set", "train.learning_rate=nan"],
     "train-inf-rate": ["train", "--set", "train.learning_rate=inf"],
     "train-nan-beta": ["train", "--set", "train.beta1=nan"],
+    "train-removed-neg-pos-ratio": ["train", "--set", "train.neg_pos_ratio=3"],
+    "train-removed-beta2": ["train", "--set", "train.beta2=0.99"],
+    "train-removed-sampler-seed": ["train", "--set", "sampler.seed=5"],
     "train-negative-edge-labels": ["train", "--set", "encoder.edge_label_count=-1"],
     "train-diverging-margin": ["train", "--set", "train.epochs=1", "--set",
                                "train.min_iterations=1", "--calibration-pairs", "0",

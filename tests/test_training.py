@@ -76,16 +76,16 @@ class TestAdam:
 
 class TestCosine:
     def test_epoch_zero_full_rate(self):
-        assert cosine_lr(0, 1e-3, 100) == 1e-3
+        assert cosine_lr(0, 1e-3) == 1e-3
 
     def test_half_period(self):
-        assert math.isclose(cosine_lr(50, 1e-3, 100), 5e-4)
+        assert math.isclose(cosine_lr(50, 1e-3), 5e-4)
 
     def test_restart(self):
-        assert cosine_lr(100, 1e-3, 100) == 1e-3
+        assert cosine_lr(100, 1e-3) == 1e-3
 
     def test_decreasing_within_period(self):
-        vals = [cosine_lr(e, 1e-3, 100) for e in range(100)]
+        vals = [cosine_lr(e, 1e-3) for e in range(100)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -127,10 +127,9 @@ class TestCurriculum:
             CurriculumState(current_target_count=512)
 
     def test_batch_grows_with_target_count(self):
-        cfg = TrainConfig()
-        assert batch_size_for(CurriculumState(1, 1, 0, 0), cfg) == 16
-        assert batch_size_for(CurriculumState(4, 2, 0, 0), cfg) == 32
-        assert batch_size_for(CurriculumState(4, 8, 0, 0), cfg) == 64
+        assert batch_size_for(CurriculumState(1, 1, 0, 0)) == 16
+        assert batch_size_for(CurriculumState(4, 2, 0, 0)) == 32
+        assert batch_size_for(CurriculumState(4, 8, 0, 0)) == 64
 
 
 class TestEpochBatches:
@@ -215,7 +214,7 @@ class TestSampleMemo:
         rng = np.random.default_rng(11)
         batches = [build_epoch_batches(pool, CurriculumState(current_radius=r), cfg,
                                        sampler_cfg, rng) for r in (1, 2, 3)]
-        val = sample_validation_pairs(pool, 3, cfg, sampler_cfg, rng, 40)
+        val = sample_validation_pairs(pool, 3, sampler_cfg, rng, 40)
         return batches, val
 
     def test_pairs_equal_memo_less_path(self, monkeypatch):
@@ -246,7 +245,7 @@ class TestSampleMemo:
                                 SamplerConfig(max_nodes=8), rng)
             assert calls and len(calls) == len(set(calls)), epoch
         calls.clear()
-        sample_validation_pairs(pool, 2, cfg, SamplerConfig(max_nodes=8), rng, 60)
+        sample_validation_pairs(pool, 2, SamplerConfig(max_nodes=8), rng, 60)
         assert calls and len(calls) == len(set(calls))
         # the memo-less path asks for the same balls many times over
         monkeypatch.setattr(T, "SampleMemo", _ReferenceMemo)
@@ -344,7 +343,7 @@ class TestTrainLoop:
     def test_validation_pairs_balanced_and_labeled(self):
         pool = tiny_pool()
         pairs = sample_validation_pairs(
-            pool, 2, TrainConfig(), SamplerConfig(max_nodes=6), np.random.default_rng(0), 24
+            pool, 2, SamplerConfig(max_nodes=6), np.random.default_rng(0), 24
         )
         labels = [p.label for p in pairs]
         assert sum(labels) == 12
