@@ -131,14 +131,7 @@ def concat(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def group_index(groups) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a per-row neighbor listing into (source, destination) indices."""
-    src = np.concatenate([np.asarray(g, dtype=np.intp) for g in groups]) if any(
-        len(g) for g in groups
-    ) else np.empty(0, dtype=np.intp)
-    counts = [len(g) for g in groups]
-    dst = np.repeat(np.arange(len(groups), dtype=np.intp), counts)
-    return src, dst
+NETWORK_MAX_SIZE = 8  # RankPlan.sorted_sum sorts larger size classes by np.sort
 
 
 class RankPlan:
@@ -152,9 +145,13 @@ class RankPlan:
     then adds rank r into its prefix in place, for r = 1, 2, ..., and writes
     the rows out. Every cell so gets 0.0 + a0 + a1 + ... in ascending i,
     the order np.add.at adds in: the bits and the sign of zero are the same.
+
+    The rows with exactly s addends are those between the rank-s and the
+    rank-(s-1) widths of that order; sorted_sum() adds each such size class
+    at once.
     """
 
-    __slots__ = ("n_out", "rows", "sources")
+    __slots__ = ("n_out", "rows", "sources", "by_idx", "firsts")
 
     def __init__(self, n_out: int, idx: np.ndarray, src: np.ndarray):
         counts = np.bincount(idx, minlength=n_out)
@@ -165,6 +162,7 @@ class RankPlan:
         self.n_out = n_out
         self.rows = rows[: np.count_nonzero(counts)]
         self.sources = [by_idx[firsts[:w] + r] for r, w in enumerate(widths)]
+        self.by_idx, self.firsts = by_idx, firsts
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros((self.n_out,) + values.shape[1:])
@@ -176,6 +174,44 @@ class RankPlan:
                 part[: len(src)] += values.take(src, axis=0)
             out[self.rows] = part
         return out
+
+    def sorted_sum(self, values: np.ndarray) -> np.ndarray:
+        """sum() with each column's addends in ascending order, added left to
+        right from the smallest; a zero sum is +0.0.
+
+        A size class is gathered into one (size, rows, columns) array, with
+        0.0 added to every cell: that turns -0.0 into +0.0 and changes no
+        other value, so the result depends on the multiset of a column's
+        values and never on their order. Rows of one or two addends are added
+        unsorted (a + b == b + a, bit for bit), rows of up to NETWORK_MAX_SIZE
+        go through an odd-even transposition network of np.minimum/np.maximum
+        over the whole class at once, and larger ones through np.sort.
+        """
+        cols = values if values.ndim == 2 else values[:, None]
+        out = np.zeros((self.n_out, cols.shape[1]))
+        bounds = [len(src) for src in self.sources] + [0]
+        for size in range(1, len(bounds)):
+            lo, hi = bounds[size], bounds[size - 1]
+            if lo == hi:
+                continue
+            cells = cols[self.by_idx[self.firsts[lo:hi] + np.arange(size)[:, None]]]
+            cells += 0.0
+            if size > NETWORK_MAX_SIZE:
+                cells.sort(axis=0)
+            cells = list(cells)
+            if 2 < size <= NETWORK_MAX_SIZE:
+                spare = np.empty_like(cells[0])
+                for step in range(size):
+                    for i in range(step % 2, size - 1, 2):
+                        low, high = cells[i], cells[i + 1]
+                        np.minimum(low, high, out=spare)
+                        np.maximum(low, high, out=high)
+                        cells[i], spare = spare, low
+            total = cells[0] + cells[1] if size > 1 else cells[0]
+            for cell in cells[2:]:
+                total += cell
+            out[self.rows[lo:hi]] = total
+        return out.reshape((self.n_out,) + values.shape[1:])
 
 
 class IndexPairs(tuple):
@@ -198,91 +234,42 @@ class IndexPairs(tuple):
 
 
 def row_sum_aggregate(
-    tape: Tape, h: Tensor, groups, value_sorted: bool = False, previous: Tensor | None = None
+    tape: Tape, h: Tensor, pairs, value_sorted: bool = False, previous: Tensor | None = None
 ) -> Tensor:
-    """out[i] = sum of h[j] over j in groups[i]; groups may be a list of index
-    sequences or a (src, dst) pair like group_index() returns. An IndexPairs
-    keeps its plans for the next call; other groups plan for this call.
+    """out[i] = sum of h[j] over the (j, i) in pairs, a (src, dst) pair of
+    index arrays; out has h's rows. An IndexPairs keeps its plans for the
+    next call; other pairs plan for this call.
 
     Without value_sorted, rows are added in index order. With it, each
     column's values within a group are added in ascending order, left to
     right, and a zero sum comes out as +0.0, so every output cell is a
     function of that column's value multiset alone, signed zeros included
     (used by inference for isomorphism-invariant output). Either way a
-    column's sums do not depend on the other columns, and (src, dst) pairs
-    need not be grouped by dst, though grouped pairs are summed faster.
+    column's sums do not depend on the other columns, and the pairs need
+    not be grouped by dst.
 
     previous, when given, must hold the index-order sums of h's trailing
-    columns over the same groups, as a 2-D h's skip concatenation keeps
+    columns over the same pairs, as a 2-D h's skip concatenation keeps
     them: only the leading columns are summed, and previous's values are
     appended, which gives the same bits. The backward still sums the whole
     gradient into h, and previous gets none.
     """
-    if isinstance(groups, tuple) and len(groups) == 2:
-        n_out = h.shape[0]
-    else:
-        groups, n_out = group_index(groups), len(groups)
-    pairs = groups if isinstance(groups, IndexPairs) else IndexPairs(*groups)
+    pairs = pairs if isinstance(pairs, IndexPairs) else IndexPairs(*pairs)
+    plan = pairs.plan(h.shape[0], into_src=False)
     if value_sorted:
-        out = Tensor(_sorted_column_sums(h.value, *pairs, n_out))
+        out = Tensor(plan.sorted_sum(h.value))
     elif previous is not None:
         # a contiguous copy: take() gathers rows of a column slice slowly
         leading = np.ascontiguousarray(h.value[:, : h.shape[1] - previous.shape[1]])
-        out = Tensor(np.concatenate(
-            [pairs.plan(n_out, into_src=False).sum(leading), previous.value], axis=1))
+        out = Tensor(np.concatenate([plan.sum(leading), previous.value], axis=1))
     else:
-        out = Tensor(pairs.plan(n_out, into_src=False).sum(h.value))
+        out = Tensor(plan.sum(h.value))
 
     def backward(g, grads):
         grads.add(h, pairs.plan(h.shape[0], into_src=True).sum(g))
 
     tape.push(out, (h,), backward)
     return out
-
-
-NETWORK_MAX_SIZE = 8  # larger groups are sorted by np.sort
-
-
-def _sorted_column_sums(values: np.ndarray, src, dst, n_out: int) -> np.ndarray:
-    """Group sums with each column's addends in ascending order, added left
-    to right from the smallest; a zero sum is +0.0.
-
-    Groups of equal size are gathered into one (size, groups, columns)
-    array, with 0.0 added to every cell: that turns -0.0 into +0.0 and
-    changes no other value, so the result depends on the multiset of a
-    column's values and never on their order. Groups of one or two are
-    added unsorted (a + b == b + a, bit for bit), groups of up to
-    NETWORK_MAX_SIZE go through an odd-even transposition network of
-    np.minimum/np.maximum over all groups at once, and larger ones through
-    np.sort. The argsort that groups the pairs by dst is skipped when dst
-    is already in ascending order.
-    """
-    cols = values if values.ndim == 2 else values[:, None]
-    out = np.zeros((n_out, cols.shape[1]), dtype=np.float64)
-    if np.any(dst[1:] < dst[:-1]):
-        src = src[np.argsort(dst, kind="stable")]
-    counts = np.bincount(dst, minlength=n_out)
-    starts = np.cumsum(counts) - counts
-    for size in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-        rows = np.flatnonzero(counts == size)
-        cells = cols[src[np.arange(size)[:, None] + starts[rows]]]
-        cells += 0.0
-        if size > NETWORK_MAX_SIZE:
-            cells.sort(axis=0)
-        cells = list(cells)
-        if 2 < size <= NETWORK_MAX_SIZE:
-            spare = np.empty_like(cells[0])
-            for step in range(size):
-                for i in range(step % 2, size - 1, 2):
-                    low, high = cells[i], cells[i + 1]
-                    np.minimum(low, high, out=spare)
-                    np.maximum(low, high, out=high)
-                    cells[i], spare = spare, low
-        total = cells[0] + cells[1] if size > 1 else cells[0]
-        for cell in cells[2:]:
-            total += cell
-        out[rows] = total
-    return out.reshape((n_out,) + values.shape[1:])
 
 
 def take_rows(tape: Tape, h: Tensor, idx) -> Tensor:

@@ -18,28 +18,20 @@ from .util import atomic_write_text
 
 def auroc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative, ties
-    counting one half (Mann-Whitney U formulation)."""
+    counting one half (Mann-Whitney U formulation). NaN scores are rejected."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
+    if np.isnan(scores).any():
+        raise ValueError("auroc needs scores that are not NaN")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auroc needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # average ranks within tied groups
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each score's rank from 1, averaged over the scores tied with it
+    s = np.sort(scores)
+    ranks = (np.searchsorted(s, scores, "left") + np.searchsorted(s, scores, "right") + 1) / 2.0
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -178,12 +170,13 @@ class BenchResult:
             raise ValueError("wall time must be nonnegative")
 
 
-def bench_exact(
-    instances: list[BenchInstance], timeout: float = 20.0, max_states: int = 500_000_000
-) -> list[BenchResult]:
+EXACT_BENCH_MAX_STATES = 500_000_000  # bench_exact's state cap per instance, next to its timeout
+
+
+def bench_exact(instances: list[BenchInstance], timeout: float = 20.0) -> list[BenchResult]:
     """Run the backtracking matcher per instance; timing covers only the
     decision, never oracle-label computation."""
-    budget = MatchBudget(max_states=max_states, wall_timeout=timeout)
+    budget = MatchBudget(max_states=EXACT_BENCH_MAX_STATES, wall_timeout=timeout)
     results = []
     for inst in instances:
         start = time.perf_counter()

@@ -99,17 +99,6 @@ def margin_loss(
     return ad.sum_all(tape, ad.add(tape, pos_term, neg_term))
 
 
-def margin_loss_value(
-    energies: np.ndarray, labels: np.ndarray, cfg: MarginConfig
-) -> float:
-    """Loss of precomputed violations, for evaluation without a tape."""
-    energies = np.asarray(energies, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = energies[labels == 1].sum()
-    neg = np.maximum(0.0, cfg.margin - energies[labels == 0]).sum()
-    return float(pos + neg)
-
-
 THRESHOLD_CANDIDATES = 100  # evenly spaced strictly inside the swept range
 
 

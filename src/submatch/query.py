@@ -235,13 +235,12 @@ def vote_mask_for(
     query_embs: np.ndarray,
     index: EmbeddingIndex,
     cfg: MarginConfig,
-    hops: int | None = None,
 ) -> np.ndarray:
-    """Voting indicator for every alignment entry. Entries already above the
-    threshold are skipped: voting with hop-0 included can only reject. Each
-    node's hop shells are computed once, on first use."""
-    if hops is None:
-        hops = index.radius
+    """Voting indicator for every alignment entry, over the index's radius.
+    Entries already above the threshold are skipped: voting with hop-0
+    included can only reject. Each node's hop shells are computed once, on
+    first use."""
+    hops = index.radius
     passing = matrix.values < cfg.threshold
     mask = np.zeros_like(passing)
     q_shells: dict[int, list[list[int]]] = {}

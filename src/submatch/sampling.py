@@ -22,6 +22,7 @@ STRATEGIES = ("random_bfs", "random_walk_restart", "mfinder_degree_weighted")
 # oracle budget for verifying sampled pair labels; desk-scale graphs are small
 _VERIFY_BUDGET = MatchBudget(max_states=200_000, wall_timeout=5.0)
 SAMPLE_RETRIES = 5  # draws per neighborhood before settling for the largest
+NEGATIVE_RETRIES = 30  # draws of a negative pair before giving up
 
 
 @dataclass(frozen=True)
@@ -299,11 +300,10 @@ def sample_negative_pair(
     cfg: SamplerConfig,
     rng: np.random.Generator,
     query_source: LabeledGraph | None = None,
-    max_retries: int = 30,
     *,
     memo: SampleMemo | None = None,
 ) -> TrainingPair | None:
-    """Oracle-certified negative pair, or None when the retry budget runs out.
+    """Oracle-certified negative pair, or None after NEGATIVE_RETRIES draws.
 
     kind="random": anchor the query at a different node (of query_source when
     given, enabling cross-target negatives), resampling on accidental
@@ -319,7 +319,7 @@ def sample_negative_pair(
     memo = memo or SampleMemo()
     if kind == "random":
         source = query_source if query_source is not None else g
-        for _ in range(max_retries):
+        for _ in range(NEGATIVE_RETRIES):
             u = _random_anchor(g, rng, memo)
             target = _sample_anchored(g, k, cfg, rng, u, memo)
             q = _random_anchor(source, rng, memo, avoid=u if query_source is None else None)
@@ -332,7 +332,7 @@ def sample_negative_pair(
     # oracle confirms the relation is broken; restart from a fresh positive
     # when a walk saturates without leaving the target. The positive is not
     # certified: only the perturbed queries are.
-    for _ in range(max_retries):
+    for _ in range(NEGATIVE_RETRIES):
         pair = _draw_positive(g, k, cfg, rng, memo)
         current = pair.query
         for _ in range(5):

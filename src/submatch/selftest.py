@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from .exact import MatchBudget, is_subgraph
-from .order import MarginConfig, intersection, margin_loss_value, violation
+from .order import MarginConfig, intersection, margin_loss, violation
 from .smallgraphs import brute_force_is_subgraph, small_catalog
 
 # the acceptance gate's budget; every pair of its 5x6 catalog decides far below it
 ORACLE_BUDGET = MatchBudget(max_states=50_000_000, wall_timeout=60.0)
+GEOMETRY_DIM = 16  # embedding width of the geometry suite's random triples
 
 
 def oracle_equivalence_suite(max_query: int, max_target: int) -> tuple[bool, str]:
@@ -30,12 +32,12 @@ def oracle_equivalence_suite(max_query: int, max_target: int) -> tuple[bool, str
     return disagreements == 0, f"{pairs} pairs, {disagreements} disagreements{first}"
 
 
-def geometry_suite(trials: int = 10_000, dim: int = 16, seed: int = 0) -> tuple[bool, str]:
+def geometry_suite(trials: int = 10_000, seed: int = 0) -> tuple[bool, str]:
     """Transitivity, anti-symmetry and the intersection lower bound, each on
     `trials` random nonnegative triples checked through order.violation and
     order.intersection, then the margin loss at its boundary."""
     rng = np.random.default_rng(seed)
-    n, d = trials, dim
+    n, d = trials, GEOMETRY_DIM
     # chains a <= b <= c
     a = rng.uniform(0, 10, size=(n, d))
     b = a + rng.uniform(0, 2, size=(n, d))
@@ -58,8 +60,10 @@ def geometry_suite(trials: int = 10_000, dim: int = 16, seed: int = 0) -> tuple[
         bad["intersection-glb"] += bool(
             violation(w, meet) or violation(meet, u[i]) or violation(meet, v[i]))
     cfg = MarginConfig(margin=1.0, threshold=0.5)
-    loss_ok = (margin_loss_value(np.array([0.0]), np.array([1]), cfg) == 0.0
-               and margin_loss_value(np.array([1.0]), np.array([0]), cfg) == 0.0)
+    # 1-wide pairs on the boundary: E = 0 for a positive, E = margin for a negative
+    z_q = ad.Tensor([[0.0], [np.sqrt(cfg.margin)]])
+    z_u = ad.Tensor([[0.0], [0.0]])
+    loss_ok = margin_loss(ad.Tape(record=False), z_q, z_u, np.array([1, 0]), cfg).value == 0.0
     counts = ", ".join(f"{name}={count}" for name, count in bad.items())
     detail = f"violations: {counts} over {n} triples each"
     if not loss_ok:

@@ -126,3 +126,11 @@ def mutated_json_text(doc, data, keys: list[str]) -> str:
             container[key] = data.draw(json_values)
     text = json.dumps(doc)
     return text[:data.draw(st.integers(0, len(text)))] if data.draw(st.booleans()) else text
+
+
+def pairs_of(groups) -> tuple[np.ndarray, np.ndarray]:
+    """The (src, dst) pairs of a per-row listing of source rows: row i sums
+    the rows in groups[i]."""
+    src = np.array([j for g in groups for j in g], dtype=np.intp)
+    dst = np.repeat(np.arange(len(groups), dtype=np.intp), [len(g) for g in groups])
+    return src, dst

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import pairs_of
 from submatch import autodiff as ad
 
 
@@ -44,7 +45,7 @@ class TestForward:
 
     def test_row_sum_aggregate(self):
         h = ad.Tensor([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        out = run(ad.row_sum_aggregate, h, [[1, 2], [], [0]])
+        out = run(ad.row_sum_aggregate, h, pairs_of([[1, 2], [], [0]]))
         assert np.array_equal(out, [[2.0, 3.0], [0.0, 0.0], [1.0, 0.0]])
 
 
@@ -118,7 +119,7 @@ OPS_FOR_GRADCHECK = [
     (
         "row_sum",
         lambda p, t: ad.sum_all(
-            t, ad.mul(t, s := ad.row_sum_aggregate(t, p["a2"], [[1, 2], [0], [0, 1]]), s)
+            t, ad.mul(t, s := ad.row_sum_aggregate(t, p["a2"], pairs_of([[1, 2], [0], [0, 1]])), s)
         ),
     ),
     ("take_rows", lambda p, t: ad.sum_all(t, ad.mul(t, g := ad.take_rows(t, p["a2"], [0, 2, 2]), g))),
@@ -157,7 +158,7 @@ class TestMonotonicity:
         st.floats(0.1, 5.0),
     )
     def test_row_sum_monotone_for_nonnegative_inputs(self, h, i, j, bump):
-        groups = [[1, 2], [0, 3, 4], [], [2], [0, 1, 2, 3]]
+        groups = pairs_of([[1, 2], [0, 3, 4], [], [2], [0, 1, 2, 3]])
         base = run(ad.row_sum_aggregate, ad.Tensor(h), groups)
         bumped = h.copy()
         bumped[i, j] += bump
@@ -176,15 +177,16 @@ class TestValueSortedSum:
     )
     def test_bits_invariant_under_neighbor_shuffle(self, h, data):
         n = h.shape[0]
-        groups = [
+        lists = [
             data.draw(st.lists(st.integers(0, n - 1), max_size=12)) for _ in range(n)
         ]
+        groups = pairs_of(lists)
         out = run(ad.row_sum_aggregate, ad.Tensor(h), groups, value_sorted=True)
-        shuffled = [data.draw(st.permutations(g)) for g in groups]
+        shuffled = pairs_of([data.draw(st.permutations(g)) for g in lists])
         again = run(ad.row_sum_aggregate, ad.Tensor(h), shuffled, value_sorted=True)
         assert np.array_equal(out, again)
-        # the (src, dst) form in any pair order gives the same bits
-        src, dst = ad.group_index(shuffled)
+        # the pairs in any order give the same bits
+        src, dst = shuffled
         order = np.asarray(data.draw(st.permutations(range(len(src)))), dtype=np.intp)
         pairs = run(ad.row_sum_aggregate, ad.Tensor(h), (src[order], dst[order]),
                     value_sorted=True)
@@ -199,13 +201,13 @@ class TestValueSortedSum:
     def test_adds_each_column_in_ascending_order(self):
         # 1e16 + 1 rounds back to 1e16, so the order of additions shows in the bits
         h = ad.Tensor([[1e16, 1.0], [1.0, 1e16], [1.0, 1.0]])
-        out = run(ad.row_sum_aggregate, h, [[0, 1, 2]], value_sorted=True)
-        assert np.array_equal(out, [[(1.0 + 1.0) + 1e16, (1.0 + 1.0) + 1e16]])
+        out = run(ad.row_sum_aggregate, h, pairs_of([[0, 1, 2]]), value_sorted=True)
+        assert np.array_equal(out[:1], [[(1.0 + 1.0) + 1e16, (1.0 + 1.0) + 1e16]])
         assert (1.0 + 1.0) + 1e16 != (1e16 + 1.0) + 1.0
 
     def test_gradient_matches_plain_sum(self):
         rng = np.random.default_rng(0)
-        groups = [[1, 2], [0], [], [0, 1, 2]]
+        groups = pairs_of([[1, 2], [0], [], [0, 1, 2]])
         h_val = rng.normal(size=(4, 3))
         grads = []
         for value_sorted in (False, True):
@@ -225,11 +227,11 @@ class TestValueSortedSum:
         zeros = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0])))
         mixed = data.draw(arrays(np.float64, n, elements=_scatter_values))
         h = ad.Tensor(np.stack([zeros, mixed], axis=1))
-        groups = [list(g) for g in np.split(np.arange(n), np.cumsum(sizes)[:-1])]
-        out = run(ad.row_sum_aggregate, h, groups, value_sorted=True)
+        lists = [list(g) for g in np.split(np.arange(n), np.cumsum(sizes)[:-1])]
+        out = run(ad.row_sum_aggregate, h, pairs_of(lists), value_sorted=True)
         assert not np.signbit(out[:, 0]).any()
         for _ in range(3):
-            shuffled = [data.draw(st.permutations(g)) for g in groups]
+            shuffled = pairs_of([data.draw(st.permutations(g)) for g in lists])
             again = run(ad.row_sum_aggregate, h, shuffled, value_sorted=True)
             assert again.tobytes() == out.tobytes()
 
@@ -251,7 +253,7 @@ def sorted_sums_reference(values, src, dst, n_out):
 
 
 def assert_matches_reference(values, src, dst, n_out):
-    got = ad._sorted_column_sums(values, src, dst, n_out)
+    got = ad.RankPlan(n_out, dst, src).sorted_sum(values)
     want = sorted_sums_reference(values, src, dst, n_out) + 0.0  # zeros come out +0.0
     assert got.shape == want.shape and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
@@ -361,6 +363,25 @@ class TestScatterRows:
                 assert got.tobytes() == add_at_reference(30, idx, values[gather]).tobytes()
                 assert pairs.plan(30, into_src) is plan
 
+    def test_one_plan_serves_both_sums(self, monkeypatch):
+        builds = []
+
+        class Counting(ad.RankPlan):
+            def __init__(self, n_out, idx, src):
+                builds.append(idx)
+                super().__init__(n_out, idx, src)
+
+        monkeypatch.setattr(ad, "RankPlan", Counting)
+        rng = np.random.default_rng(5)
+        src, dst = rng.integers(0, 20, size=80), rng.integers(0, 20, size=80)
+        values = rng.choice([1e16, -1e16, 1.0, -0.0, 0.5, 3.25e-7], size=(20, 3))
+        pairs = ad.IndexPairs(src, dst)
+        canonical = run(ad.row_sum_aggregate, ad.Tensor(values), pairs, value_sorted=True)
+        plain = run(ad.row_sum_aggregate, ad.Tensor(values), pairs)
+        assert len(builds) == 1 and builds[0] is dst
+        assert canonical.tobytes() == (sorted_sums_reference(values, src, dst, 20) + 0.0).tobytes()
+        assert plain.tobytes() == add_at_reference(20, dst, values[src]).tobytes()
+
     def test_training_parameters_match_add_at(self, monkeypatch):
         fast = _train_tiny_params()
         monkeypatch.setattr(ad, "RankPlan", _AddAtPlan)
@@ -412,7 +433,7 @@ READ_ONLY_EXTRA_OPS = [
     ("concat_2d", lambda p, t: ad.sum_all(
         t, ad.mul(t, c := ad.concat(t, p["a2"], p["a2"]), c))),
     ("row_sum_sorted", lambda p, t: ad.sum_all(t, ad.row_sum_aggregate(
-        t, p["a2"], [[1, 2], [0], [0, 1]], value_sorted=True))),
+        t, p["a2"], pairs_of([[1, 2], [0], [0, 1]]), value_sorted=True))),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutated_json_text, with_value
+from conftest import mutated_json_text, pairs_of, with_value
 from submatch import autodiff as ad
 from submatch import encoder
 from submatch.datasets import gen_er
@@ -214,9 +214,12 @@ class TestEncodeAll:
         times, edge_counts = [], []
         for n in sizes:
             g = gen_er(n, 6.0 / n, 2, seed=17)
-            start = time.perf_counter()
-            encode_all(g, 2, params, SMALL)
-            times.append(time.perf_counter() - start)
+            reps = []
+            for _ in range(5):  # the best of five sheds one-time costs and scheduler noise
+                start = time.perf_counter()
+                encode_all(g, 2, params, SMALL)
+                reps.append(time.perf_counter() - start)
+            times.append(min(reps))
             edge_counts.append(g.edge_count)
         x = np.array(edge_counts, dtype=float)
         y = np.array(times)
@@ -305,7 +308,7 @@ class TestBlockOfNeighborhoods:
 
 class TestNeighborSumPlans:
     """Training plans each of a block's neighbor sums once per direction,
-    for all its layers; the inference path plans none."""
+    for all its layers; inference plans each layer's sum into dst once."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -313,7 +316,7 @@ class TestNeighborSumPlans:
 
         class Counting(ad.RankPlan):
             def __init__(self, n_out, idx, src):
-                built.append(idx)
+                built.append((idx, src))
                 super().__init__(n_out, idx, src)
 
         monkeypatch.setattr(ad, "RankPlan", Counting)
@@ -333,7 +336,7 @@ class TestNeighborSumPlans:
             if tape.record:
                 ad.backward(tape, ad.sum_all(tape, out))
             pairs = block.label_indexes if edge_label_count else [block.index]
-            return [id(idx) for idx in built], pairs, block.anchors
+            return [id(idx) for idx, _ in built], pairs, block.anchors
 
         got, pairs, anchors = plans_built(ad.Tape())
         # forward plans on the first layer; take_rows' one-off plan and the
@@ -343,10 +346,38 @@ class TestNeighborSumPlans:
         got, pairs, _ = plans_built(ad.Tape(record=False))  # validation
         assert got == [id(dst) for _, dst in pairs]
 
-    def test_encode_all_plans_none(self, built):
-        cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8)
-        encode_all(gen_er(40, 0.1, 1, seed=3), 3, init_params(cfg, seed=0), cfg)
-        assert built == []
+    def test_encode_all_plans_each_layer_into_dst(self, built, monkeypatch):
+        per_block = []
+        infer = encoder._infer
+
+        def recording(block, *args):
+            built.clear()
+            out = infer(block, *args)
+            per_block.append((block, list(built)))
+            return out
+
+        monkeypatch.setattr(encoder, "_infer", recording)
+        monkeypatch.setattr(encoder, "CHUNK_ROWS", 64)
+        rng = np.random.default_rng(0)
+        for edge_label_count in (0, 2):
+            cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8, label_alphabet_size=2,
+                                edge_label_count=edge_label_count)
+            g = gen_er(40, 0.1, 2, seed=3)
+            if edge_label_count:
+                g = LabeledGraph.from_edges(
+                    g.node_count, g.edges(), list(g.node_labels), 2,
+                    {e: int(rng.integers(edge_label_count)) for e in g.edges()})
+            per_block.clear()
+            encode_all(g, 3, init_params(cfg, seed=0), cfg)
+            assert len(per_block) > 1
+            for block, plans in per_block:
+                indexes = block.label_indexes if edge_label_count else [block.index]
+                assert len(plans) == cfg.layers * max(1, edge_label_count)
+                # layer by layer, one plan per index, summing a subsequence
+                # of its (src, dst) pairs into dst
+                for (idx, src), (s_all, d_all) in zip(plans, indexes * cfg.layers):
+                    pairs = iter(zip(s_all.tolist(), d_all.tolist()))
+                    assert all(p in pairs for p in zip(src.tolist(), idx.tolist()))
 
 
 class TestBallPath:
@@ -485,12 +516,12 @@ class TestOrderPreservationUnderIdentityAggregation:
         agg_q = ad.add(
             tape,
             ad.Tensor(hq),
-            ad.row_sum_aggregate(tape, ad.Tensor(hq), [list(query.adjacency[v]) for v in range(3)]),
+            ad.row_sum_aggregate(tape, ad.Tensor(hq), pairs_of(query.adjacency)),
         ).value
         agg_t = ad.add(
             tape,
             ad.Tensor(ht),
-            ad.row_sum_aggregate(tape, ad.Tensor(ht), [list(target.adjacency[v]) for v in range(4)]),
+            ad.row_sum_aggregate(tape, ad.Tensor(ht), pairs_of(target.adjacency)),
         ).value
         # matched anchors stay dominated at layer k
         assert np.all(agg_q[0] <= agg_t[0] + 1e-12)

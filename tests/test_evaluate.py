@@ -38,6 +38,29 @@ def brute_force_auroc(scores, labels):
     return (wins + 0.5 * ties) / total
 
 
+def tie_loop_auroc(scores, labels):
+    """auroc as first written: ranks by a stable argsort, then a Python loop
+    that averages them over each run of tied scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.arange(1, len(scores) + 1)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
 class TestAuroc:
     def test_perfect_ranking(self):
         assert auroc([0.9, 0.1], [1, 0]) == 1.0
@@ -64,6 +87,22 @@ class TestAuroc:
         if labels.min() == labels.max():
             return
         assert np.isclose(auroc(scores, labels), brute_force_auroc(scores, labels))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 0.5])
+        | st.floats(allow_nan=False), st.booleans()), min_size=2, max_size=60))
+    def test_equals_tie_loop(self, rows):
+        # ties, signed zeros and infinities; the same float, bit for bit
+        scores = np.array([r[0] for r in rows])
+        labels = np.array([1 if r[1] else 0 for r in rows])
+        if labels.min() == labels.max():
+            return
+        assert auroc(scores, labels) == tie_loop_auroc(scores, labels)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auroc([0.1, np.nan, 0.3], [1, 0, 0])
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)

@@ -11,7 +11,6 @@ from submatch.order import (
     calibrate_threshold,
     intersection,
     margin_loss,
-    margin_loss_value,
     violation,
     violation_matrix,
 )
@@ -139,33 +138,30 @@ class TestGeometryAxioms:
         assert not ok, detail
 
 
+def loss_of(z_q, z_u, labels, cfg):
+    """margin_loss of the pairs (z_q[i], z_u[i]), without a recording tape."""
+    loss = margin_loss(ad.Tape(record=False), ad.Tensor(z_q), ad.Tensor(z_u),
+                       np.array(labels), cfg)
+    return float(loss.value)
+
+
 class TestMarginLoss:
+    # 1-wide pairs (r, 0) have the energy r * r
     def test_satisfied_positive_zero(self):
         cfg = MarginConfig()
-        assert margin_loss_value(np.array([0.0]), np.array([1]), cfg) == 0.0
+        assert loss_of([[0.0]], [[0.0]], [1], cfg) == 0.0
 
     def test_satisfied_negative_zero(self):
         cfg = MarginConfig()
-        assert margin_loss_value(np.array([1.0]), np.array([0]), cfg) == 0.0
-        assert margin_loss_value(np.array([2.5]), np.array([0]), cfg) == 0.0
+        assert loss_of([[1.0]], [[0.0]], [0], cfg) == 0.0
+        assert loss_of([[np.sqrt(2.5)]], [[0.0]], [0], cfg) == 0.0
 
     def test_forced_arithmetic(self):
         # margin 1, negative pair z_q=[1,0], z_u=[0.5,1]: E = 0.25, loss 0.75
         cfg = MarginConfig(margin=1.0, threshold=0.5)
         e = violation([1.0, 0.0], [0.5, 1.0])
         assert e == 0.25
-        assert margin_loss_value(np.array([e]), np.array([0]), cfg) == 0.75
-
-    def test_autodiff_route_matches_value_route(self):
-        rng = np.random.default_rng(3)
-        cfg = MarginConfig()
-        zq = rng.uniform(0, 2, size=(6, 5))
-        zu = rng.uniform(0, 2, size=(6, 5))
-        labels = np.array([1, 0, 1, 0, 0, 1])
-        tape = ad.Tape()
-        loss = margin_loss(tape, ad.Tensor(zq), ad.Tensor(zu), labels, cfg)
-        energies = np.array([violation(zq[i], zu[i]) for i in range(6)])
-        assert np.isclose(float(loss.value), margin_loss_value(energies, labels, cfg))
+        assert loss_of([[1.0, 0.0]], [[0.5, 1.0]], [0], cfg) == 0.75
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -197,9 +193,11 @@ class TestMarginLoss:
     )
     def test_loss_nonnegative(self, zq, zu):
         labels = np.array([1, 1, 0, 0])
-        energies = np.array([violation(zq[i], zu[i]) for i in range(4)])
+        # the energies margin_loss itself reads
+        energies = ad.squared_l2_of_positive_part(
+            ad.Tape(record=False), ad.Tensor(zq), ad.Tensor(zu)).value
         cfg = MarginConfig()
-        loss = margin_loss_value(energies, labels, cfg)
+        loss = loss_of(zq, zu, labels, cfg)
         assert loss >= 0.0
         satisfied = np.all(energies[:2] == 0) and np.all(energies[2:] >= cfg.margin)
         assert (loss == 0.0) == bool(satisfied)

@@ -290,14 +290,14 @@ def test_vote_mask_equals_per_pair_vote(ckpt):
         query = gen_er(int(rng.integers(2, 8)), 0.6, 1, seed=int(rng.integers(1 << 30)))
         if not query.is_connected():
             continue
-        index = build_index(target, ckpt)
+        hops = int(rng.integers(0, 4))
+        index = build_index(target, ckpt, k=hops)
         q_embs = embed_query_nodes(query, ckpt, index.radius)
         matrix = alignment(query, index, ckpt, query_embs=q_embs)
         # a threshold at a random quantile lets a varying share of entries through
         cut = float(np.quantile(matrix.values, rng.uniform(0.2, 0.9)))
         cfg = MarginConfig(margin=max(1.0, 2 * cut), threshold=max(cut, 1e-9))
-        hops = int(rng.integers(0, 4))
-        mask = vote_mask_for(matrix, query, target, q_embs, index, cfg, hops=hops)
+        mask = vote_mask_for(matrix, query, target, q_embs, index, cfg)
         expected = np.zeros_like(mask)
         for u in range(target.node_count):
             for q in range(query.node_count):

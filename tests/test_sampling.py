@@ -328,7 +328,7 @@ class TestPairs:
         edge = LabeledGraph.from_edges(2, [(0, 1)])
         cfg = SamplerConfig(edge_keep_probability=1.0, min_nodes=1, max_nodes=2)
         rng = np.random.default_rng(0)
-        assert sample_negative_pair(edge, 1, "hard", cfg, rng, max_retries=5) is None
+        assert sample_negative_pair(edge, 1, "hard", cfg, rng) is None
 
     def test_sample_neighborhood_dispatch(self, er20):
         for name in SAMPLERS:
