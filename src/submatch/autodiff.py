@@ -131,7 +131,21 @@ def concat(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-NETWORK_MAX_SIZE = 8  # RankPlan.sorted_sum sorts larger size classes by np.sort
+# Sorting networks with the fewest comparators for 3-8 inputs (Knuth, TAOCP
+# vol. 3, sec. 5.3.4): 3, 5, 9, 12, 16 and 19 comparators, each (i, j) with
+# i < j putting the smaller value at i.
+NETWORKS = {
+    3: [(0, 2), (0, 1), (1, 2)],
+    4: [(0, 2), (1, 3), (0, 1), (2, 3), (1, 2)],
+    5: [(0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)],
+    6: [(0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
+        (1, 2), (3, 4)],
+    7: [(0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5), (3, 4), (1, 2),
+        (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6)],
+    8: [(0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1), (2, 3),
+        (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6)],
+}
+NETWORK_MAX_SIZE = max(NETWORKS)  # RankPlan.sorted_sum sorts larger size classes by np.sort
 
 
 class RankPlan:
@@ -140,31 +154,34 @@ class RankPlan:
 
     The pairs are taken in stable order of idx. Output rows are ordered by
     their number of addends, most first, so the rows with more than r
-    addends are a prefix of that order; sources[r] holds the source row of
-    each such row's r-th addend. sum() gathers rank 0 and adds 0.0 to it,
-    then adds rank r into its prefix in place, for r = 1, 2, ..., and writes
-    the rows out. Every cell so gets 0.0 + a0 + a1 + ... in ascending i,
-    the order np.add.at adds in: the bits and the sign of zero are the same.
+    addends are a prefix of that order, widths[r] long; sources[r] holds the
+    source row of each such row's r-th addend, gathered by the first sum().
+    sum() gathers rank 0 and adds 0.0 to it, then adds rank r into its
+    prefix in place, for r = 1, 2, ..., and writes the rows out. Every cell
+    so gets 0.0 + a0 + a1 + ... in ascending i, the order np.add.at adds
+    in: the bits and the sign of zero are the same.
 
     The rows with exactly s addends are those between the rank-s and the
     rank-(s-1) widths of that order; sorted_sum() adds each such size class
     at once.
     """
 
-    __slots__ = ("n_out", "rows", "sources", "by_idx", "firsts")
+    __slots__ = ("n_out", "rows", "widths", "by_idx", "firsts", "sources")
 
     def __init__(self, n_out: int, idx: np.ndarray, src: np.ndarray):
         counts = np.bincount(idx, minlength=n_out)
         rows = np.argsort(-counts, kind="stable")
-        firsts = (np.cumsum(counts) - counts)[rows]  # each row's first pair in by_idx
-        by_idx = src[np.argsort(idx, kind="stable")]
-        widths = n_out - np.cumsum(np.bincount(counts))[:-1]  # rows with more than r addends
         self.n_out = n_out
         self.rows = rows[: np.count_nonzero(counts)]
-        self.sources = [by_idx[firsts[:w] + r] for r, w in enumerate(widths)]
-        self.by_idx, self.firsts = by_idx, firsts
+        self.widths = n_out - np.cumsum(np.bincount(counts))  # rows with more than r addends
+        self.firsts = (np.cumsum(counts) - counts)[self.rows]  # each row's first pair in by_idx
+        self.by_idx = src[np.argsort(idx, kind="stable")]
+        self.sources = None  # sorted_sum() never reads them
 
     def sum(self, values: np.ndarray) -> np.ndarray:
+        if self.sources is None:
+            self.sources = [self.by_idx[self.firsts[:w] + r]
+                            for r, w in enumerate(self.widths[:-1])]
         out = np.zeros((self.n_out,) + values.shape[1:])
         if self.sources:
             # take() gathers rows faster than fancy indexing
@@ -175,42 +192,45 @@ class RankPlan:
             out[self.rows] = part
         return out
 
-    def sorted_sum(self, values: np.ndarray) -> np.ndarray:
+    def sorted_sum(self, values: np.ndarray, only: np.ndarray | None = None) -> np.ndarray:
         """sum() with each column's addends in ascending order, added left to
-        right from the smallest; a zero sum is +0.0.
+        right from the smallest; a zero sum is +0.0. With only, a boolean
+        mask of output rows, the rows outside it are +0.0.
 
         A size class is gathered into one (size, rows, columns) array, with
         0.0 added to every cell: that turns -0.0 into +0.0 and changes no
         other value, so the result depends on the multiset of a column's
         values and never on their order. Rows of one or two addends are added
         unsorted (a + b == b + a, bit for bit), rows of up to NETWORK_MAX_SIZE
-        go through an odd-even transposition network of np.minimum/np.maximum
-        over the whole class at once, and larger ones through np.sort.
+        go through NETWORKS' comparators as np.minimum/np.maximum over the
+        whole class at once, and larger ones through np.sort.
         """
+        rows, firsts, widths = self.rows, self.firsts, self.widths
+        if only is not None:  # kept rows keep their order: count them in each prefix
+            keep = only[rows]
+            rows, firsts, widths = rows[keep], firsts[keep], np.append(0, keep.cumsum())[widths]
         cols = values if values.ndim == 2 else values[:, None]
         out = np.zeros((self.n_out, cols.shape[1]))
-        bounds = [len(src) for src in self.sources] + [0]
-        for size in range(1, len(bounds)):
-            lo, hi = bounds[size], bounds[size - 1]
+        for size in range(1, len(widths)):
+            lo, hi = widths[size], widths[size - 1]
             if lo == hi:
                 continue
-            cells = cols[self.by_idx[self.firsts[lo:hi] + np.arange(size)[:, None]]]
+            cells = cols[self.by_idx[firsts[lo:hi] + np.arange(size)[:, None]]]
             cells += 0.0
             if size > NETWORK_MAX_SIZE:
                 cells.sort(axis=0)
             cells = list(cells)
-            if 2 < size <= NETWORK_MAX_SIZE:
+            if size in NETWORKS:
                 spare = np.empty_like(cells[0])
-                for step in range(size):
-                    for i in range(step % 2, size - 1, 2):
-                        low, high = cells[i], cells[i + 1]
-                        np.minimum(low, high, out=spare)
-                        np.maximum(low, high, out=high)
-                        cells[i], spare = spare, low
+                for i, j in NETWORKS[size]:
+                    low, high = cells[i], cells[j]
+                    np.minimum(low, high, out=spare)
+                    np.maximum(low, high, out=high)
+                    cells[i], spare = spare, low
             total = cells[0] + cells[1] if size > 1 else cells[0]
             for cell in cells[2:]:
                 total += cell
-            out[self.rows[lo:hi]] = total
+            out[rows[lo:hi]] = total
         return out.reshape((self.n_out,) + values.shape[1:])
 
 
@@ -234,7 +254,8 @@ class IndexPairs(tuple):
 
 
 def row_sum_aggregate(
-    tape: Tape, h: Tensor, pairs, value_sorted: bool = False, previous: Tensor | None = None
+    tape: Tape, h: Tensor, pairs, value_sorted: bool = False, previous: Tensor | None = None,
+    only: np.ndarray | None = None,
 ) -> Tensor:
     """out[i] = sum of h[j] over the (j, i) in pairs, a (src, dst) pair of
     index arrays; out has h's rows. An IndexPairs keeps its plans for the
@@ -246,7 +267,8 @@ def row_sum_aggregate(
     function of that column's value multiset alone, signed zeros included
     (used by inference for isomorphism-invariant output). Either way a
     column's sums do not depend on the other columns, and the pairs need
-    not be grouped by dst.
+    not be grouped by dst. only, a boolean mask over out's rows, sums just
+    those rows of a value-sorted sum; the others are +0.0.
 
     previous, when given, must hold the index-order sums of h's trailing
     columns over the same pairs, as a 2-D h's skip concatenation keeps
@@ -257,7 +279,7 @@ def row_sum_aggregate(
     pairs = pairs if isinstance(pairs, IndexPairs) else IndexPairs(*pairs)
     plan = pairs.plan(h.shape[0], into_src=False)
     if value_sorted:
-        out = Tensor(plan.sorted_sum(h.value))
+        out = Tensor(plan.sorted_sum(h.value, only))
     elif previous is not None:
         # a contiguous copy: take() gathers rows of a column slice slowly
         leading = np.ascontiguousarray(h.value[:, : h.shape[1] - previous.shape[1]])

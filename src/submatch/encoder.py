@@ -152,7 +152,8 @@ class _Block:
 
     index is the (src, dst) pair of every directed edge, grouped by dst in
     row order; label_indexes holds the same pairs split by edge label. Each
-    is an IndexPairs, so training plans its neighbor sums once per block.
+    is an IndexPairs, so training and inference plan their neighbor sums
+    once per block and direction.
     """
 
     def __init__(self, node_labels: np.ndarray, anchors: np.ndarray, src: np.ndarray,
@@ -242,7 +243,8 @@ def _infer(block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig) -> n
     the neighbor sum of concat(h, x) is concat(sum h, sum x), so each layer
     aggregates only the newest column block; and layer k computes only nodes
     within layers-1-k hops of an anchor, since no other node's layer-k output
-    reaches an anchor's embedding.
+    reaches an anchor's embedding. Every layer's sum reads the block's one
+    plan, masked to the nodes that layer computes.
     """
     tape = ad.Tape(record=False)
 
@@ -262,11 +264,9 @@ def _infer(block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig) -> n
     xs = [block.features]  # x as column blocks, oldest first; x = concat(reversed(xs))
     sums: list[list[np.ndarray]] = [[] for _ in indexes]  # their neighbor sums, per edge label
     for k in range(cfg.layers):
-        for parts, (s_idx, d_idx) in zip(sums, indexes):
-            keep = needed[k][d_idx]
-            parts.append(ad.row_sum_aggregate(
-                tape, ad.Tensor(xs[-1]), (s_idx[keep], d_idx[keep]), value_sorted=True
-            ).value)
+        for parts, pairs in zip(sums, indexes):
+            parts.append(ad.row_sum_aggregate(tape, ad.Tensor(xs[-1]), pairs, value_sorted=True,
+                                              only=needed[k]).value)
         rows = np.flatnonzero(needed[k])
         agg = _gather(xs, rows)
         if cfg.edge_label_count > 0:

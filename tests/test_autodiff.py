@@ -298,6 +298,38 @@ class TestSortedSumsAgainstReference:
                                   | st.floats(-1e6, 1e6, allow_subnormal=False)))
         assert_matches_reference(values, src, dst, n_out)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_only_zeroes_the_rows_outside_the_mask(self, data):
+        n_out = data.draw(st.integers(1, 8))
+        n_in = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(0, 90))  # some rows above NETWORK_MAX_SIZE addends
+        dst = np.array(data.draw(st.lists(st.integers(0, n_out - 1), min_size=m, max_size=m)),
+                       dtype=np.intp)
+        src = np.array(data.draw(st.lists(st.integers(0, n_in - 1), min_size=m, max_size=m)),
+                       dtype=np.intp)
+        tail = data.draw(st.sampled_from([(), (3,)]))
+        values = data.draw(arrays(np.float64, (n_in,) + tail, elements=_scatter_values
+                                  | st.floats(-1e6, 1e6, allow_subnormal=False)))
+        only = data.draw(st.sampled_from([
+            np.zeros(n_out, dtype=bool), np.ones(n_out, dtype=bool),
+            data.draw(arrays(np.bool_, n_out)),
+        ]))
+        plan = ad.RankPlan(n_out, dst, src)
+        want = np.where(only.reshape((n_out,) + (1,) * len(tail)), plan.sorted_sum(values), 0.0)
+        assert plan.sorted_sum(values, only=only).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", sorted(ad.NETWORKS))
+def test_network_sorts_every_zero_one_input(size):
+    # a comparator network sorts every input if it sorts every 0/1 input
+    network = ad.NETWORKS[size]
+    assert len(network) == {3: 3, 4: 5, 5: 9, 6: 12, 7: 16, 8: 19}[size]
+    assert all(0 <= i < j < size for i, j in network)
+    cells = list((np.arange(2 ** size) >> np.arange(size)[:, None]) & 1)
+    for i, j in network:
+        cells[i], cells[j] = np.minimum(cells[i], cells[j]), np.maximum(cells[i], cells[j])
+    assert np.all(np.diff(np.stack(cells), axis=0) >= 0)
 
 
 def add_at_reference(n_out, idx, rows):
@@ -381,6 +413,18 @@ class TestScatterRows:
         assert len(builds) == 1 and builds[0] is dst
         assert canonical.tobytes() == (sorted_sums_reference(values, src, dst, 20) + 0.0).tobytes()
         assert plain.tobytes() == add_at_reference(20, dst, values[src]).tobytes()
+
+    def test_sorted_sum_builds_no_sources(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        src, dst = rng.integers(0, 20, size=80), rng.integers(0, 20, size=80)
+        values = rng.choice([1e16, -1e16, 1.0, -0.0, 0.5, 3.25e-7], size=(20, 3))
+        plan = ad.RankPlan(20, dst, src)
+        plan.sorted_sum(values)
+        plan.sorted_sum(values, only=rng.random(20) < 0.5)
+        assert plan.sources is None
+        monkeypatch.setattr(_AddAtPlan, "sums", 0)
+        assert plan.sum(values).tobytes() == _AddAtPlan(20, dst, src).sum(values).tobytes()
+        assert plan.sources is not None
 
     def test_training_parameters_match_add_at(self, monkeypatch):
         fast = _train_tiny_params()
