@@ -29,6 +29,7 @@ from .graphs import (
     csr_edge_labels,
     k_hop_balls,
     k_hop_neighborhood,  # noqa: F401  bench/spans.py wraps encoder.k_hop_neighborhood
+    node_triangles,
     triangle_counts,
 )
 from .order import MarginConfig
@@ -122,10 +123,13 @@ def build_input_features(
     src: np.ndarray,
     dst: np.ndarray,
     cfg: EncoderConfig,
+    triangles: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-row features of a block: [anchor flag] + one-hot(label) + optional
     [degree, clustering], where (src, dst) lists every edge in both
-    directions. Clustering is 0 when the degree is below 2."""
+    directions. Clustering is 0 when the degree is below 2. triangles, the
+    triangles through each row inside the block, are counted from (src, dst)
+    when not given."""
     n = len(node_labels)
     bad = np.flatnonzero(node_labels >= cfg.label_alphabet_size)
     if len(bad):
@@ -138,7 +142,7 @@ def build_input_features(
     feats[np.arange(n), 1 + node_labels] = 1.0
     if cfg.use_structural_features:
         deg = np.bincount(dst, minlength=n)
-        links = triangle_counts(src, dst, deg)
+        links = triangle_counts(src, dst, deg) if triangles is None else triangles
         clust = np.zeros(n)
         many = deg >= 2
         clust[many] = 2.0 * links[many] / (deg[many] * (deg[many] - 1))
@@ -157,8 +161,9 @@ class _Block:
     """
 
     def __init__(self, node_labels: np.ndarray, anchors: np.ndarray, src: np.ndarray,
-                 dst: np.ndarray, edge_labels: np.ndarray, cfg: EncoderConfig):
-        self.features = build_input_features(node_labels, anchors, src, dst, cfg)
+                 dst: np.ndarray, edge_labels: np.ndarray, cfg: EncoderConfig,
+                 triangles: np.ndarray | None = None):
+        self.features = build_input_features(node_labels, anchors, src, dst, cfg, triangles)
         if cfg.edge_label_count > 0:
             bad = np.flatnonzero((edge_labels < 0) | (edge_labels >= cfg.edge_label_count))
             if len(bad):
@@ -198,9 +203,10 @@ class _Block:
     def of_balls(cls, balls: Balls, node_labels: np.ndarray, edge_labels: np.ndarray,
                  cfg: EncoderConfig):
         """Rows of k_hop_balls(); node_labels and edge_labels are the parent's,
-        per node and per CSR position."""
+        per node and per CSR position. The balls' triangle counts, when
+        present, stand in for counting them on the block's edges."""
         return cls(node_labels[balls.nodes], balls.anchors, balls.src, balls.dst,
-                   edge_labels[balls.edges], cfg)
+                   edge_labels[balls.edges], cfg, balls.triangles)
 
 
 def _forward(
@@ -323,7 +329,9 @@ def encode_all(
     split evenly into as many blocks as the mean ball so far says fill about
     CHUNK_ROWS rows each. A block never holds more than 2 * CHUNK_ROWS rows
     unless it is one ball larger than that: the BFS hands back fewer anchors
-    when the balls outgrow the estimate.
+    when the balls outgrow the estimate. The graph's triangles are listed
+    once per call, and each block's triangle counts are read from them; one
+    node-to-column array, allocated once per call, serves every block.
 
     Each block allocates and frees many arrays of 0.1-2 MB, so the first call
     runs util.keep_freed_heap: from then on the process keeps up to 256 MiB
@@ -336,6 +344,8 @@ def encode_all(
     node_labels = np.asarray(g.node_labels, dtype=np.intp)
     edge_labels = (csr_edge_labels(g) if cfg.edge_label_count > 0
                    else np.zeros(len(indices), dtype=np.intp))
+    triangles = node_triangles(indptr, indices) if cfg.use_structural_features else None
+    block_ids = np.full(g.node_count, -1, dtype=np.intp)
     # rows per ball: first a tree of the graph's mean degree, then the mean so far
     mean_degree = len(indices) / max(g.node_count, 1)
     per_ball = 1.0
@@ -346,7 +356,7 @@ def encode_all(
         left = g.node_count - first
         blocks = max(1, round(left * per_ball / CHUNK_ROWS))
         balls = k_hop_balls(indptr, indices, np.arange(first, first + -(-left // blocks)), k,
-                            max_rows=2 * CHUNK_ROWS)
+                            max_rows=2 * CHUNK_ROWS, block_ids=block_ids, triangles=triangles)
         last = first + len(balls.anchors)
         out[first:last] = _infer(_Block.of_balls(balls, node_labels, edge_labels, cfg),
                                  tensors, cfg)

@@ -245,7 +245,8 @@ class Balls(NamedTuple):
     Ball i occupies consecutive rows, in anchor order, its nodes ordered by
     parent id. src/dst are the ball-internal edges in both directions,
     grouped by dst in row order (src ascending within a group), and edges[j]
-    is the position of edge j in the parent's CSR indices.
+    is the position of edge j in the parent's CSR indices. triangles[r], when
+    asked for, counts the triangles through row r's node inside its ball.
     """
 
     nodes: np.ndarray  # parent id of each row
@@ -253,6 +254,15 @@ class Balls(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
     edges: np.ndarray
+    triangles: np.ndarray | None = None
+
+
+class NodeTriangles(NamedTuple):
+    """A graph's triangles by corner: those through node u are
+    others[indptr[u]:indptr[u + 1]], each given by its other two corners."""
+
+    indptr: np.ndarray
+    others: np.ndarray  # shape (3 * triangle count, 2)
 
 
 def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -261,68 +271,154 @@ def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position of each key in sorted_keys, whether it is there)."""
-    pos = np.searchsorted(sorted_keys, keys)
-    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+def _unmarked(ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The distinct nodes among nodes whose ids are -1, which it marks.
+    Whichever write lands for a repeated node, one position matches it."""
+    nodes = nodes[ids[nodes] < 0]
+    ids[nodes] = np.arange(len(nodes))
+    return nodes[ids[nodes] == np.arange(len(nodes))]
+
+
+BITMAP_ANCHORS = 128  # most anchors per reach bitmap in k_hop_balls
 
 
 def k_hop_balls(
     indptr: np.ndarray, indices: np.ndarray, anchors: np.ndarray, k: int,
-    max_rows: int | None = None,
+    max_rows: int | None = None, block_ids: np.ndarray | None = None,
+    triangles: NodeTriangles | None = None,
 ) -> Balls:
-    """The edge-induced k-hop ball of each anchor, found by one frontier BFS
-    over all anchors at once; ball i's rows are the sorted keys i * N + node.
+    """The edge-induced k-hop ball of each anchor.
+
+    The anchors are taken BITMAP_ANCHORS at a time, and one BFS finds the
+    balls of each such group in a reach bitmap: a row per anchor and a column
+    per node reached so far, so the bitmap holds at most BITMAP_ANCHORS cells
+    per row of the group's balls. block_ids maps each parent node reached to
+    its column while a group runs. It holds one entry per parent node, all
+    -1, as they are again on return (None allocates one), so a caller that
+    passes the same array for every call allocates nothing per call that
+    grows with the parent.
 
     With max_rows, the BFS drops the last anchors whenever the balls so far
     exceed max_rows rows (the first ball is always kept), so only a prefix
-    of the anchors may come back: len(result.anchors) says how many.
+    of the anchors may come back: len(result.anchors) says how many. With
+    triangles, the parent's node_triangles(), a row's triangle count is the
+    number of its node's triangles whose other two corners are in its ball.
     """
     if k < 0:
         raise GraphError("hop count must be nonnegative")
-    n = len(indptr) - 1
     anchors = np.asarray(anchors, dtype=np.intp)
-    degree = np.diff(indptr)
-    seen = frontier = np.arange(len(anchors)) * n + anchors
+    ids = np.full(len(indptr) - 1, -1, dtype=np.intp) if block_ids is None else block_ids
+    cap = np.inf if max_rows is None else max_rows
+    parts: list[Balls] = []
+    rows = 0
+    for start in range(0, max(len(anchors), 1), BITMAP_ANCHORS):
+        group = anchors[start:start + BITMAP_ANCHORS]
+        part = _group_balls(indptr, indices, group, k, ids, triangles, cap - rows)
+        if parts and len(part.nodes) > cap - rows:
+            break  # the group's first ball alone exceeds what is left
+        parts.append(part)
+        rows += len(part.nodes)
+        if len(part.anchors) < len(group):
+            break
+    if len(parts) == 1:
+        return parts[0]
+    firsts = np.cumsum([0] + [len(part.nodes) for part in parts])
+    parts = [part._replace(anchors=part.anchors + first, src=part.src + first,
+                           dst=part.dst + first) for part, first in zip(parts, firsts)]
+    return Balls(*[None if field[0] is None else np.concatenate(field) for field in zip(*parts)])
+
+
+def _group_balls(
+    indptr: np.ndarray, indices: np.ndarray, anchors: np.ndarray, k: int, ids: np.ndarray,
+    triangles: NodeTriangles | None, max_rows: float,
+) -> Balls:
+    """k_hop_balls of one group of anchors, from one bitmap."""
+    members = _unmarked(ids, anchors)  # parent id of each column
+    width = len(members)
+    ids[members] = np.arange(width)
+    reach = np.zeros(len(anchors) * width, dtype=bool)  # cell i * width + c: ball i holds c
+    frontier = np.arange(len(anchors)) * width + ids[anchors]
+    reach[frontier] = True
+    rows = len(anchors)
     for level in range(k + 1):
-        if max_rows is not None and len(seen) > max_rows and len(anchors) > 1:
-            ends = np.searchsorted(seen, np.arange(1, len(anchors) + 1) * n)
+        if rows > max_rows and len(anchors) > 1:
+            ends = np.cumsum(np.count_nonzero(reach.reshape(len(anchors), width), axis=1))
             anchors = anchors[:max(1, np.searchsorted(ends, max_rows, side="right"))]
-            seen = seen[:ends[len(anchors) - 1]]
-            frontier = frontier[frontier < len(anchors) * n]
+            rows = ends[len(anchors) - 1]
+            reach = reach[:len(anchors) * width]
+            frontier = frontier[frontier < len(reach)]
         if level == k:
             break
-        ball, node = np.divmod(frontier, n)
-        counts = degree[node]
-        reached = np.unique(np.repeat(ball * n, counts)
-                            + indices[_expand(indptr[node], counts)])
-        pos, known = _find(seen, reached)
-        frontier = reached[~known]
+        ball, col = np.divmod(frontier, width)
+        node = members[col]
+        starts = indptr[node]
+        counts = indptr[node + 1] - starts
+        reached = indices[_expand(starts, counts)]
+        new = _unmarked(ids, reached)
+        if len(new):
+            ids[new] = width + np.arange(len(new))
+            members = np.concatenate([members, new])
+            wider = np.zeros((len(anchors), len(members)), dtype=bool)
+            wider[:, :width] = reach.reshape(len(anchors), width)
+            reach, width = wider.ravel(), len(members)
+        cells = np.repeat(ball * width, counts) + ids[reached]
+        fresh = np.zeros(len(reach), dtype=bool)
+        fresh[cells[~reach[cells]]] = True
+        frontier = np.flatnonzero(fresh)
         if not len(frontier):
             break
-        seen = np.insert(seen, pos[~known], frontier)
-    ball, node = np.divmod(seen, n)
-    counts = degree[node]
-    edges = _expand(indptr[node], counts)
-    dst = np.repeat(np.arange(len(seen)), counts)
-    src, inside = _find(seen, np.repeat(ball * n, counts) + indices[edges])
+        reach[frontier] = True
+        rows += len(frontier)
+
+    # keep the columns some kept ball holds, in parent id order
+    ids[members] = -1
+    reach = reach.reshape(len(anchors), width)
+    kept = np.flatnonzero(reach.any(axis=0))
+    kept = kept[np.argsort(members[kept])]
+    members, width = members[kept], len(kept)
+    ids[members] = np.arange(width)
+    reach = reach[:, kept].ravel()
+    at = np.flatnonzero(reach)  # row r is the cell at[r]
+    row_of = np.empty(len(reach), dtype=np.intp)
+    row_of[at] = np.arange(len(at))
+    ball, col = np.divmod(at, width)
+    nodes = members[col]
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    edges = _expand(starts, counts)
+    cols = ids[indices[edges]]
+    cells = np.repeat(ball * width, counts) + cols
+    inside = (cols >= 0) & reach[cells]
+    links = None
+    if triangles is not None:
+        starts = triangles.indptr[nodes]
+        per_row = triangles.indptr[nodes + 1] - starts
+        corners = ids[triangles.others[_expand(starts, per_row)]]
+        closed = ((corners >= 0)
+                  & reach[np.repeat(ball * width, per_row)[:, None] + corners]).all(axis=1)
+        links = np.bincount(np.repeat(np.arange(len(at)), per_row)[closed], minlength=len(at))
+    first = row_of[np.arange(len(anchors)) * width + ids[anchors]]
+    ids[members] = -1
     return Balls(
-        nodes=node,
-        anchors=np.searchsorted(seen, np.arange(len(anchors)) * n + anchors),
-        src=src[inside],
-        dst=dst[inside],
+        nodes=nodes,
+        anchors=first,
+        src=row_of[cells[inside]],
+        dst=np.repeat(np.arange(len(at)), counts)[inside],
         edges=edges[inside],
+        triangles=links,
     )
 
 
-def triangle_counts(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    """Triangles through each node, i.e. edges among its neighbors, of the
-    graph whose edges (src, dst) are listed in both directions.
+def triangle_list(
+    src: np.ndarray, dst: np.ndarray, degree: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The corners (v, a, c) of each triangle, listed once, of the graph
+    whose edges (src, dst) are listed in both directions.
 
     Each triangle is found once, as the 2-path v -> a -> c whose nodes rise
     in (degree, id) order, closed when (v, c) is an edge; a search of the
     sorted keys dst * n + src tests that. Walking only rising 2-paths keeps a
-    hub from costing the square of its degree.
+    hub from costing the square of its degree (Schank & Wagner, WEA 2005).
     """
     n = len(degree)
     rank = np.empty(n, dtype=np.intp)
@@ -334,8 +430,28 @@ def triangle_counts(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> np.
     hops = out_degree[a_of]
     c = a_of[_expand(np.cumsum(out_degree)[a_of] - hops, hops)]
     v, a = np.repeat(v_of, hops), np.repeat(a_of, hops)
-    _, closed = _find(keys, v * n + c)
-    return sum(np.bincount(x[closed], minlength=n) for x in (v, a, c))
+    wanted = v * n + c
+    closed = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
+    return v[closed], a[closed], c[closed]
+
+
+def triangle_counts(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Triangles through each node, i.e. edges among its neighbors, of the
+    graph whose edges (src, dst) are listed in both directions."""
+    return sum(np.bincount(x, minlength=len(degree)) for x in triangle_list(src, dst, degree))
+
+
+def node_triangles(indptr: np.ndarray, indices: np.ndarray) -> NodeTriangles:
+    """The triangles of the graph with CSR arrays (indptr, indices), by corner."""
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    v, a, c = triangle_list(indices, np.repeat(np.arange(n), degree), degree)
+    corner = np.concatenate([v, a, c])
+    others = np.stack([np.concatenate([a, v, v]), np.concatenate([c, c, a])], axis=1)
+    counts = np.bincount(corner, minlength=n)
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=ptr[1:])
+    return NodeTriangles(indptr=ptr, others=others[np.argsort(corner, kind="stable")])
 
 
 def to_json(g: LabeledGraph) -> str:

@@ -273,6 +273,7 @@ def _runtime_instances(rng):
     return instances
 
 
+@pytest.mark.slow
 def test_criterion_8_runtime_crossover(trained):
     """With a prebuilt index the neural path answers every query, at least ten
     times faster than the exact matcher's mean at query sizes of twenty and

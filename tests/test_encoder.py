@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import mutated_json_text, pairs_of, with_value
 from submatch import autodiff as ad
-from submatch import encoder
+from submatch import encoder, graphs
 from submatch.datasets import gen_er
 from submatch.encoder import (
     Checkpoint,
@@ -32,6 +33,7 @@ from submatch.graphs import (
     csr_edge_labels,
     k_hop_balls,
     k_hop_neighborhood,
+    node_triangles,
 )
 from submatch.order import MarginConfig
 
@@ -438,13 +440,24 @@ class TestBallPath:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 14), seed=st.integers(0, 10_000), k=st.integers(0, 3),
-           max_rows=st.integers(1, 60))
-    def test_features_are_degree_and_clustering_inside_each_ball(self, n, seed, k, max_rows):
+           max_rows=st.integers(1, 60), group=st.sampled_from([1, 3, 128]))
+    def test_features_are_degree_and_clustering_inside_each_ball(self, n, seed, k, max_rows,
+                                                                 group):
         nx = pytest.importorskip("networkx")
         g = gen_er(n, 0.3, 2, seed=seed)
         indptr, indices = adjacency_csr(g)
         balls = k_hop_balls(indptr, indices, np.arange(n), k)
         assert np.all(np.diff(balls.dst) >= 0)  # grouped by dst in row order
+        # bitmaps of any number of anchors cut the same balls, and count the
+        # triangles inside them that the block's own edges have
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "BITMAP_ANCHORS", group)
+            grouped = k_hop_balls(indptr, indices, np.arange(n), k,
+                                  triangles=node_triangles(indptr, indices))
+        for field in ("nodes", "anchors", "src", "dst", "edges"):
+            assert np.array_equal(getattr(grouped, field), getattr(balls, field))
+        counted = build_input_features(np.asarray(g.node_labels)[balls.nodes], balls.anchors,
+                                       balls.src, balls.dst, SMALL, grouped.triangles)
         # a row cap hands back the balls of a prefix of the anchors, unchanged
         capped = k_hop_balls(indptr, indices, np.arange(n), k, max_rows=max_rows)
         kept = len(capped.anchors)
@@ -458,6 +471,7 @@ class TestBallPath:
             assert np.array_equal(got, want[:edges])
         feats = build_input_features(
             np.asarray(g.node_labels)[balls.nodes], balls.anchors, balls.src, balls.dst, SMALL)
+        assert np.array_equal(counted, feats)
         whole = nx.Graph(g.edges())
         whole.add_nodes_from(range(n))
         first = 0
@@ -494,6 +508,124 @@ class TestBallPath:
         g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError, match="hop count must be nonnegative"):
             encode_all(g, -1, init_params(SMALL, seed=0), SMALL)
+
+
+def k5_blocks_on_a_hub(blocks):
+    """blocks copies of K5, one node of each joined to the hub, node 0."""
+    edges = []
+    for b in range(blocks):
+        first = 1 + 5 * b
+        edges += [(first + i, first + j) for i in range(5) for j in range(i + 1, 5)]
+        edges.append((0, first))
+    n = 1 + 5 * blocks
+    return LabeledGraph.from_edges(n, edges, [i % 2 for i in range(n)], 2)
+
+
+LOOSE_GRAPHS = {
+    "isolated_nodes": lambda: LabeledGraph.from_edges(20_000, [], [i % 2 for i in range(20_000)], 2),
+    "disjoint_edges": lambda: LabeledGraph.from_edges(
+        20_000, [(2 * i, 2 * i + 1) for i in range(10_000)], [i % 2 for i in range(20_000)], 2),
+    "k5_blocks_on_a_hub": lambda: k5_blocks_on_a_hub(60),
+}
+# tracemalloc peak of encode_all(g, 3, ..., SMALL), in MB: the sorted-key BFS
+# that the reach bitmap replaced peaked at 7.9, 6.7 and 3.3 (numpy 2.4); one
+# bitmap over all 4000 anchors of an isolated-node block would need 160
+PEAK_MB = {"isolated_nodes": 7.9 * 1.25, "disjoint_edges": 6.7 * 1.25,
+           "k5_blocks_on_a_hub": 3.3 * 1.25}
+
+
+def reference_balls(g, anchors, k):
+    """(k_hop_balls' contract, rows per ball), one Python BFS per anchor."""
+    indptr, _ = adjacency_csr(g)
+    nodes, rows, src, dst, edges, sizes = [], [], [], [], [], []
+    for u in anchors:
+        ball = sorted(g.bfs_distances(int(u), max_depth=k))
+        first = len(nodes)
+        row = {v: first + j for j, v in enumerate(ball)}
+        rows.append(row[u])
+        for v in ball:
+            for j, w in enumerate(g.adjacency[v]):
+                if w in row:
+                    src.append(row[w])
+                    dst.append(row[v])
+                    edges.append(indptr[v] + j)
+        nodes += ball
+        sizes.append(len(ball))
+    arrays = (np.array(x, dtype=np.intp) for x in (nodes, rows, src, dst, edges))
+    return graphs.Balls(*arrays), np.array(sizes)
+
+
+@pytest.fixture(scope="module")
+def loose_graphs():
+    return {name: build() for name, build in LOOSE_GRAPHS.items()}
+
+
+class TestInputsNoWorkloadHas:
+    """Graphs far from the workloads': many components with one or two nodes
+    each, and small dense blocks around a hub."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", list(LOOSE_GRAPHS))
+    def test_blocks_match_encode_and_count_on_their_own_edges(self, loose_graphs, name, k,
+                                                               monkeypatch):
+        g = loose_graphs[name]
+        params = init_params(SMALL, seed=4)
+        calls = []
+        cut = encoder.k_hop_balls
+
+        def recording(*args, block_ids, **kwargs):
+            assert np.all(block_ids == -1)
+            balls = cut(*args, block_ids=block_ids, **kwargs)
+            assert np.all(block_ids == -1)
+            calls.append((balls, block_ids))
+            return balls
+
+        monkeypatch.setattr(encoder, "k_hop_balls", recording)
+        embs = encode_all(g, k, params, SMALL)
+        assert len({id(ids) for _, ids in calls}) == 1  # one array per call
+        labels = np.asarray(g.node_labels)
+        for balls, _ in calls:
+            assert balls.triangles is not None
+            args = (labels[balls.nodes], balls.anchors, balls.src, balls.dst, SMALL)
+            assert np.array_equal(build_input_features(*args, balls.triangles),
+                                  build_input_features(*args))
+        sampled = np.random.default_rng(k).choice(g.node_count, size=12, replace=False)
+        for u in [0, g.node_count - 1, *sampled]:
+            assert np.array_equal(embs[u], encode(k_hop_neighborhood(g, int(u), k), params, SMALL))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", list(LOOSE_GRAPHS))
+    def test_balls_are_bfs_balls_with_and_without_row_caps(self, loose_graphs, name, k):
+        g = loose_graphs[name]
+        indptr, indices = adjacency_csr(g)
+        anchors = np.arange(min(g.node_count, 3000))
+        balls = k_hop_balls(indptr, indices, anchors, k)
+        want, sizes = reference_balls(g, anchors, k)
+        for field in ("nodes", "anchors", "src", "dst", "edges"):
+            assert np.array_equal(getattr(balls, field), getattr(want, field))
+        for max_rows in (1, 7, 500, 5000):
+            capped = k_hop_balls(indptr, indices, anchors, k, max_rows=max_rows)
+            kept = max(1, np.searchsorted(np.cumsum(sizes), max_rows, side="right"))
+            rows = sizes[:kept].sum()
+            edges = np.searchsorted(balls.dst, rows)
+            assert np.array_equal(capped.nodes, balls.nodes[:rows])
+            assert np.array_equal(capped.anchors, balls.anchors[:kept])
+            for got, full in ((capped.src, balls.src), (capped.dst, balls.dst),
+                              (capped.edges, balls.edges)):
+                assert np.array_equal(got, full[:edges])
+
+    @pytest.mark.parametrize("name", list(LOOSE_GRAPHS))
+    def test_peak_memory_stays_near_the_sorted_key_bfs(self, loose_graphs, name):
+        g = loose_graphs[name]
+        params = init_params(SMALL, seed=0)
+        encode_all(g, 3, params, SMALL)  # one-time costs outside the trace
+        tracemalloc.start()
+        try:
+            encode_all(g, 3, params, SMALL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_MB[name] * 1e6
 
 
 class TestOrderPreservationUnderIdentityAggregation:

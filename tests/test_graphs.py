@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from submatch.graphs import (
     adjacency_csr,
     from_json,
     k_hop_neighborhood,
+    node_triangles,
     to_json,
+    triangle_counts,
+    triangle_list,
 )
 from submatch.sampling import (
     SampleMemo,
@@ -234,6 +238,26 @@ class TestStructuralFeatures:
 
     def test_leaf(self, path3):
         assert structural_features(path3, 0) == (1, 0.0)
+
+
+class TestTriangles:
+    @settings(max_examples=60, deadline=None)
+    @given(g=er_strategy(max_n=12))
+    def test_listed_once_and_grouped_by_corner(self, g):
+        n = g.node_count
+        want = [t for t in combinations(range(n), 3)
+                if all(g.has_edge(a, b) for a, b in combinations(t, 2))]
+        indptr, indices = adjacency_csr(g)
+        degree = np.diff(indptr)
+        dst = np.repeat(np.arange(n), degree)
+        listed = sorted(tuple(sorted(t)) for t in zip(*(x.tolist() for x in
+                                                         triangle_list(indices, dst, degree))))
+        assert listed == want
+        by_node = node_triangles(indptr, indices)
+        for u in range(n):
+            others = by_node.others[by_node.indptr[u]:by_node.indptr[u + 1]].tolist()
+            assert sorted(tuple(sorted((u, a, c))) for a, c in others) == [t for t in want if u in t]
+        assert np.array_equal(triangle_counts(indices, dst, degree), np.diff(by_node.indptr))
 
 
 class TestNeighborhoodType:
