@@ -31,6 +31,7 @@ from .graphs import (
     k_hop_neighborhood,  # noqa: F401  bench/spans.py wraps encoder.k_hop_neighborhood
     node_triangles,
     triangle_counts,
+    twin_representatives,
 )
 from .order import MarginConfig
 from .util import atomic_write_text, json_array, json_object, json_value, keep_freed_heap
@@ -325,11 +326,14 @@ def encode_all(
     """Embeddings of every node's k-hop neighborhood, row u for node u, each
     bit for bit what encode() returns for it.
 
-    Balls are cut straight from the graph's CSR arrays. The anchors left are
-    split evenly into as many blocks as the mean ball so far says fill about
-    CHUNK_ROWS rows each. A block never holds more than 2 * CHUNK_ROWS rows
-    unless it is one ball larger than that: the BFS hands back fewer anchors
-    when the balls outgrow the estimate. The graph's triangles are listed
+    Only the twin representatives (graphs.twin_representatives) are
+    embedded; a twin's anchored ball is isomorphic to its representative's,
+    so it gets the representative's row. Balls are cut straight from the
+    graph's CSR arrays. The anchors left are split evenly into as many
+    blocks as the mean ball so far says fill about CHUNK_ROWS rows each. A
+    block never holds more than 2 * CHUNK_ROWS rows unless it is one ball
+    larger than that: the BFS hands back fewer anchors when the balls
+    outgrow the estimate. The graph's triangles are listed
     once per call, and each block's triangle counts are read from them; one
     node-to-column array, allocated once per call, serves every block.
 
@@ -351,19 +355,21 @@ def encode_all(
     per_ball = 1.0
     for _ in range(min(k, g.node_count)):
         per_ball = min(1.0 + mean_degree * per_ball, g.node_count)
+    reps = twin_representatives(g)
+    anchors = np.flatnonzero(reps == np.arange(g.node_count))
     first = rows = 0
-    while first < g.node_count:
-        left = g.node_count - first
+    while first < len(anchors):
+        left = len(anchors) - first
         blocks = max(1, round(left * per_ball / CHUNK_ROWS))
-        balls = k_hop_balls(indptr, indices, np.arange(first, first + -(-left // blocks)), k,
+        balls = k_hop_balls(indptr, indices, anchors[first:first + -(-left // blocks)], k,
                             max_rows=2 * CHUNK_ROWS, block_ids=block_ids, triangles=triangles)
         last = first + len(balls.anchors)
-        out[first:last] = _infer(_Block.of_balls(balls, node_labels, edge_labels, cfg),
-                                 tensors, cfg)
+        out[anchors[first:last]] = _infer(_Block.of_balls(balls, node_labels, edge_labels, cfg),
+                                          tensors, cfg)
         rows += len(balls.nodes)
         first = last
         per_ball = rows / first
-    return out
+    return out[reps]
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import Checkpoint, encode_all
-from .graphs import GraphError, LabeledGraph
+from .graphs import GraphError, LabeledGraph, twin_representatives
 from .order import MarginConfig, best_balanced_cut, violation_matrix
 from .util import atomic_write_text, json_array, json_object, json_value
 
@@ -135,13 +135,27 @@ def alignment(
     checkpoint: Checkpoint,
     query_embs: np.ndarray | None = None,
 ) -> AlignmentMatrix:
-    """Fill all |V_T| x |V_Q| violation scores for a connected query."""
+    """Fill all |V_T| x |V_Q| violation scores for a connected query.
+
+    A query node whose embedding row has the same bits as its twin
+    representative's (graphs.twin_representatives) reuses that node's
+    column, so each distinct column is computed once. The bit test keeps
+    this exact for embeddings the caller supplies."""
     _require_nodes(query)
     if not query.is_connected():
         raise GraphError("query graph must be connected")
     if query_embs is None:
         query_embs = embed_query_nodes(query, checkpoint, index.radius)
-    return AlignmentMatrix(values=violation_matrix(query_embs, index.matrix))
+    embs = np.ascontiguousarray(query_embs, dtype=np.float64)
+    if embs.ndim != 2 or len(embs) != query.node_count:
+        raise ValueError(f"query embeddings of shape {embs.shape} for "
+                         f"{query.node_count} query nodes")
+    reps = twin_representatives(query)
+    bits = embs.view(np.uint64)
+    cols = np.where((bits[reps] == bits).all(axis=1), reps, np.arange(len(reps)))
+    distinct, which = np.unique(cols, return_inverse=True)
+    values = violation_matrix(embs[distinct], index.matrix).take(which, axis=1)
+    return AlignmentMatrix(values=values)
 
 
 @dataclass(frozen=True)

@@ -423,7 +423,9 @@ class TestBallPath:
         monkeypatch.setattr(encoder, "_infer", recording)
         monkeypatch.setattr(encoder, "CHUNK_ROWS", 64)
         assert np.array_equal(encode_all(g, 2, params, SMALL), direct)
-        assert sum(anchors for _, anchors in blocks) == 300
+        # only twin representatives are embedded: the hub's 199 leaves form two
+        # classes, one per label, so 103 of the 300 nodes are anchors
+        assert sum(anchors for _, anchors in blocks) == 103
         assert all(rows <= 2 * 64 or anchors == 1 for rows, anchors in blocks)
 
     def test_edges_without_a_label_read_as_label_zero(self):
@@ -508,6 +510,53 @@ class TestBallPath:
         g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError, match="hop count must be nonnegative"):
             encode_all(g, -1, init_params(SMALL, seed=0), SMALL)
+
+
+class TestTwins:
+    """encode_all embeds one node per twin class (same label, neighbors and
+    edge labels); every row must still be what encode() gives for it."""
+
+    @staticmethod
+    def hub_with_leaves(edge_labels=None):
+        # hub 0 with leaves 1-30 of both labels, and a path 0-31-32-33-34 so
+        # that the balls change up to k = 3
+        edges = [(0, i) for i in range(1, 31)] + [(0, 31), (31, 32), (32, 33), (33, 34)]
+        return LabeledGraph.from_edges(35, edges, [i % 2 for i in range(35)], 2, edge_labels)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_hub_with_leaves_of_both_labels(self, k, monkeypatch):
+        g = self.hub_with_leaves()
+        params = init_params(SMALL, seed=8)
+        anchors = []
+        cut = encoder.k_hop_balls
+
+        def recording(indptr, indices, group, *args, **kwargs):
+            balls = cut(indptr, indices, group, *args, **kwargs)
+            anchors.extend(group[:len(balls.anchors)].tolist())
+            return balls
+
+        monkeypatch.setattr(encoder, "k_hop_balls", recording)
+        assert np.array_equal(encode_all(g, k, params, SMALL), per_node(g, k, params, SMALL))
+        assert anchors == [0, 1, 2, *range(31, 35)]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_isolated_nodes(self, k):
+        # a triangle, a path and nine isolated nodes of both labels
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]
+        g = LabeledGraph.from_edges(15, edges, [i % 3 % 2 for i in range(15)], 2)
+        params = init_params(SMALL, seed=9)
+        assert np.array_equal(encode_all(g, k, params, SMALL), per_node(g, k, params, SMALL))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_leaves_with_different_edge_labels_are_not_merged(self, k):
+        cfg = EncoderConfig(layers=3, hidden_dim=12, output_dim=8, label_alphabet_size=2,
+                            edge_label_count=3)
+        g = self.hub_with_leaves({(0, i): i % 3 for i in range(1, 31)})
+        params = init_params(cfg, seed=10)
+        direct = per_node(g, k, params, cfg)
+        assert np.array_equal(encode_all(g, k, params, cfg), direct)
+        if k:  # leaves 1 and 3 differ only in the label of their edge
+            assert not np.array_equal(direct[1], direct[3])
 
 
 def k5_blocks_on_a_hub(blocks):

@@ -20,6 +20,7 @@ from submatch.graphs import (
     to_json,
     triangle_counts,
     triangle_list,
+    twin_representatives,
 )
 from submatch.sampling import (
     SampleMemo,
@@ -258,6 +259,52 @@ class TestTriangles:
             others = by_node.others[by_node.indptr[u]:by_node.indptr[u + 1]].tolist()
             assert sorted(tuple(sorted((u, a, c))) for a, c in others) == [t for t in want if u in t]
         assert np.array_equal(triangle_counts(indices, dst, degree), np.diff(by_node.indptr))
+
+
+class TestTwins:
+    @staticmethod
+    def reference(g: LabeledGraph) -> list[int]:
+        """Lowest node with the same label, neighbors and edge labels, by
+        comparing every pair."""
+        def key(u):
+            nbrs = g.adjacency[u]
+            return g.node_labels[u], nbrs, [g.edge_label(u, v) for v in nbrs]
+        return [next(v for v in range(u + 1) if key(v) == key(u)) for u in range(g.node_count)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=labeled_graphs(max_n=9), fill=st.integers(0, 3))
+    def test_groups_equal_label_neighbors_and_edge_labels(self, g, fill):
+        # pad with leaves on node 0, some of whose edges carry labels, so
+        # that most draws hold twins
+        n = g.node_count
+        labels = dict(g.edge_labels or {})
+        labels.update({(0, n + i): i % 2 for i in range(fill) if i % 3})
+        g = LabeledGraph.from_edges(n + fill, g.edges() + [(0, n + i) for i in range(fill)],
+                                    list(g.node_labels) + [i % 2 for i in range(fill)],
+                                    max(g.label_alphabet_size, 2), labels or None)
+        reps = twin_representatives(g)
+        assert reps.tolist() == self.reference(g)
+        for u, r in enumerate(reps.tolist()):
+            # twins are never adjacent, and swapping them is an automorphism
+            swap = list(range(g.node_count))
+            swap[u], swap[r] = r, u
+            assert not g.has_edge(u, r)
+            for a, b in g.edges():
+                assert g.has_edge(swap[a], swap[b])
+                assert g.edge_label(a, b) == g.edge_label(swap[a], swap[b])
+
+    def test_edge_labels_split_leaves(self):
+        # leaves 1-6 of hub 0 carry labels 0, 1 and none on their edges
+        g = LabeledGraph.from_edges(7, [(0, i) for i in range(1, 7)], [0] * 7, 1,
+                                    {(0, i): i % 3 for i in range(1, 7) if i % 3 < 2})
+        assert twin_representatives(g).tolist() == [0, 1, 2, 3, 1, 2, 3]
+        plain = LabeledGraph.from_edges(7, g.edges(), [0] * 7, 1)
+        assert twin_representatives(plain).tolist() == [0, 1, 1, 1, 1, 1, 1]
+
+    def test_isolated_nodes_form_one_class_per_label(self):
+        g = LabeledGraph.from_edges(6, [(4, 5)], [0, 1, 0, 1, 0, 0], 2)
+        assert twin_representatives(g).tolist() == [0, 1, 0, 1, 4, 5]
+        assert twin_representatives(LabeledGraph.from_edges(0, [])).tolist() == []
 
 
 class TestNeighborhoodType:

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_json_text, with_value
+from submatch import query as query_module
 from submatch.datasets import gen_er
 from submatch.encoder import Checkpoint, EncoderConfig, encode, init_params
 from submatch.graphs import GraphError, LabeledGraph, k_hop_neighborhood
-from submatch.order import MarginConfig, violation
+from submatch.order import MarginConfig, violation, violation_matrix
 from submatch.query import (
     AlignmentMatrix,
     Decision,
@@ -198,6 +199,67 @@ class TestAlignment:
         lines = text.strip().split("\n")
         assert lines[0].startswith("target_node,q0")
         assert len(lines) == 1 + target.node_count
+
+
+def twin_rich_queries() -> list[LabeledGraph]:
+    """Connected queries whose twins hold most nodes (a star, K_{2,4} and a
+    path with pendant pairs), and random draws."""
+    star = LabeledGraph.from_edges(9, [(0, i) for i in range(1, 9)])
+    k24 = LabeledGraph.from_edges(6, [(a, b) for a in range(2) for b in range(2, 6)])
+    path = [(i, i + 1) for i in range(4)]
+    pendants = LabeledGraph.from_edges(
+        13, path + [(i, 5 + 2 * i + j) for i in range(4) for j in range(2)])
+    return [star, k24, pendants, *(_connected(n, 0.1, seed) for n, seed in
+                                   [(6, 1), (10, 2), (14, 3), (20, 4)])]
+
+
+class TestTwinColumns:
+    """alignment computes one column per distinct embedding row of a twin
+    class and copies it to the class's other nodes."""
+
+    def test_equals_violation_matrix_when_twin_rows_differ(self, ckpt, target, monkeypatch):
+        query = LabeledGraph.from_edges(9, [(0, i) for i in range(1, 9)])  # leaves: one class
+        index = build_index(target, ckpt)
+        embs = embed_query_nodes(query, ckpt, index.radius)
+        assert all(np.array_equal(embs[1], embs[i]) for i in range(2, 9))
+        embs[2, 0] += 1e-3  # a caller's row that differs from its representative's
+        embs[1:, 1] = 0.0
+        embs[3, 1] = -0.0  # equal as numbers, not as bits
+        computed = []
+        full = query_module.violation_matrix
+
+        def recording(query_embs, target_embs):
+            computed.append(len(query_embs))
+            return full(query_embs, target_embs)
+
+        monkeypatch.setattr(query_module, "violation_matrix", recording)
+        matrix = alignment(query, index, ckpt, query_embs=embs)
+        assert computed == [4]  # the hub, leaf 1 for leaves 1 and 4-8, leaf 2, leaf 3
+        assert matrix.values.tobytes() == violation_matrix(embs, index.matrix).tobytes()
+        assert matrix.values.flags.c_contiguous
+
+    def test_answer_decides_as_the_full_matrix_does(self, ckpt, target):
+        index = build_index(target, ckpt)
+        for threshold in (1e-3, 1e-2, 0.25):
+            margin = MarginConfig(margin=1.0, threshold=threshold)
+            for query in twin_rich_queries():
+                matrix, verdict = answer(query, index, replace(ckpt, margin=margin))
+                full = AlignmentMatrix(violation_matrix(
+                    embed_query_nodes(query, ckpt, index.radius), index.matrix))
+                want = decide(full, margin, ckpt.decision_cutoff)
+                assert matrix.values.flags.c_contiguous
+                assert matrix.values.tobytes() == full.values.tobytes()
+                assert (verdict.score, verdict.decision) == (want.score, want.decision)
+                assert np.float64(verdict.mean_violation).tobytes() == (
+                    np.float64(want.mean_violation).tobytes())
+
+    def test_embeddings_of_another_shape_rejected(self, ckpt, target):
+        query = _connected(6, 0.3, 6)
+        index = build_index(target, ckpt)
+        embs = embed_query_nodes(query, ckpt, index.radius)
+        for wrong in (embs[:-1], embs[0]):
+            with pytest.raises(ValueError, match="query embeddings of shape"):
+                alignment(query, index, ckpt, query_embs=wrong)
 
 
 class TestDecide:
