@@ -133,13 +133,17 @@ def cmd_train(args) -> int:
             "top-level keys must be prefixed (train./encoder./margin./sampler.): "
             + ", ".join(sorted(sections[""]))
         )
+    if "threshold" in sections["margin"]:
+        raise ConfigError("margin.threshold cannot be set: train calibrates it")
     if args.epochs is not None:
         sections["train"]["epochs"] = str(args.epochs)
     if args.seed is not None:
         sections["train"]["seed"] = str(args.seed)
     train_cfg: TrainConfig = build_dataclass(TrainConfig, sections["train"])
     encoder_cfg: EncoderConfig = build_dataclass(EncoderConfig, sections["encoder"])
-    margin_cfg: MarginConfig = build_dataclass(MarginConfig, sections["margin"])
+    # the smallest positive float, below any margin, stands in for the threshold
+    margin_cfg: MarginConfig = build_dataclass(MarginConfig,
+                                               {**sections["margin"], "threshold": "5e-324"})
     sampler_cfg: SamplerConfig = build_dataclass(SamplerConfig, sections["sampler"])
 
     targets = _load_targets(args.data)

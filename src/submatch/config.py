@@ -34,37 +34,21 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def _convert(raw: str, target_type: type) -> Any:
-    if target_type is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    return target_type(raw)
-
-
-_TYPE_NAMES = {"int": int, "float": float, "str": str, "bool": bool}
-
-
 def build_dataclass(cls, values: dict[str, str]):
     """Build a dataclass instance from string values, validating all keys and
-    value types at once; every offending key appears in the error message."""
-    spec = {f.name: f.type for f in fields(cls)}
+    value types at once; every offending key appears in the error message.
+    Each value is parsed as its field's default is typed: int, float or str."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
     typed: dict[str, Any] = {}
     problems: list[str] = []
     for name, raw in values.items():
-        if name not in spec:
+        if name not in kinds:
             problems.append(f"unknown key {name!r}")
             continue
-        base = _TYPE_NAMES.get(str(spec[name]))
-        if base is None:
-            base = type(getattr(cls(), name))
         try:
-            typed[name] = _convert(raw, base)
+            typed[name] = kinds[name](raw)
         except (TypeError, ValueError):
-            problems.append(f"bad value for {name!r}: {raw!r} is not {base.__name__}")
+            problems.append(f"bad value for {name!r}: {raw!r} is not {kinds[name].__name__}")
     if problems:
         raise ConfigError(f"{cls.__name__}: " + "; ".join(sorted(problems)))
     try:

@@ -4,16 +4,16 @@ Architecture: GIN-style sum aggregation, h' = MLP(h + sum of neighbor h),
 with skip connections realized by concatenating each layer's input onto its
 output, so layer k sees all previous scales. Every node carries an anchor
 indicator in its input features, which lets the encoder tell apart d-regular
-neighborhoods that plain message passing cannot. The anchor node's final
-representation goes through a linear head and a max{0, .} clamp so embeddings
-stay in the nonnegative orthant the order geometry requires.
+neighborhoods that plain message passing cannot, plus its degree and local
+clustering coefficient. The anchor node's final representation goes through a
+linear head and a max{0, .} clamp so embeddings stay in the nonnegative orthant
+the order geometry requires.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
@@ -36,7 +36,8 @@ from .graphs import (
 from .order import MarginConfig
 from .util import atomic_write_text, json_array, json_object, json_value, keep_freed_heap
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+LEAKY_SLOPE = 0.01  # negative-side slope of every hidden layer's leaky ReLU
 
 
 @dataclass(frozen=True)
@@ -44,27 +45,20 @@ class EncoderConfig:
     layers: int = 8
     hidden_dim: int = 64
     output_dim: int = 64
-    leaky_slope: float = 0.01
-    use_structural_features: bool = True
     label_alphabet_size: int = 1
     edge_label_count: int = 0  # 0 disables per-edge-label message weights
-    nonneg_output: bool = True
 
     def __post_init__(self) -> None:
         if self.layers < 1 or self.hidden_dim < 1 or self.output_dim < 1:
             raise ValueError("layers, hidden_dim, output_dim must be >= 1")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError("leaky_slope must lie in (0, 1)")
         if self.label_alphabet_size < 1:
             raise ValueError("label_alphabet_size must be >= 1")
         if self.edge_label_count < 0:
             raise ValueError("edge_label_count must be >= 0")
-        if not self.nonneg_output:
-            raise ValueError("nonneg_output is fixed true for order embeddings")
 
     @property
     def input_dim(self) -> int:
-        return 1 + self.label_alphabet_size + (2 if self.use_structural_features else 0)
+        return 3 + self.label_alphabet_size  # anchor flag, labels, degree, clustering
 
     def layer_input_dim(self, k: int) -> int:
         """Width seen by layer k (0-based): original features plus k skip blocks."""
@@ -126,7 +120,7 @@ def build_input_features(
     cfg: EncoderConfig,
     triangles: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-row features of a block: [anchor flag] + one-hot(label) + optional
+    """Per-row features of a block: [anchor flag] + one-hot(label) +
     [degree, clustering], where (src, dst) lists every edge in both
     directions. Clustering is 0 when the degree is below 2. triangles, the
     triangles through each row inside the block, are counted from (src, dst)
@@ -141,14 +135,11 @@ def build_input_features(
     feats = np.zeros((n, cfg.input_dim))
     feats[anchors, 0] = 1.0
     feats[np.arange(n), 1 + node_labels] = 1.0
-    if cfg.use_structural_features:
-        deg = np.bincount(dst, minlength=n)
-        links = triangle_counts(src, dst, deg) if triangles is None else triangles
-        clust = np.zeros(n)
-        many = deg >= 2
-        clust[many] = 2.0 * links[many] / (deg[many] * (deg[many] - 1))
-        feats[:, 1 + cfg.label_alphabet_size] = deg
-        feats[:, 2 + cfg.label_alphabet_size] = clust
+    deg = np.bincount(dst, minlength=n)
+    links = triangle_counts(src, dst, deg) if triangles is None else triangles
+    many = deg >= 2
+    feats[:, -2] = deg
+    feats[many, -1] = 2.0 * links[many] / (deg[many] * (deg[many] - 1))
     return feats
 
 
@@ -231,7 +222,7 @@ def _forward(
             sums[0] = ad.row_sum_aggregate(tape, x, block.index, previous=sums[0])
             agg = ad.add(tape, x, sums[0])
         h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
-        h = ad.leaky_relu(tape, h, cfg.leaky_slope)
+        h = ad.leaky_relu(tape, h, LEAKY_SLOPE)
         h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])
         x = ad.concat(tape, h, x)
     final = ad.take_rows(tape, x, block.anchors)
@@ -282,7 +273,7 @@ def _infer(block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig) -> n
         else:
             agg = agg + _gather(sums[0], rows)
         h = dense(agg, f"layer{k}.w1") + params[f"layer{k}.b1"].value
-        h = np.maximum(h, h * cfg.leaky_slope)  # leaky ReLU, as slope lies in (0, 1)
+        h = np.maximum(h, h * LEAKY_SLOPE)  # leaky ReLU, as the slope lies in (0, 1)
         fresh = np.zeros((len(block.features), cfg.hidden_dim))
         fresh[rows] = dense(h, f"layer{k}.w2") + params[f"layer{k}.b2"].value
         xs.append(fresh)
@@ -348,7 +339,7 @@ def encode_all(
     node_labels = np.asarray(g.node_labels, dtype=np.intp)
     edge_labels = (csr_edge_labels(g) if cfg.edge_label_count > 0
                    else np.zeros(len(indices), dtype=np.intp))
-    triangles = node_triangles(indptr, indices) if cfg.use_structural_features else None
+    triangles = node_triangles(indptr, indices)
     block_ids = np.full(g.node_count, -1, dtype=np.intp)
     # rows per ball: first a tree of the graph's mean degree, then the mean so far
     mean_degree = len(indices) / max(g.node_count, 1)
@@ -406,10 +397,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "margin": asdict(ckpt.margin),
         "decision_cutoff": ckpt.decision_cutoff,
         "radius": ckpt.radius,
-        "params": {
-            name: {"shape": list(arr.shape), "values": arr.reshape(-1).tolist()}
-            for name, arr in sorted(ckpt.params.items())
-        },
+        "params": {name: arr.tolist() for name, arr in sorted(ckpt.params.items())},
     }
     atomic_write_text(path, json.dumps(obj))
 
@@ -419,16 +407,15 @@ class CheckpointError(ValueError):
 
 
 def _config_from_json(cls, obj):
-    """cls built from a JSON object; each key present must be one of cls's
-    fields and hold a value of its default's type."""
+    """cls built from a JSON object that holds each of cls's fields, with a
+    value of its default's type, and no other key."""
     if not isinstance(obj, dict):
         raise CheckpointError(f"checkpoint {cls.__name__} must be a JSON object")
-    names = {f.name: f.default for f in fields(cls)}
-    unknown = sorted(set(obj) - set(names))
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    unknown = sorted(set(obj) - set(kinds))
     if unknown:
         raise CheckpointError(f"unknown checkpoint {cls.__name__} keys: {unknown}")
-    values = {name: json_value(obj, name, type(default), CheckpointError, default)
-              for name, default in names.items()}
+    values = {name: json_value(obj, name, kind, CheckpointError) for name, kind in kinds.items()}
     try:
         return cls(**values)
     except ValueError as exc:
@@ -436,7 +423,8 @@ def _config_from_json(cls, obj):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; every malformed document raises CheckpointError."""
+    """Read a checkpoint; every malformed document, one that lacks a field
+    included, raises CheckpointError. No field has a default."""
     with open(path, "rb") as fh:
         obj = json_object(fh.read(), CheckpointError, "checkpoint")
     if obj.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -445,33 +433,22 @@ def load_checkpoint(path) -> Checkpoint:
         )
     cfg = _config_from_json(EncoderConfig, obj.get("config"))
     margin = _config_from_json(MarginConfig, obj.get("margin"))
-    decision_cutoff = json_value(obj, "decision_cutoff", float, CheckpointError, 0.5)
+    decision_cutoff = json_value(obj, "decision_cutoff", float, CheckpointError)
     if not np.isfinite(decision_cutoff):
         raise CheckpointError("decision_cutoff must be finite")
+    radius = json_value(obj, "radius", int, CheckpointError)
     expected = expected_param_shapes(cfg)
     entries = obj.get("params")
-    if not (isinstance(entries, dict) and all(isinstance(e, dict) for e in entries.values())):
-        raise CheckpointError("checkpoint params must map names to JSON objects")
-    params: dict[str, np.ndarray] = {}
-    for name, entry in entries.items():
-        if name not in expected:
-            raise CheckpointError(f"unexpected parameter {name!r}")
-        shape = entry.get("shape")
-        if shape != list(expected[name]):
+    if not isinstance(entries, dict):
+        raise CheckpointError("checkpoint params must be a JSON object")
+    wrong = sorted(set(entries) ^ set(expected))
+    if wrong:
+        raise CheckpointError(f"checkpoint params missing or unexpected: {wrong}")
+    params = {}
+    for name, shape in expected.items():
+        params[name] = json_array(entries[name], CheckpointError, f"parameter {name!r}")
+        if params[name].shape != shape:
             raise CheckpointError(
-                f"parameter {name!r} has shape {shape}, expected {expected[name]}"
-            )
-        values = json_array(entry.get("values"), CheckpointError, f"parameter {name!r}")
-        if values.shape != (math.prod(expected[name]),):
-            raise CheckpointError(f"parameter {name!r} needs {math.prod(expected[name])} values")
-        params[name] = values.reshape(expected[name])
-    missing = sorted(set(expected) - set(params))
-    if missing:
-        raise CheckpointError(f"missing parameters: {missing}")
-    return Checkpoint(
-        config=cfg,
-        params=params,
-        margin=margin,
-        decision_cutoff=decision_cutoff,
-        radius=json_value(obj, "radius", int, CheckpointError, 4),
-    )
+                f"parameter {name!r} has shape {params[name].shape}, expected {shape}")
+    return Checkpoint(config=cfg, params=params, margin=margin,
+                      decision_cutoff=decision_cutoff, radius=radius)

@@ -248,6 +248,8 @@ def check_bench_request(
 ) -> None:
     """Raise ConfigError for a request bench() cannot run, before any instance
     is drawn. The make_problem1_instances arguments are checked when given."""
+    if not methods:
+        raise ConfigError(f"no methods given; choose from {list(BENCH_METHODS)}")
     unknown = sorted(set(methods) - set(BENCH_METHODS))
     if unknown:
         raise ConfigError(f"unknown methods {unknown}; choose from {list(BENCH_METHODS)}")

@@ -67,30 +67,27 @@ def save_index(index: EmbeddingIndex, path) -> None:
     atomic_write_text(path, json.dumps(obj))
 
 
-def load_index(path, checkpoint: Checkpoint | None = None) -> EmbeddingIndex:
-    """Read an index, checked against checkpoint when given; every malformed
-    document raises IndexError_."""
+def load_index(path, checkpoint: Checkpoint) -> EmbeddingIndex:
+    """Read an index built with checkpoint; every malformed document, and
+    one built with another checkpoint, raises IndexError_."""
     with open(path, "rb") as fh:
         obj = json_object(fh.read(), IndexError_, "index")
     if obj.get("format_version") != INDEX_FORMAT_VERSION:
         raise IndexError_(f"unsupported index format_version {obj.get('format_version')!r}")
     matrix = json_array(obj.get("embeddings"), IndexError_, "index embeddings")
     if matrix.shape == (0,):  # a 0-node graph's (0, D) matrix is saved as []
-        matrix = matrix.reshape(0, checkpoint.config.output_dim if checkpoint else 0)
+        matrix = matrix.reshape(0, checkpoint.config.output_dim)
     index = EmbeddingIndex(
         graph_fingerprint=json_value(obj, "graph_fingerprint", str, IndexError_),
         radius=json_value(obj, "radius", int, IndexError_),
         matrix=matrix,
         checkpoint_fingerprint=json_value(obj, "checkpoint_fingerprint", str, IndexError_),
     )
-    if checkpoint is not None:
-        if index.checkpoint_fingerprint != checkpoint.fingerprint():
-            raise IndexError_("index was built with a different checkpoint")
-        if index.matrix.shape[1] != checkpoint.config.output_dim:
-            raise IndexError_(
-                f"index embeddings have width {index.matrix.shape[1]}, the checkpoint's "
-                f"output_dim is {checkpoint.config.output_dim}"
-            )
+    if index.checkpoint_fingerprint != checkpoint.fingerprint():
+        raise IndexError_("index was built with a different checkpoint")
+    if index.matrix.shape[1] != checkpoint.config.output_dim:
+        raise IndexError_(f"index embeddings have width {index.matrix.shape[1]}, the "
+                          f"checkpoint's output_dim is {checkpoint.config.output_dim}")
     return index
 
 

@@ -61,7 +61,7 @@ def keep_freed_heap() -> bool:
     return True
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def json_object(text: str | bytes, error: type[Exception], what: str) -> dict:
@@ -77,11 +77,14 @@ def json_object(text: str | bytes, error: type[Exception], what: str) -> dict:
 
 
 def json_value(obj: dict, key: str, kind: type, error: type[Exception], default=None):
-    """obj[key], or default when it is absent, as kind (int, float, bool or
-    str); an integer also serves as a float. Any other value raises error."""
+    """obj[key], or default when it is absent, as kind (int, float or str);
+    an integer also serves as a float. Any other value, and an absent
+    key with no default, raises error."""
+    if key not in obj and default is None:
+        raise error(f"missing {key!r}")
     value = obj.get(key, default)
     accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+    if not isinstance(value, accepted) or isinstance(value, bool):
         raise error(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     try:
         return kind(value)

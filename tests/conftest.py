@@ -96,6 +96,15 @@ def with_value(doc: dict, keys: list[str], value) -> str:
     return json.dumps(root)
 
 
+def without_key(doc: dict, keys: list[str]) -> str:
+    """JSON text of a copy of doc without the entry at the path keys."""
+    root = inner = copy.deepcopy(doc)
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    return json.dumps(root)
+
+
 def mutated_json_text(doc, data, keys: list[str]) -> str:
     """A copy of doc after one to three replacements or deletions drawn
     anywhere in it (the whole document included), as JSON text that may be

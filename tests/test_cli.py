@@ -97,7 +97,7 @@ class TestTrainCommand:
         conf.write_text(
             "train.epochs = 1\ntrain.min_iterations = 2\ntrain.val_radius = 2\n"
             "encoder.layers = 2\nencoder.hidden_dim = 8\nencoder.output_dim = 8\n"
-            "sampler.max_nodes = 5\n"
+            "sampler.max_nodes = 5\nmargin.margin = 0.4\n"
         )
         out = tmp_path / "m"
         code = run_cli(
@@ -106,6 +106,9 @@ class TestTrainCommand:
             "--set", "sampler.max_nodes=6",
         )
         assert code == 0
+        # a margin below MarginConfig's default threshold of 0.5 trains too
+        margin = load_checkpoint(out / "checkpoint.json").margin
+        assert margin.margin == 0.4 and 0.0 < margin.threshold < 0.4
 
     def test_bad_config_lists_all_keys(self, dataset_dir, tmp_path, capsys):
         code = run_cli(
@@ -279,6 +282,24 @@ class TestEmbedAndQuery:
         assert code == 1, err
         assert len(err.splitlines()) == 1 and "format_version 1" in err, err
 
+    def test_version_1_checkpoint_exits_one(self, dataset_dir, smoke_model, tmp_path, capsys):
+        target_path = dataset_dir / "graph_0000.json"
+        obj = json.loads((smoke_model / "checkpoint.json").read_text())
+        ckpt_path = tmp_path / "checkpoint.json"
+        ckpt_path.write_text(json.dumps({
+            **obj, "format_version": 1,
+            "config": {**obj["config"], "leaky_slope": 0.01, "use_structural_features": True,
+                       "nonneg_output": True},
+            "params": {name: {"shape": list(np.shape(values)),
+                              "values": np.ravel(values).tolist()}
+                       for name, values in obj["params"].items()},
+        }))
+        code = run_cli("query", "--query", str(target_path), "--target", str(target_path),
+                       "--checkpoint", str(ckpt_path))
+        err = capsys.readouterr().err.strip()
+        assert code == 1, err
+        assert len(err.splitlines()) == 1 and "format_version 1" in err, err
+
     def test_missing_file_exits_one(self, smoke_model):
         code = run_cli(
             "query", "--query", "/nonexistent.json", "--target", "/nonexistent.json",
@@ -316,6 +337,7 @@ BAD_INPUTS = {
     "gen-removed-er-p": ["gen", "--set", "er_p=0.3"],
     "bench-zero-timeout": ["bench", "--methods", "exact", "--timeout", "0"],
     "bench-unknown-method": ["bench", "--methods", "foo"],
+    "bench-no-methods": ["bench", "--methods", ","],
     "bench-neural-without-checkpoint": ["bench", "--methods", "neural"],
     "bench-negative-seed": ["bench", "--methods", "exact", "--seed", "-1"],
     "bench-nan-query-ratio": ["bench", "--methods", "exact", "--query-ratio", "nan"],
@@ -328,6 +350,11 @@ BAD_INPUTS = {
     "train-removed-beta2": ["train", "--set", "train.beta2=0.99"],
     "train-removed-sampler-seed": ["train", "--set", "sampler.seed=5"],
     "train-negative-edge-labels": ["train", "--set", "encoder.edge_label_count=-1"],
+    "train-calibrated-threshold": ["train", "--set", "margin.threshold=0.9"],
+    "train-removed-leaky-slope": ["train", "--set", "encoder.leaky_slope=0.2"],
+    "train-removed-structural-features": ["train", "--set",
+                                          "encoder.use_structural_features=false"],
+    "train-removed-nonneg-output": ["train", "--set", "encoder.nonneg_output=true"],
     "train-diverging-margin": ["train", "--set", "train.epochs=1", "--set",
                                "train.min_iterations=1", "--calibration-pairs", "0",
                                "--set", "margin.margin=1e308"],

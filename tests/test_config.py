@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,12 +45,6 @@ class TestBuild:
             TrainConfig, {"epochs": "12", "learning_rate": "0.01", "seed": "5"}
         )
         assert cfg.epochs == 12 and cfg.learning_rate == 0.01 and cfg.seed == 5
-
-    def test_bool_parsing(self):
-        cfg = build_dataclass(
-            EncoderConfig, {"use_structural_features": "false", "layers": "2"}
-        )
-        assert cfg.use_structural_features is False
 
     def test_unknown_keys_all_reported(self):
         with pytest.raises(ConfigError) as err:
@@ -123,3 +119,26 @@ class TestFuzz:
             parse_kv_file(path)
         except ConfigError:
             pass
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_values_parse_as_the_annotated_type(cls):
+    # build_dataclass parses a value as its field's default is typed
+    for f in fields(cls):
+        assert f.type in ("int", "float", "str") and type(f.default).__name__ == f.type
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_the_keys_each_command_accepts():
+    """README's config paragraph lists, per section, exactly the keys train
+    and gen accept: every field of the section's config, except the
+    threshold, which train calibrates and rejects."""
+    text = README.read_text(encoding="utf-8")
+    listed = {section: set(re.findall(r"`(\w+)`", keys)) for section, keys in
+              re.findall(r"`(\w+)\.`(?: keys)?:((?:\s*`\w+`,?)+)", text)}
+    accepted = {section: {f.name for f in fields(cls)}
+                for section, cls in zip(SECTIONS, CONFIG_CLASSES)}
+    accepted["margin"].remove("threshold")
+    assert listed == accepted

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutated_json_text, pairs_of, with_value
+from conftest import mutated_json_text, pairs_of, with_value, without_key
 from submatch import autodiff as ad
 from submatch import encoder, graphs
 from submatch.datasets import gen_er
@@ -69,23 +69,17 @@ class TestConfig:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             EncoderConfig(layers=0)
-        with pytest.raises(ValueError):
-            EncoderConfig(leaky_slope=1.5)
-        with pytest.raises(ValueError):
-            EncoderConfig(nonneg_output=False)
         with pytest.raises(ValueError, match="edge_label_count"):
             EncoderConfig(edge_label_count=-1)
 
 
 class TestInputFeatures:
     def test_two_node_edge_rows(self):
-        cfg = EncoderConfig(
-            layers=1, hidden_dim=4, output_dim=4,
-            label_alphabet_size=2, use_structural_features=False,
-        )
+        cfg = EncoderConfig(layers=1, hidden_dim=4, output_dim=4, label_alphabet_size=2)
         g = LabeledGraph.from_edges(2, [(0, 1)], node_labels=[0, 1], label_alphabet_size=2)
         feats = features(AnchoredNeighborhood(g, 0), cfg)
-        assert np.array_equal(feats, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        # anchor flag, one-hot label, degree, clustering (0 below degree 2)
+        assert np.array_equal(feats, [[1.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
 
     def test_anchor_indicator_sums_to_one(self):
         rng = np.random.default_rng(0)
@@ -143,17 +137,18 @@ class TestEncode:
             assert np.array_equal(z, z2)
 
     def test_cycle_lengths_distinguished_via_anchor_feature(self):
-        c3 = LabeledGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        # every node of C4 and C5 has degree 2 and clustering 0, so only the
+        # anchor flag tells the two cycles apart: C4 has more closed walks of
+        # length 4 through the anchor, which four layers see
         c4 = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        cfg = EncoderConfig(
-            layers=3, hidden_dim=12, output_dim=8,
-            label_alphabet_size=1, use_structural_features=False,
-        )
+        c5 = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        cfg = EncoderConfig(layers=4, hidden_dim=12, output_dim=8, label_alphabet_size=1)
+        nh4, nh5 = k_hop_neighborhood(c4, 0, 3), k_hop_neighborhood(c5, 0, 3)
+        assert np.array_equal(np.unique(features(nh4, cfg)[:, 1:], axis=0),
+                              np.unique(features(nh5, cfg)[:, 1:], axis=0))
         for seed in range(20):
             params = init_params(cfg, seed=seed)
-            za = encode(k_hop_neighborhood(c3, 0, 3), params, cfg)
-            zb = encode(k_hop_neighborhood(c4, 0, 3), params, cfg)
-            assert not np.array_equal(za, zb)
+            assert not np.array_equal(encode(nh4, params, cfg), encode(nh5, params, cfg))
 
     def test_anchor_sensitivity_on_asymmetric_graph(self):
         # path with a pendant: moving the anchor changes the neighborhood role
@@ -742,7 +737,7 @@ class TestCheckpoint:
         if field == "threshold":
             obj["margin"]["threshold"] = float("nan")
         elif field == "param":
-            obj["params"]["out.w"]["values"][0] = float("inf")
+            obj["params"]["out.w"][0][0] = float("inf")
         else:
             obj["decision_cutoff"] = float("nan")
         path.write_text(json.dumps(obj))  # json writes NaN and Infinity, and reads them back
@@ -814,7 +809,7 @@ class TestFingerprint:
     def test_digest_is_pinned(self):
         # saved indexes record this digest; a change would orphan them
         assert desk_checkpoint().fingerprint() == (
-            "539b0350d5635d4c1a5ded98058530182364c1a43d3ce681c1c3851e32ddc997")
+            "3590ca0c47472d79f94e1f58deb3a0ef806d3434aa56a7e59bf04b7d5dc9aa6e")
 
     def test_follows_mutation(self):
         ckpt = desk_checkpoint()
@@ -845,7 +840,8 @@ BAD_CHECKPOINTS = {
     "top-level list": lambda doc: "[]",
     "cut short": lambda doc: "{",
     "only format_version": lambda doc: '{"format_version": 1}',
-    "params entry not an object": lambda doc: with_value(doc, ["params", "out.b"], [0.1, 0.1]),
+    "format 1 params entry": lambda doc: with_value(doc, ["params", "out.b"],
+                                                    {"shape": [2], "values": [0.1, 0.1]}),
     "text decision_cutoff": lambda doc: with_value(doc, ["decision_cutoff"], "0.5"),
     "huge decision_cutoff": lambda doc: with_value(doc, ["decision_cutoff"], 10**400),
     "text radius": lambda doc: with_value(doc, ["radius"], "3"),
@@ -853,9 +849,15 @@ BAD_CHECKPOINTS = {
     "fractional layers": lambda doc: with_value(doc, ["config", "layers"], 1.5),
     "negative edge_label_count": lambda doc: with_value(doc, ["config", "edge_label_count"], -1),
     "unknown config key": lambda doc: with_value(doc, ["config", "depth"], 3),
-    "text values": lambda doc: with_value(doc, ["params", "out.b", "values"], ["a", "b"]),
-    "ragged values": lambda doc: with_value(doc, ["params", "out.b", "values"], [[0.1], []]),
-    "too few values": lambda doc: with_value(doc, ["params", "out.b", "values"], [0.1]),
+    "text values": lambda doc: with_value(doc, ["params", "out.b"], ["a", "b"]),
+    "ragged values": lambda doc: with_value(doc, ["params", "out.b"], [[0.1], []]),
+    "too few values": lambda doc: with_value(doc, ["params", "out.b"], [0.1]),
+    "flattened matrix": lambda doc: with_value(doc, ["params", "out.w"],
+                                               sum(doc["params"]["out.w"], [])),
+    "no margin.threshold": lambda doc: without_key(doc, ["margin", "threshold"]),
+    "no decision_cutoff": lambda doc: without_key(doc, ["decision_cutoff"]),
+    "no radius": lambda doc: without_key(doc, ["radius"]),
+    "no config.layers": lambda doc: without_key(doc, ["config", "layers"]),
 }
 
 
@@ -869,8 +871,9 @@ class TestMalformedCheckpoint:
     def test_raises_checkpoint_error(self, name, tiny_doc, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(BAD_CHECKPOINTS[name](tiny_doc))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
+        assert "\n" not in str(err.value)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -878,8 +881,8 @@ class TestMalformedCheckpoint:
                                                            data):
         path = tmp_path_factory.mktemp("fuzz") / "model.json"
         path.write_text(mutated_json_text(tiny_doc, data, [
-            "format_version", "config", "margin", "params", "shape", "values",
-            "layers", "radius", "decision_cutoff"]))
+            "format_version", "config", "margin", "params", "out.w", "out.b", "layer0.w1",
+            "layers", "threshold", "radius", "decision_cutoff"]))
         try:
             load_checkpoint(path)
         except CheckpointError:

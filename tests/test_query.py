@@ -84,7 +84,6 @@ class TestIndex:
         save_index(index, path)
         loaded = load_index(path, ckpt)
         assert loaded.matrix.shape == (0, CFG.output_dim)
-        assert load_index(path).node_count == 0
 
     def test_non_finite_embedding_rejected(self, ckpt, target, tmp_path):
         path = tmp_path / "index.json"
@@ -141,11 +140,11 @@ class TestMalformedIndex:
         assert load_index(path, ckpt).node_count == 3
 
     @pytest.mark.parametrize("name", BAD_INDEXES)
-    def test_raises_index_error(self, name, index_doc, tmp_path):
+    def test_raises_index_error(self, name, index_doc, ckpt, tmp_path):
         path = tmp_path / "index.json"
         path.write_text(BAD_INDEXES[name](index_doc))
         with pytest.raises(IndexError_):
-            load_index(path)
+            load_index(path, ckpt)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -156,7 +155,7 @@ class TestMalformedIndex:
             "format_version", "graph_fingerprint", "radius", "checkpoint_fingerprint",
             "embeddings"]))
         try:
-            load_index(path, ckpt if data.draw(st.booleans()) else None)
+            load_index(path, ckpt)
         except IndexError_:
             pass
 
