@@ -26,7 +26,6 @@ from .graphs import (
     GraphError,
     LabeledGraph,
     adjacency_csr,
-    csr_edge_labels,
     k_hop_balls,
     k_hop_neighborhood,  # noqa: F401  bench/spans.py wraps encoder.k_hop_neighborhood
     node_triangles,
@@ -36,7 +35,7 @@ from .graphs import (
 from .order import MarginConfig
 from .util import atomic_write_text, json_array, json_object, json_value, keep_freed_heap
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 LEAKY_SLOPE = 0.01  # negative-side slope of every hidden layer's leaky ReLU
 
 
@@ -46,15 +45,12 @@ class EncoderConfig:
     hidden_dim: int = 64
     output_dim: int = 64
     label_alphabet_size: int = 1
-    edge_label_count: int = 0  # 0 disables per-edge-label message weights
 
     def __post_init__(self) -> None:
         if self.layers < 1 or self.hidden_dim < 1 or self.output_dim < 1:
             raise ValueError("layers, hidden_dim, output_dim must be >= 1")
         if self.label_alphabet_size < 1:
             raise ValueError("label_alphabet_size must be >= 1")
-        if self.edge_label_count < 0:
-            raise ValueError("edge_label_count must be >= 0")
 
     @property
     def input_dim(self) -> int:
@@ -77,8 +73,6 @@ def expected_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"layer{k}.b1"] = (cfg.hidden_dim,)
         shapes[f"layer{k}.w2"] = (cfg.hidden_dim, cfg.hidden_dim)
         shapes[f"layer{k}.b2"] = (cfg.hidden_dim,)
-        for lab in range(cfg.edge_label_count):
-            shapes[f"layer{k}.edge{lab}"] = (d, d)
     shapes["out.w"] = (cfg.final_dim, cfg.output_dim)
     shapes["out.b"] = (cfg.output_dim,)
     return shapes
@@ -147,26 +141,16 @@ class _Block:
     """Disjoint union of a batch of neighborhoods, encoded in one pass.
 
     index is the (src, dst) pair of every directed edge, grouped by dst in
-    row order; label_indexes holds the same pairs split by edge label. Each
-    is an IndexPairs, so training and inference plan their neighbor sums
-    once per block and direction.
+    row order, as an IndexPairs, so training and inference plan their
+    neighbor sums once per block and direction. Edge labels are not read:
+    the encoder sees only node labels and structure.
     """
 
     def __init__(self, node_labels: np.ndarray, anchors: np.ndarray, src: np.ndarray,
-                 dst: np.ndarray, edge_labels: np.ndarray, cfg: EncoderConfig,
-                 triangles: np.ndarray | None = None):
+                 dst: np.ndarray, cfg: EncoderConfig, triangles: np.ndarray | None = None):
         self.features = build_input_features(node_labels, anchors, src, dst, cfg, triangles)
-        if cfg.edge_label_count > 0:
-            bad = np.flatnonzero((edge_labels < 0) | (edge_labels >= cfg.edge_label_count))
-            if len(bad):
-                raise GraphError(f"edge label {edge_labels[bad[0]]} outside encoder's "
-                                 f"{cfg.edge_label_count} edge labels")
         self.anchors = anchors
         self.index = ad.IndexPairs(src, dst)
-        self.label_indexes = [
-            ad.IndexPairs(src[edge_labels == lab], dst[edge_labels == lab])
-            for lab in range(cfg.edge_label_count)
-        ]
 
     @classmethod
     def of_neighborhoods(cls, neighborhoods: list[AnchoredNeighborhood], cfg: EncoderConfig):
@@ -186,19 +170,15 @@ class _Block:
                              count=len(rows))
         src = indices + np.repeat(np.repeat(starts, sizes), degrees)
         dst = np.repeat(np.arange(len(rows), dtype=np.intp), degrees)
-        edge_labels = np.empty(0, dtype=np.intp)
-        if cfg.edge_label_count > 0 and graphs:
-            edge_labels = np.concatenate([csr_edge_labels(g) for g in graphs])
-        return cls(labels, anchors, src, dst, edge_labels, cfg)
+        return cls(labels, anchors, src, dst, cfg)
 
     @classmethod
-    def of_balls(cls, balls: Balls, node_labels: np.ndarray, edge_labels: np.ndarray,
-                 cfg: EncoderConfig):
-        """Rows of k_hop_balls(); node_labels and edge_labels are the parent's,
-        per node and per CSR position. The balls' triangle counts, when
-        present, stand in for counting them on the block's edges."""
-        return cls(node_labels[balls.nodes], balls.anchors, balls.src, balls.dst,
-                   edge_labels[balls.edges], cfg, balls.triangles)
+    def of_balls(cls, balls: Balls, node_labels: np.ndarray, cfg: EncoderConfig):
+        """Rows of k_hop_balls(); node_labels are the parent's, per node.
+        The balls' triangle counts, when present, stand in for counting them
+        on the block's edges."""
+        return cls(node_labels[balls.nodes], balls.anchors, balls.src, balls.dst, cfg,
+                   balls.triangles)
 
 
 def _forward(
@@ -210,17 +190,10 @@ def _forward(
     block and appends the previous layer's neighbor sums, as _infer does;
     row_sum_aggregate keeps the full-width backward over x."""
     x = ad.Tensor(block.features)
-    sums: list[ad.Tensor | None] = [None] * max(cfg.edge_label_count, 1)  # of x, per index
+    sums = None  # neighbor sums of x
     for k in range(cfg.layers):
-        if cfg.edge_label_count > 0:
-            agg = x
-            for lab in range(cfg.edge_label_count):
-                sums[lab] = ad.row_sum_aggregate(tape, x, block.label_indexes[lab],
-                                                 previous=sums[lab])
-                agg = ad.add(tape, agg, ad.matmul(tape, sums[lab], params[f"layer{k}.edge{lab}"]))
-        else:
-            sums[0] = ad.row_sum_aggregate(tape, x, block.index, previous=sums[0])
-            agg = ad.add(tape, x, sums[0])
+        sums = ad.row_sum_aggregate(tape, x, block.index, previous=sums)
+        agg = ad.add(tape, x, sums)
         h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
         h = ad.leaky_relu(tape, h, LEAKY_SLOPE)
         h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])
@@ -258,20 +231,13 @@ def _infer(block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig) -> n
         reach = reach.copy()
         reach[src[reach[dst]]] = True
 
-    indexes = block.label_indexes if cfg.edge_label_count > 0 else [block.index]
     xs = [block.features]  # x as column blocks, oldest first; x = concat(reversed(xs))
-    sums: list[list[np.ndarray]] = [[] for _ in indexes]  # their neighbor sums, per edge label
+    sums = []  # the neighbor sums of xs, part by part
     for k in range(cfg.layers):
-        for parts, pairs in zip(sums, indexes):
-            parts.append(ad.row_sum_aggregate(tape, ad.Tensor(xs[-1]), pairs, value_sorted=True,
-                                              only=needed[k]).value)
+        sums.append(ad.row_sum_aggregate(tape, ad.Tensor(xs[-1]), block.index, value_sorted=True,
+                                         only=needed[k]).value)
         rows = np.flatnonzero(needed[k])
-        agg = _gather(xs, rows)
-        if cfg.edge_label_count > 0:
-            for lab, parts in enumerate(sums):
-                agg = agg + dense(_gather(parts, rows), f"layer{k}.edge{lab}")
-        else:
-            agg = agg + _gather(sums[0], rows)
+        agg = _gather(xs, rows) + _gather(sums, rows)
         h = dense(agg, f"layer{k}.w1") + params[f"layer{k}.b1"].value
         h = np.maximum(h, h * LEAKY_SLOPE)  # leaky ReLU, as the slope lies in (0, 1)
         fresh = np.zeros((len(block.features), cfg.hidden_dim))
@@ -337,8 +303,6 @@ def encode_all(
     out = np.zeros((g.node_count, cfg.output_dim))
     indptr, indices = adjacency_csr(g)
     node_labels = np.asarray(g.node_labels, dtype=np.intp)
-    edge_labels = (csr_edge_labels(g) if cfg.edge_label_count > 0
-                   else np.zeros(len(indices), dtype=np.intp))
     triangles = node_triangles(indptr, indices)
     block_ids = np.full(g.node_count, -1, dtype=np.intp)
     # rows per ball: first a tree of the graph's mean degree, then the mean so far
@@ -355,8 +319,7 @@ def encode_all(
         balls = k_hop_balls(indptr, indices, anchors[first:first + -(-left // blocks)], k,
                             max_rows=2 * CHUNK_ROWS, block_ids=block_ids, triangles=triangles)
         last = first + len(balls.anchors)
-        out[anchors[first:last]] = _infer(_Block.of_balls(balls, node_labels, edge_labels, cfg),
-                                          tensors, cfg)
+        out[anchors[first:last]] = _infer(_Block.of_balls(balls, node_labels, cfg), tensors, cfg)
         rows += len(balls.nodes)
         first = last
         per_ball = rows / first

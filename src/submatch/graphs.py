@@ -232,13 +232,6 @@ def adjacency_csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def csr_edge_labels(g: LabeledGraph) -> np.ndarray:
-    """Edge label at each position of adjacency_csr(g)'s indices; 0 for an
-    edge without one."""
-    return np.array([g.edge_label(v, w) or 0 for v in range(g.node_count)
-                     for w in g.adjacency[v]], dtype=np.intp)
-
-
 def twin_representatives(g: LabeledGraph) -> np.ndarray:
     """For each node, the lowest node with the same label, the same neighbors
     and, when g has edge labels, the same edge label to each neighbor.
@@ -262,16 +255,15 @@ class Balls(NamedTuple):
 
     Ball i occupies consecutive rows, in anchor order, its nodes ordered by
     parent id. src/dst are the ball-internal edges in both directions,
-    grouped by dst in row order (src ascending within a group), and edges[j]
-    is the position of edge j in the parent's CSR indices. triangles[r], when
-    asked for, counts the triangles through row r's node inside its ball.
+    grouped by dst in row order (src ascending within a group). triangles[r],
+    when asked for, counts the triangles through row r's node inside its
+    ball.
     """
 
     nodes: np.ndarray  # parent id of each row
     anchors: np.ndarray  # row of each ball's anchor
     src: np.ndarray
     dst: np.ndarray
-    edges: np.ndarray
     triangles: np.ndarray | None = None
 
 
@@ -403,8 +395,7 @@ def _group_balls(
     nodes = members[col]
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
-    edges = _expand(starts, counts)
-    cols = ids[indices[edges]]
+    cols = ids[indices[_expand(starts, counts)]]
     cells = np.repeat(ball * width, counts) + cols
     inside = (cols >= 0) & reach[cells]
     links = None
@@ -422,7 +413,6 @@ def _group_balls(
         anchors=first,
         src=row_of[cells[inside]],
         dst=np.repeat(np.arange(len(at)), counts)[inside],
-        edges=edges[inside],
         triangles=links,
     )
 

@@ -1,7 +1,8 @@
 """Stochastic subgraph samplers and oracle-verified training-pair constructors.
 
-All samplers return connected neighborhoods anchored at the start node, stay
-within the configured size bounds, and are deterministic given the rng state.
+All samplers return connected neighborhoods anchored at the start node, hold
+at most max_nodes nodes, and are deterministic given the rng state. The walk
+restarts at its anchor with the fixed probability RESTART_PROBABILITY.
 Positive pairs are built by re-running the traversal inside the sampled target
 from the same anchor, which makes them subgraph-isomorphic by construction;
 every emitted pair is nevertheless re-checked with the exact matcher so no
@@ -21,7 +22,7 @@ STRATEGIES = ("random_bfs", "random_walk_restart", "mfinder_degree_weighted")
 
 # oracle budget for verifying sampled pair labels; desk-scale graphs are small
 _VERIFY_BUDGET = MatchBudget(max_states=200_000, wall_timeout=5.0)
-SAMPLE_RETRIES = 5  # draws per neighborhood before settling for the largest
+RESTART_PROBABILITY = 0.15  # chance per step that random_walk_sample returns to its anchor
 NEGATIVE_RETRIES = 30  # draws of a negative pair before giving up
 
 
@@ -29,8 +30,6 @@ NEGATIVE_RETRIES = 30  # draws of a negative pair before giving up
 class SamplerConfig:
     strategy: str = "random_bfs"
     edge_keep_probability: float = 0.5
-    restart_probability: float = 0.15
-    min_nodes: int = 1
     max_nodes: int = 15
 
     def __post_init__(self) -> None:
@@ -38,10 +37,8 @@ class SamplerConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not 0.0 < self.edge_keep_probability <= 1.0:
             raise ValueError("edge_keep_probability must lie in (0, 1]")
-        if not 0.0 < self.restart_probability <= 1.0:
-            raise ValueError("restart_probability must lie in (0, 1]")
-        if self.min_nodes < 1 or self.max_nodes < self.min_nodes:
-            raise ValueError("need 1 <= min_nodes <= max_nodes")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ def random_walk_sample(
     for _ in range(step_cap):
         if len(selected) >= cfg.max_nodes:
             break
-        if rng.random() < cfg.restart_probability or not g.adjacency[current]:
+        if rng.random() < RESTART_PROBABILITY or not g.adjacency[current]:
             current = u
             continue
         nbrs = g.adjacency[current]
@@ -122,8 +119,9 @@ def mfinder_sample(
     g: LabeledGraph, u: int, cfg: SamplerConfig, rng: np.random.Generator
 ) -> AnchoredNeighborhood:
     """Grow a connected set from u, drawing each next node from the frontier
-    with probability proportional to its degree in g."""
-    target_size = int(rng.integers(cfg.min_nodes, cfg.max_nodes + 1))
+    with probability proportional to its degree in g, up to a size drawn
+    uniformly from 1 to max_nodes."""
+    target_size = int(rng.integers(1, cfg.max_nodes + 1))
     selected = {u}
     frontier = {v for v in g.adjacency[u]}
     while len(selected) < target_size and frontier:
@@ -146,17 +144,8 @@ _SAMPLERS = {
 def sample_neighborhood(
     g: LabeledGraph, u: int, cfg: SamplerConfig, rng: np.random.Generator
 ) -> AnchoredNeighborhood:
-    """Dispatch on cfg.strategy; retry a few times if the draw came out below
-    min_nodes (degenerate graphs may still return fewer)."""
-    sampler = _SAMPLERS[cfg.strategy]
-    best = None
-    for _ in range(SAMPLE_RETRIES):
-        nh = sampler(g, u, cfg, rng)
-        if best is None or nh.node_count > best.node_count:
-            best = nh
-        if nh.node_count >= cfg.min_nodes:
-            return nh
-    return best
+    """One draw of the sampler that cfg.strategy names."""
+    return _SAMPLERS[cfg.strategy](g, u, cfg, rng)
 
 
 class SampleMemo:

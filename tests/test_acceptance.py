@@ -97,7 +97,6 @@ def _balanced_test_pairs(pool, strategy, seed, n_pairs=300):
     cfg = SamplerConfig(
         strategy=strategy,
         edge_keep_probability=DESK_SAMPLER.edge_keep_probability,
-        min_nodes=DESK_SAMPLER.min_nodes,
         max_nodes=DESK_SAMPLER.max_nodes,
     )
     rng = np.random.default_rng(seed)

@@ -282,23 +282,39 @@ class TestEmbedAndQuery:
         assert code == 1, err
         assert len(err.splitlines()) == 1 and "format_version 1" in err, err
 
-    def test_version_1_checkpoint_exits_one(self, dataset_dir, smoke_model, tmp_path, capsys):
-        target_path = dataset_dir / "graph_0000.json"
+    @staticmethod
+    def format_2_checkpoint(smoke_model):
+        """The smoke model's checkpoint as format 2 wrote it, with the
+        encoder's edge_label_count."""
         obj = json.loads((smoke_model / "checkpoint.json").read_text())
-        ckpt_path = tmp_path / "checkpoint.json"
-        ckpt_path.write_text(json.dumps({
+        return {**obj, "format_version": 2, "config": {**obj["config"], "edge_label_count": 0}}
+
+    @staticmethod
+    def query_error(obj, dataset_dir, tmp_path, capsys):
+        ckpt_path, target_path = tmp_path / "checkpoint.json", dataset_dir / "graph_0000.json"
+        ckpt_path.write_text(json.dumps(obj))
+        code = run_cli("query", "--query", str(target_path), "--target", str(target_path),
+                       "--checkpoint", str(ckpt_path))
+        return code, capsys.readouterr().err.strip()
+
+    def test_version_1_checkpoint_exits_one(self, dataset_dir, smoke_model, tmp_path, capsys):
+        obj = self.format_2_checkpoint(smoke_model)
+        code, err = self.query_error({
             **obj, "format_version": 1,
             "config": {**obj["config"], "leaky_slope": 0.01, "use_structural_features": True,
                        "nonneg_output": True},
             "params": {name: {"shape": list(np.shape(values)),
                               "values": np.ravel(values).tolist()}
                        for name, values in obj["params"].items()},
-        }))
-        code = run_cli("query", "--query", str(target_path), "--target", str(target_path),
-                       "--checkpoint", str(ckpt_path))
-        err = capsys.readouterr().err.strip()
+        }, dataset_dir, tmp_path, capsys)
         assert code == 1, err
         assert len(err.splitlines()) == 1 and "format_version 1" in err, err
+
+    def test_version_2_checkpoint_exits_one(self, dataset_dir, smoke_model, tmp_path, capsys):
+        code, err = self.query_error(self.format_2_checkpoint(smoke_model), dataset_dir,
+                                     tmp_path, capsys)
+        assert code == 1, err
+        assert len(err.splitlines()) == 1 and "format_version 2" in err, err
 
     def test_missing_file_exits_one(self, smoke_model):
         code = run_cli(
@@ -349,7 +365,9 @@ BAD_INPUTS = {
     "train-removed-neg-pos-ratio": ["train", "--set", "train.neg_pos_ratio=3"],
     "train-removed-beta2": ["train", "--set", "train.beta2=0.99"],
     "train-removed-sampler-seed": ["train", "--set", "sampler.seed=5"],
-    "train-negative-edge-labels": ["train", "--set", "encoder.edge_label_count=-1"],
+    "train-removed-edge-label-count": ["train", "--set", "encoder.edge_label_count=2"],
+    "train-removed-min-nodes": ["train", "--set", "sampler.min_nodes=2"],
+    "train-removed-restart-probability": ["train", "--set", "sampler.restart_probability=0.3"],
     "train-calibrated-threshold": ["train", "--set", "margin.threshold=0.9"],
     "train-removed-leaky-slope": ["train", "--set", "encoder.leaky_slope=0.2"],
     "train-removed-structural-features": ["train", "--set",

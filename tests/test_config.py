@@ -57,7 +57,7 @@ class TestBuild:
 
     def test_dataclass_invariants_still_apply(self):
         with pytest.raises(ConfigError):
-            build_dataclass(SamplerConfig, {"min_nodes": "9", "max_nodes": "2"})
+            build_dataclass(SamplerConfig, {"max_nodes": "0"})
 
 
 class TestSections:

@@ -19,7 +19,6 @@ from submatch.encoder import (
     encode,
     encode_all,
     encode_batch,
-    expected_param_shapes,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -30,7 +29,6 @@ from submatch.graphs import (
     GraphError,
     LabeledGraph,
     adjacency_csr,
-    csr_edge_labels,
     k_hop_balls,
     k_hop_neighborhood,
     node_triangles,
@@ -69,8 +67,6 @@ class TestConfig:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             EncoderConfig(layers=0)
-        with pytest.raises(ValueError, match="edge_label_count"):
-            EncoderConfig(edge_label_count=-1)
 
 
 class TestInputFeatures:
@@ -181,10 +177,8 @@ class TestEncodeAll:
 
     @pytest.mark.parametrize("edge_labels", [0, 3], ids=["plain", "edge_labelled"])
     def test_blocks_match_per_node_encode_bit_for_bit(self, edge_labels, monkeypatch):
-        cfg = EncoderConfig(
-            layers=3, hidden_dim=12, output_dim=8,
-            label_alphabet_size=3, edge_label_count=edge_labels,
-        )
+        # edge labels, which the encoder ignores, still split twin groups
+        cfg = EncoderConfig(layers=3, hidden_dim=12, output_dim=8, label_alphabet_size=3)
         params = init_params(cfg, seed=5)
         rng = np.random.default_rng(17)
         for n in (1, 2, 9, 40, 90):
@@ -234,7 +228,7 @@ def per_node(g, k, params, cfg):
 
 def block_reference(neighborhoods, cfg):
     """_Block.of_neighborhoods built one neighborhood at a time."""
-    labels, anchors, srcs, dsts, edge_labels = [], [], [], [], []
+    labels, anchors, srcs, dsts = [], [], [], []
     offset = 0
     for nh in neighborhoods:
         g = nh.graph
@@ -243,28 +237,26 @@ def block_reference(neighborhoods, cfg):
         anchors.append(offset + nh.anchor)
         srcs.append(offset + indices)
         dsts.append(offset + np.repeat(np.arange(g.node_count), np.diff(indptr)))
-        if cfg.edge_label_count > 0:
-            edge_labels.append(csr_edge_labels(g))
         offset += g.node_count
     empty = np.empty(0, dtype=np.intp)
     return encoder._Block(
         np.asarray(labels, dtype=np.intp), np.asarray(anchors, dtype=np.intp),
-        np.concatenate(srcs) if srcs else empty, np.concatenate(dsts) if dsts else empty,
-        np.concatenate(edge_labels) if edge_labels else empty, cfg,
+        np.concatenate(srcs) if srcs else empty, np.concatenate(dsts) if dsts else empty, cfg,
     )
 
 
-def random_neighborhoods(seed, count, edge_label_count):
-    """k-hop balls of labeled ER graphs, some re-anchored away from row 0."""
+def random_neighborhoods(seed, count, edge_labels=0):
+    """k-hop balls of labeled ER graphs, some re-anchored away from row 0,
+    with edge labels drawn from range(edge_labels) when it is nonzero."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
         g = gen_er(int(rng.integers(1, 16)), float(rng.uniform(0.1, 0.5)), 2,
                    seed=int(rng.integers(2**31)))
-        if edge_label_count:
+        if edge_labels:
             g = LabeledGraph.from_edges(
                 g.node_count, g.edges(), list(g.node_labels), 2,
-                {e: int(rng.integers(edge_label_count)) for e in g.edges()})
+                {e: int(rng.integers(edge_labels)) for e in g.edges()})
         ball = k_hop_neighborhood(g, int(rng.integers(g.node_count)), int(rng.integers(0, 4)))
         out.append(AnchoredNeighborhood(ball.graph, int(rng.integers(ball.node_count))))
     return out
@@ -278,24 +270,17 @@ class TestBlockOfNeighborhoods:
         assert np.array_equal(got.features, want.features)
         for a, b in [(got.anchors, want.anchors), *zip(got.index, want.index)]:
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert len(got.label_indexes) == len(want.label_indexes)
-        for pair_got, pair_want in zip(got.label_indexes, want.label_indexes):
-            for a, b in zip(pair_got, pair_want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    @pytest.mark.parametrize("edge_label_count", [0, 3])
+    @pytest.mark.parametrize("edge_labels", [0, 3])
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_neighborhoods(self, seed, edge_label_count):
-        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4, label_alphabet_size=2,
-                            edge_label_count=edge_label_count)
-        nhs = random_neighborhoods(seed, 30, edge_label_count)
+    def test_random_neighborhoods(self, seed, edge_labels):
+        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4, label_alphabet_size=2)
+        nhs = random_neighborhoods(seed, 30, edge_labels)
         assert any(nh.node_count == 1 for nh in nhs) and any(nh.anchor for nh in nhs)
         self.assert_same(encoder._Block.of_neighborhoods(nhs, cfg), block_reference(nhs, cfg))
 
-    @pytest.mark.parametrize("edge_label_count", [0, 2])
-    def test_single_node_and_empty(self, edge_label_count):
-        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4, label_alphabet_size=2,
-                            edge_label_count=edge_label_count)
+    def test_single_node_and_empty(self):
+        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4, label_alphabet_size=2)
         one = AnchoredNeighborhood(LabeledGraph.from_edges(1, [], [1], 2), 0)
         for nhs in ([one], []):
             got = encoder._Block.of_neighborhoods(nhs, cfg)
@@ -319,11 +304,10 @@ class TestNeighborSumPlans:
         monkeypatch.setattr(ad, "RankPlan", Counting)
         return built
 
-    @pytest.mark.parametrize("edge_label_count", [0, 2])
-    def test_training_step_plans_each_direction_once(self, built, edge_label_count):
-        cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8, label_alphabet_size=2,
-                            edge_label_count=edge_label_count)
-        nhs = random_neighborhoods(1, 12, edge_label_count)
+    @pytest.mark.parametrize("edge_labels", [0, 2])
+    def test_training_step_plans_each_direction_once(self, built, edge_labels):
+        cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8, label_alphabet_size=2)
+        nhs = random_neighborhoods(1, 12, edge_labels)
         params = _as_tensors(init_params(cfg, seed=0))
 
         def plans_built(tape):
@@ -332,16 +316,14 @@ class TestNeighborSumPlans:
             out = encoder._forward(tape, block, params, cfg)
             if tape.record:
                 ad.backward(tape, ad.sum_all(tape, out))
-            pairs = block.label_indexes if edge_label_count else [block.index]
-            return [id(idx) for idx, _ in built], pairs, block.anchors
+            return [id(idx) for idx, _ in built], block.index, block.anchors
 
-        got, pairs, anchors = plans_built(ad.Tape())
-        # forward plans on the first layer; take_rows' one-off plan and the
-        # backward plans on the last layer, which backward() reaches first
-        assert got == ([id(dst) for _, dst in pairs] + [id(anchors)]
-                       + [id(src) for src, _ in reversed(pairs)])
-        got, pairs, _ = plans_built(ad.Tape(record=False))  # validation
-        assert got == [id(dst) for _, dst in pairs]
+        got, (src, dst), anchors = plans_built(ad.Tape())
+        # the forward plan on the first layer; take_rows' one-off plan and the
+        # backward plan on the last layer, which backward() reaches first
+        assert got == [id(dst), id(anchors), id(src)]
+        got, (_, dst), _ = plans_built(ad.Tape(record=False))  # validation
+        assert got == [id(dst)]
 
     def test_encode_all_plans_once_per_block(self, built, monkeypatch):
         per_block = []
@@ -355,24 +337,14 @@ class TestNeighborSumPlans:
 
         monkeypatch.setattr(encoder, "_infer", recording)
         monkeypatch.setattr(encoder, "CHUNK_ROWS", 64)
-        rng = np.random.default_rng(0)
-        for edge_label_count in (0, 2):
-            cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8, label_alphabet_size=2,
-                                edge_label_count=edge_label_count)
-            g = gen_er(40, 0.1, 2, seed=3)
-            if edge_label_count:
-                g = LabeledGraph.from_edges(
-                    g.node_count, g.edges(), list(g.node_labels), 2,
-                    {e: int(rng.integers(edge_label_count)) for e in g.edges()})
-            per_block.clear()
-            encode_all(g, 3, init_params(cfg, seed=0), cfg)
-            assert len(per_block) > 1
-            for block, plans in per_block:
-                indexes = block.label_indexes if edge_label_count else [block.index]
-                assert len(plans) == max(1, edge_label_count)
-                # one plan per index, over all its (src, dst) pairs into dst
-                for (idx, src), (s_all, d_all) in zip(plans, indexes):
-                    assert idx is d_all and src is s_all
+        cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8, label_alphabet_size=2)
+        encode_all(gen_er(40, 0.1, 2, seed=3), 3, init_params(cfg, seed=0), cfg)
+        assert len(per_block) > 1
+        for block, plans in per_block:
+            # one plan, over all the block's (src, dst) pairs into dst
+            (idx, src), = plans
+            s_all, d_all = block.index
+            assert idx is d_all and src is s_all
 
 
 class TestBallPath:
@@ -423,18 +395,6 @@ class TestBallPath:
         assert sum(anchors for _, anchors in blocks) == 103
         assert all(rows <= 2 * 64 or anchors == 1 for rows, anchors in blocks)
 
-    def test_edges_without_a_label_read_as_label_zero(self):
-        cfg = EncoderConfig(layers=3, hidden_dim=12, output_dim=8,
-                            label_alphabet_size=2, edge_label_count=3)
-        params = init_params(cfg, seed=6)
-        rng = np.random.default_rng(8)
-        for seed in range(3):
-            base = gen_er(40, 0.1, 2, seed=seed)
-            labels = {e: int(rng.integers(1, 3)) for e in base.edges() if rng.random() < 0.5}
-            g = LabeledGraph.from_edges(40, base.edges(), list(base.node_labels), 2,
-                                        edge_labels=labels)
-            assert np.array_equal(encode_all(g, 2, params, cfg), per_node(g, 2, params, cfg))
-
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 14), seed=st.integers(0, 10_000), k=st.integers(0, 3),
            max_rows=st.integers(1, 60), group=st.sampled_from([1, 3, 128]))
@@ -451,7 +411,7 @@ class TestBallPath:
             mp.setattr(graphs, "BITMAP_ANCHORS", group)
             grouped = k_hop_balls(indptr, indices, np.arange(n), k,
                                   triangles=node_triangles(indptr, indices))
-        for field in ("nodes", "anchors", "src", "dst", "edges"):
+        for field in ("nodes", "anchors", "src", "dst"):
             assert np.array_equal(getattr(grouped, field), getattr(balls, field))
         counted = build_input_features(np.asarray(g.node_labels)[balls.nodes], balls.anchors,
                                        balls.src, balls.dst, SMALL, grouped.triangles)
@@ -463,8 +423,7 @@ class TestBallPath:
         edges = np.searchsorted(balls.dst, rows)
         assert np.array_equal(capped.nodes, balls.nodes[:rows])
         assert np.array_equal(capped.anchors, balls.anchors[:kept])
-        for got, want in ((capped.src, balls.src), (capped.dst, balls.dst),
-                          (capped.edges, balls.edges)):
+        for got, want in ((capped.src, balls.src), (capped.dst, balls.dst)):
             assert np.array_equal(got, want[:edges])
         feats = build_input_features(
             np.asarray(g.node_labels)[balls.nodes], balls.anchors, balls.src, balls.dst, SMALL)
@@ -544,14 +503,29 @@ class TestTwins:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_leaves_with_different_edge_labels_are_not_merged(self, k):
-        cfg = EncoderConfig(layers=3, hidden_dim=12, output_dim=8, label_alphabet_size=2,
-                            edge_label_count=3)
+        # leaves 1 and 3 differ only in the label of their edge: they are
+        # twins without the edge labels and two groups with them
         g = self.hub_with_leaves({(0, i): i % 3 for i in range(1, 31)})
-        params = init_params(cfg, seed=10)
-        direct = per_node(g, k, params, cfg)
-        assert np.array_equal(encode_all(g, k, params, cfg), direct)
-        if k:  # leaves 1 and 3 differ only in the label of their edge
-            assert not np.array_equal(direct[1], direct[3])
+        assert graphs.twin_representatives(g)[3] == 3
+        assert graphs.twin_representatives(self.hub_with_leaves())[3] == 1
+        params = init_params(SMALL, seed=10)
+        assert np.array_equal(encode_all(g, k, params, SMALL), per_node(g, k, params, SMALL))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_encoder_ignores_edge_labels_that_split_twins(self, k):
+        # leaves 1 and 3 are not twins (the test above), yet the encoder,
+        # which reads no edge label, embeds them alike
+        g = self.hub_with_leaves({(0, i): i % 3 for i in range(1, 31)})
+        plain = self.hub_with_leaves()
+        params = init_params(SMALL, seed=10)
+        embs = encode_all(g, k, params, SMALL)
+        assert embs.tobytes() == encode_all(plain, k, params, SMALL).tobytes()
+        assert embs[1].tobytes() == embs[3].tobytes()
+        for u in range(g.node_count):
+            direct = encode(k_hop_neighborhood(g, u, k), params, SMALL)
+            assert direct.tobytes() == encode(k_hop_neighborhood(plain, u, k), params,
+                                              SMALL).tobytes()
+            assert direct.tobytes() == embs[u].tobytes()
 
 
 def k5_blocks_on_a_hub(blocks):
@@ -580,22 +554,20 @@ PEAK_MB = {"isolated_nodes": 7.9 * 1.25, "disjoint_edges": 6.7 * 1.25,
 
 def reference_balls(g, anchors, k):
     """(k_hop_balls' contract, rows per ball), one Python BFS per anchor."""
-    indptr, _ = adjacency_csr(g)
-    nodes, rows, src, dst, edges, sizes = [], [], [], [], [], []
+    nodes, rows, src, dst, sizes = [], [], [], [], []
     for u in anchors:
         ball = sorted(g.bfs_distances(int(u), max_depth=k))
         first = len(nodes)
         row = {v: first + j for j, v in enumerate(ball)}
         rows.append(row[u])
         for v in ball:
-            for j, w in enumerate(g.adjacency[v]):
+            for w in g.adjacency[v]:
                 if w in row:
                     src.append(row[w])
                     dst.append(row[v])
-                    edges.append(indptr[v] + j)
         nodes += ball
         sizes.append(len(ball))
-    arrays = (np.array(x, dtype=np.intp) for x in (nodes, rows, src, dst, edges))
+    arrays = (np.array(x, dtype=np.intp) for x in (nodes, rows, src, dst))
     return graphs.Balls(*arrays), np.array(sizes)
 
 
@@ -645,7 +617,7 @@ class TestInputsNoWorkloadHas:
         anchors = np.arange(min(g.node_count, 3000))
         balls = k_hop_balls(indptr, indices, anchors, k)
         want, sizes = reference_balls(g, anchors, k)
-        for field in ("nodes", "anchors", "src", "dst", "edges"):
+        for field in ("nodes", "anchors", "src", "dst"):
             assert np.array_equal(getattr(balls, field), getattr(want, field))
         for max_rows in (1, 7, 500, 5000):
             capped = k_hop_balls(indptr, indices, anchors, k, max_rows=max_rows)
@@ -654,8 +626,7 @@ class TestInputsNoWorkloadHas:
             edges = np.searchsorted(balls.dst, rows)
             assert np.array_equal(capped.nodes, balls.nodes[:rows])
             assert np.array_equal(capped.anchors, balls.anchors[:kept])
-            for got, full in ((capped.src, balls.src), (capped.dst, balls.dst),
-                              (capped.edges, balls.edges)):
+            for got, full in ((capped.src, balls.src), (capped.dst, balls.dst)):
                 assert np.array_equal(got, full[:edges])
 
     @pytest.mark.parametrize("name", list(LOOSE_GRAPHS))
@@ -753,42 +724,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_param_shapes_cover_edge_labels(self):
-        cfg = EncoderConfig(
-            layers=2, hidden_dim=4, output_dim=4, label_alphabet_size=1, edge_label_count=3
-        )
-        shapes = expected_param_shapes(cfg)
-        assert "layer0.edge2" in shapes
-        params = init_params(cfg, seed=0)
-        g = LabeledGraph.from_edges(
-            3, [(0, 1), (1, 2)], edge_labels={(0, 1): 0, (1, 2): 2}
-        )
-        z = encode(AnchoredNeighborhood(g, 0), params, cfg)
-        assert z.shape == (4,) and np.all(z >= 0)
-
-    @pytest.mark.parametrize("label", [5, 2, -3])
-    def test_edge_label_outside_range_rejected(self, label):
-        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4, edge_label_count=2)
-        params = init_params(cfg, seed=0)
-        edge_labels = {(0, 1): 0, (1, 2): label}
-        g = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], edge_labels=edge_labels)
-        with pytest.raises(GraphError, match="edge label"):
-            encode_all(g, 2, params, cfg)
-        with pytest.raises(GraphError, match="edge label"):
-            encode_batch(ad.Tape(), [k_hop_neighborhood(g, 0, 2)], _as_tensors(params), cfg)
-        ok = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], edge_labels={**edge_labels, (1, 2): 1})
-        assert encode_all(ok, 2, params, cfg).shape == (3, 4)
-
-    def test_edge_label_weights_affect_output(self):
-        cfg = EncoderConfig(
-            layers=2, hidden_dim=4, output_dim=4, label_alphabet_size=1, edge_label_count=2
-        )
-        params = init_params(cfg, seed=0)
-        g1 = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], edge_labels={(0, 1): 0, (1, 2): 0})
-        g2 = LabeledGraph.from_edges(3, [(0, 1), (1, 2)], edge_labels={(0, 1): 0, (1, 2): 1})
-        z1 = encode(AnchoredNeighborhood(g1, 0), params, cfg)
-        z2 = encode(AnchoredNeighborhood(g2, 0), params, cfg)
-        assert not np.array_equal(z1, z2)
 
 
 DESK = EncoderConfig(layers=4, hidden_dim=32, output_dim=32, label_alphabet_size=1)
@@ -809,7 +744,7 @@ class TestFingerprint:
     def test_digest_is_pinned(self):
         # saved indexes record this digest; a change would orphan them
         assert desk_checkpoint().fingerprint() == (
-            "3590ca0c47472d79f94e1f58deb3a0ef806d3434aa56a7e59bf04b7d5dc9aa6e")
+            "fabdba033099abb8e536a4a6d6b7648478554404975a95b7e7ae8c2994a59840")
 
     def test_follows_mutation(self):
         ckpt = desk_checkpoint()
@@ -847,7 +782,7 @@ BAD_CHECKPOINTS = {
     "text radius": lambda doc: with_value(doc, ["radius"], "3"),
     "fractional radius": lambda doc: with_value(doc, ["radius"], 2.5),
     "fractional layers": lambda doc: with_value(doc, ["config", "layers"], 1.5),
-    "negative edge_label_count": lambda doc: with_value(doc, ["config", "edge_label_count"], -1),
+    "format 2 edge_label_count": lambda doc: with_value(doc, ["config", "edge_label_count"], 0),
     "unknown config key": lambda doc: with_value(doc, ["config", "depth"], 3),
     "text values": lambda doc: with_value(doc, ["params", "out.b"], ["a", "b"]),
     "ragged values": lambda doc: with_value(doc, ["params", "out.b"], [[0.1], []]),

@@ -36,7 +36,7 @@ class TestConfig:
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            SamplerConfig(min_nodes=5, max_nodes=3)
+            SamplerConfig(max_nodes=0)
 
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
@@ -46,13 +46,21 @@ class TestConfig:
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 class TestAllSamplers:
     def test_keeps_whole_path_when_forced(self, name, path3):
-        cfg = SamplerConfig(strategy=name, edge_keep_probability=1.0,
-                            restart_probability=0.01, min_nodes=3, max_nodes=3)
-        nh = SAMPLERS[name](path3, 0, cfg, np.random.default_rng(0))
-        assert nh.node_count == 3
+        # mfinder draws its size from 1 to max_nodes, so only a draw of 3
+        # forces it; the other two samplers are forced at every seed
+        cfg = SamplerConfig(strategy=name, edge_keep_probability=1.0, max_nodes=3)
+        forced = 0
+        for seed in range(20):
+            size = np.random.default_rng(seed).integers(1, 4)  # mfinder's first draw
+            if name == "mfinder_degree_weighted" and size < 3:
+                continue
+            nh = SAMPLERS[name](path3, 0, cfg, np.random.default_rng(seed))
+            assert nh.node_count == 3
+            forced += 1
+        assert forced > 0
 
     def test_max_nodes_one(self, name, er20):
-        cfg = SamplerConfig(strategy=name, min_nodes=1, max_nodes=1)
+        cfg = SamplerConfig(strategy=name, max_nodes=1)
         nh = SAMPLERS[name](er20, 4, cfg, np.random.default_rng(0))
         assert nh.node_count == 1
         assert nh.anchor == 0
@@ -192,14 +200,14 @@ class TestMFinderWeighting:
             6, [(0, i) for i in range(1, 6)], node_labels=[0, 1, 2, 3, 4, 5],
             label_alphabet_size=6,
         )
-        cfg = SamplerConfig(strategy="mfinder_degree_weighted", min_nodes=2, max_nodes=2)
+        cfg = SamplerConfig(strategy="mfinder_degree_weighted", max_nodes=2)
         rng = np.random.default_rng(0)
         counts = np.zeros(6)
-        trials = 100_000
-        for _ in range(trials):
+        for _ in range(100_000):
             nh = mfinder_sample(star, 0, cfg, rng)
-            counts[nh.graph.node_labels[1]] += 1
-        freqs = counts[1:] / trials
+            if nh.node_count == 2:  # a draw of size 1 picks no frontier node
+                counts[nh.graph.node_labels[1]] += 1
+        freqs = counts[1:] / counts.sum()
         # all frontier degrees equal 1, so degree weighting means uniform
         assert np.all(np.abs(freqs - 0.2) < 0.02)
 
@@ -209,13 +217,14 @@ class TestMFinderWeighting:
             4, [(0, 1), (0, 2), (2, 3)], node_labels=[0, 1, 2, 3],
             label_alphabet_size=4,
         )
-        cfg = SamplerConfig(strategy="mfinder_degree_weighted", min_nodes=2, max_nodes=2)
+        cfg = SamplerConfig(strategy="mfinder_degree_weighted", max_nodes=2)
         rng = np.random.default_rng(3)
         picks = {1: 0, 2: 0}
-        trials = 30_000
-        for _ in range(trials):
+        for _ in range(30_000):
             nh = mfinder_sample(broom, 0, cfg, rng)
-            picks[nh.graph.node_labels[1]] += 1
+            if nh.node_count == 2:  # a draw of size 1 picks no frontier node
+                picks[nh.graph.node_labels[1]] += 1
+        trials = sum(picks.values())
         # frontier degrees are 1 and 2, so expect a 1:2 split
         assert abs(picks[1] / trials - 1 / 3) < 0.02
         assert abs(picks[2] / trials - 2 / 3) < 0.02
@@ -233,7 +242,7 @@ class TestPairs:
 
     def test_query_may_equal_target(self):
         edge = LabeledGraph.from_edges(2, [(0, 1)])
-        cfg = SamplerConfig(edge_keep_probability=1.0, min_nodes=1, max_nodes=2)
+        cfg = SamplerConfig(edge_keep_probability=1.0, max_nodes=2)
         pair = sample_positive_pair(edge, 1, cfg, np.random.default_rng(0))
         assert pair.label is True
         assert pair.query.node_count == pair.target.node_count == 2
@@ -283,7 +292,7 @@ class TestPairs:
         tri = LabeledGraph.from_edges(
             3, [(0, 1), (1, 2), (0, 2)], node_labels=[0, 0, 1], label_alphabet_size=2
         )
-        cfg = SamplerConfig(edge_keep_probability=1.0, min_nodes=3, max_nodes=3)
+        cfg = SamplerConfig(edge_keep_probability=1.0, max_nodes=3)
         rng = np.random.default_rng(0)
         pair = sample_negative_pair(tri, 1, "hard", cfg, rng)
         assert pair is not None
@@ -326,12 +335,13 @@ class TestPairs:
         # unlabeled 2-node graph: the lone feasible perturbation keeps the
         # query inside the target, so every retry fails
         edge = LabeledGraph.from_edges(2, [(0, 1)])
-        cfg = SamplerConfig(edge_keep_probability=1.0, min_nodes=1, max_nodes=2)
+        cfg = SamplerConfig(edge_keep_probability=1.0, max_nodes=2)
         rng = np.random.default_rng(0)
         assert sample_negative_pair(edge, 1, "hard", cfg, rng) is None
 
     def test_sample_neighborhood_dispatch(self, er20):
         for name in SAMPLERS:
-            cfg = SamplerConfig(strategy=name, min_nodes=2, max_nodes=6)
+            cfg = SamplerConfig(strategy=name, max_nodes=6)
             nh = sample_neighborhood(er20, 0, cfg, np.random.default_rng(0))
             assert nh.graph.is_connected()
+            assert nh == SAMPLERS[name](er20, 0, cfg, np.random.default_rng(0))  # one draw

@@ -406,13 +406,7 @@ def _full_width_forward(tape, block, params, cfg):
     _full_width_forward.calls += 1
     x = ad.Tensor(block.features)
     for k in range(cfg.layers):
-        if cfg.edge_label_count > 0:
-            agg = x
-            for lab in range(cfg.edge_label_count):
-                msg = ad.row_sum_aggregate(tape, x, block.label_indexes[lab])
-                agg = ad.add(tape, agg, ad.matmul(tape, msg, params[f"layer{k}.edge{lab}"]))
-        else:
-            agg = ad.add(tape, x, ad.row_sum_aggregate(tape, x, block.index))
+        agg = ad.add(tape, x, ad.row_sum_aggregate(tape, x, block.index))
         h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
         h = ad.leaky_relu(tape, h, E.LEAKY_SLOPE)
         h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])
@@ -465,9 +459,9 @@ class TestShortcutsKeepTheBits:
 
     @pytest.mark.parametrize("edge_labels", [False, True], ids=["plain", "edge_labels"])
     def test_training_equals_reference_paths(self, monkeypatch, edge_labels):
+        # edge labels feed the hard negatives and the exact matcher, not the encoder
         pool = _edge_labeled_pool() if edge_labels else tiny_pool(count=3)
-        enc = EncoderConfig(layers=3, hidden_dim=8, output_dim=8, label_alphabet_size=1,
-                            edge_label_count=2 if edge_labels else 0)
+        enc = EncoderConfig(layers=3, hidden_dim=8, output_dim=8, label_alphabet_size=1)
         fast, fast_pairs = self.run(monkeypatch, pool, enc)
         references = (_permutation_bfs_sample, _full_width_forward, _search_only_anchored)
         for fn in references:
@@ -490,7 +484,7 @@ class TestShortcutsKeepTheBits:
 # thread. The checkpoint keeps the best validation epoch's parameters; the
 # history's losses depend on every epoch's.
 PINNED_SHA256 = {
-    "checkpoint.json": "b61b02103e6de4e3b4eaeab310e1b39f933f42fcef6ccfb4261bfb1e7083a2c4",
+    "checkpoint.json": "5c8b046b5decce7fda4b87c4bc576ee9a311738d29bb2c65a46b8c0ce8959d9b",
     "history.csv": "d2e30f5382b817205904747844b1ff0c5836256f717683cc2579a99f9d7b140d",
 }
 
