@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import ConfigError
 from .exact import MatchBudget, MatchOutcome, is_subgraph
-from .graphs import LabeledGraph
+from .graphs import GraphError, LabeledGraph
 from .query import answer, build_index, calibrate_decision_cutoff
 from .util import atomic_write_text
 
@@ -96,8 +96,14 @@ def make_problem1_instances(
     Positives are sampled subgraphs (true by construction). Negatives mix
     chord-densified subgraphs and cross-graph queries, certified non-subgraphs
     by the exact matcher, resampling on accidental positives or oracle
-    timeouts.
+    timeouts. A target of fewer than 2 nodes raises GraphError.
     """
+    small = [i for i, g in enumerate(targets) if g.node_count < 2]
+    if small:
+        raise GraphError(
+            f"target graph {small[0]} has {targets[small[0]].node_count} node(s); "
+            "a query instance needs at least 2"
+        )
     instances: list[BenchInstance] = []
     guard = 0
     while len(instances) < n_instances and guard < 50 * n_instances:

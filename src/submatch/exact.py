@@ -2,8 +2,7 @@
 
 Edge-induced semantics: an injective map f from query nodes to target nodes
 such that every query edge (a, b) maps to a target edge (f(a), f(b)) and node
-labels (plus edge labels, when both graphs carry them) agree. Target edges
-outside the image are allowed.
+labels agree. Target edges outside the image are allowed.
 
 The search places query nodes in BFS order and tries, for each, the target
 neighbors of an already placed query neighbor. A state is one candidate
@@ -61,14 +60,6 @@ class MatchBudget:
             raise ValueError("budget fields must be strictly positive")
 
 
-def _edge_labels_agree(t: int, images: list[int], labels: list, t_edge_labels) -> bool:
-    """Does every target edge (t, images[i]) carry the query's labels[i]?"""
-    for tn, label in zip(images, labels):
-        if t_edge_labels.get((t, tn) if t < tn else (tn, t)) != label:
-            return False
-    return True
-
-
 def _ruled_out_by_degrees(
     query: LabeledGraph, q_anchor: int, target: LabeledGraph, t_anchor: int
 ) -> bool:
@@ -123,16 +114,8 @@ class _Search:
             [qn for qn in query.adjacency[q] if depth_of[qn] < d]
             for d, q in enumerate(order)
         ]
-        t_edge_labels = target.edge_labels
-        if query.edge_labels is None or t_edge_labels is None:
-            # pool adjacency already implies the first back-neighbor's edge
-            checks = [back[1:] for back in backs]
-            edge_labels = None
-        else:
-            checks = backs
-            edge_labels = [
-                [query.edge_label(q, qn) for qn in back] for q, back in zip(order, backs)
-            ]
+        # pool adjacency already implies the first back-neighbor's edge
+        checks = [back[1:] for back in backs]
         t_adj, t_labels = target.adjacency, target.node_labels
         t_degrees = [len(nbrs) for nbrs in t_adj]
         mapped = [-1] * query.node_count
@@ -166,10 +149,7 @@ class _Search:
                         if tn not in adj:
                             break
                     else:
-                        if edge_labels is None or _edge_labels_agree(
-                            t, need, edge_labels[depth], t_edge_labels
-                        ):
-                            break
+                        break  # every edge back to a placed neighbor is there
                     continue
                 break
             else:

@@ -1,4 +1,4 @@
-"""Labeled undirected graphs and anchored k-hop neighborhoods.
+"""Node-labeled undirected graphs and anchored k-hop neighborhoods.
 
 The graph representation is immutable after construction so that samplers,
 matchers and encoders can share instances without copying.
@@ -22,13 +22,6 @@ class GraphError(ValueError):
     """Raised when a graph or neighborhood violates a structural invariant."""
 
 
-EdgeLabels = dict[tuple[int, int], int]
-
-
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def _trusted(cls, **values):
     """An instance of the frozen dataclass cls that skips __post_init__.
 
@@ -42,18 +35,16 @@ def _trusted(cls, **values):
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Undirected graph with categorical node labels and optional edge labels.
+    """Undirected graph with categorical node labels.
 
     adjacency[u] is the sorted tuple of neighbors of u. Node labels are ids in
-    [0, label_alphabet_size). Edge labels, when present, map the unordered
-    pair (min(u,v), max(u,v)) to a categorical id.
+    [0, label_alphabet_size). Edges carry no labels.
     """
 
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]
     node_labels: tuple[int, ...]
     label_alphabet_size: int
-    edge_labels: EdgeLabels | None = None
 
     def __post_init__(self) -> None:
         if self.node_count < 0:
@@ -78,12 +69,6 @@ class LabeledGraph:
                     f"node {u} has label {lab} outside alphabet of size "
                     f"{self.label_alphabet_size}"
                 )
-        if self.edge_labels is not None:
-            for (u, v) in self.edge_labels:
-                if u >= v:
-                    raise GraphError(f"edge label key ({u},{v}) is not ordered")
-                if v not in self.adjacency[u]:
-                    raise GraphError(f"edge label on missing edge {u}-{v}")
 
     @staticmethod
     def from_edges(
@@ -91,7 +76,6 @@ class LabeledGraph:
         edges: list[tuple[int, int]],
         node_labels: list[int] | None = None,
         label_alphabet_size: int | None = None,
-        edge_labels: EdgeLabels | None = None,
     ) -> "LabeledGraph":
         """Build a graph from an edge list, deduplicating undirected edges."""
         nbrs: list[set[int]] = [set() for _ in range(node_count)]
@@ -113,7 +97,6 @@ class LabeledGraph:
             adjacency=tuple(tuple(sorted(s)) for s in nbrs),
             node_labels=tuple(labels),
             label_alphabet_size=alphabet,
-            edge_labels=dict(edge_labels) if edge_labels else None,
         )
 
     @property
@@ -125,11 +108,6 @@ class LabeledGraph:
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
-
-    def edge_label(self, u: int, v: int) -> int | None:
-        if self.edge_labels is None:
-            return None
-        return self.edge_labels.get(_edge_key(u, v))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
@@ -163,14 +141,6 @@ class LabeledGraph:
         if nodes and not (0 <= min(nodes) and max(nodes) < self.node_count):
             raise GraphError(f"induced_on node ids must lie in [0, {self.node_count})")
         adjacency = self.adjacency
-        edge_labels: EdgeLabels = {}
-        if self.edge_labels is not None:
-            for new_u, old_u in enumerate(nodes):
-                for old_v in adjacency[old_u]:
-                    if old_u < old_v and old_v in index:
-                        lab = self.edge_labels.get((old_u, old_v))
-                        if lab is not None:
-                            edge_labels[_edge_key(new_u, index[old_v])] = lab
         return _trusted(
             LabeledGraph,
             node_count=len(nodes),
@@ -178,7 +148,6 @@ class LabeledGraph:
                              for u in nodes]),
             node_labels=tuple([self.node_labels[u] for u in nodes]),
             label_alphabet_size=self.label_alphabet_size,
-            edge_labels=edge_labels or None,
         )
 
     def fingerprint(self) -> str:
@@ -233,20 +202,17 @@ def adjacency_csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def twin_representatives(g: LabeledGraph) -> np.ndarray:
-    """For each node, the lowest node with the same label, the same neighbors
-    and, when g has edge labels, the same edge label to each neighbor.
+    """For each node, the lowest node with the same label and the same
+    neighbors.
 
     Such twins are never adjacent, and swapping two of them is an
     automorphism of g, so their anchored k-hop balls are isomorphic at every
     k. Found in one dict pass (the syntactic equivalence of BoostIso, Ren &
     Wang, PVLDB 2015).
     """
-    keys = zip(g.node_labels, g.adjacency)
-    if g.edge_labels is not None:
-        keys = ((label, nbrs, tuple([g.edge_label(u, v) for v in nbrs]))
-                for u, (label, nbrs) in enumerate(keys))
     first: dict = {}
-    return np.fromiter((first.setdefault(key, u) for u, key in enumerate(keys)),
+    return np.fromiter((first.setdefault(key, u)
+                        for u, key in enumerate(zip(g.node_labels, g.adjacency))),
                        dtype=np.intp, count=g.node_count)
 
 
@@ -466,14 +432,8 @@ def to_json(g: LabeledGraph) -> str:
     """Serialize to the JSON interchange format used by the CLI."""
     obj: dict = {
         "nodes": [{"id": i, "label": g.node_labels[i]} for i in range(g.node_count)],
-        "edges": [],
+        "edges": [{"u": u, "v": v} for u, v in g.edges()],
     }
-    for u, v in g.edges():
-        edge: dict = {"u": u, "v": v}
-        lab = g.edge_label(u, v)
-        if lab is not None:
-            edge["label"] = lab
-        obj["edges"].append(edge)
     if g.label_alphabet_size != (max(g.node_labels, default=-1) + 1):
         obj["label_alphabet_size"] = g.label_alphabet_size
     return json.dumps(obj, sort_keys=True)
@@ -498,20 +458,15 @@ def from_json(text: str | bytes) -> LabeledGraph:
     labels = [0] * len(nodes)
     for n in nodes:
         labels[n["id"]] = _integer(n, "label", 0)
-    edges = []
-    edge_labels: EdgeLabels = {}
-    for e in edge_objs:
-        u, v = _integer(e, "u"), _integer(e, "v")
-        edges.append((u, v))
-        if "label" in e:
-            edge_labels[_edge_key(u, v)] = _integer(e, "label")
+    if any("label" in e for e in edge_objs):
+        raise GraphError("edges carry no labels; drop the edge \"label\" key")
+    edges = [(_integer(e, "u"), _integer(e, "v")) for e in edge_objs]
     alphabet = obj.get("label_alphabet_size")
     return LabeledGraph.from_edges(
         node_count=len(nodes),
         edges=edges,
         node_labels=labels,
         label_alphabet_size=None if alphabet is None else _integer(obj, "label_alphabet_size"),
-        edge_labels=edge_labels,
     )
 
 

@@ -129,7 +129,7 @@ def calibrate_threshold(
     lo = float(violations.min())
     hi = min(float(violations.max()), cfg.margin)
     candidates = np.linspace(lo, hi, THRESHOLD_CANDIDATES + 2)[1:-1]
-    candidates = candidates[candidates > 0.0]
+    candidates = candidates[(candidates > 0.0) & (candidates < cfg.margin)]
     if candidates.size == 0:
         candidates = np.array([cfg.margin / 2.0])
     # the prediction v < t, written as -v > -t, which negation leaves exact

@@ -230,7 +230,8 @@ def _perturb_query(
 ) -> AnchoredNeighborhood | None:
     """One perturbation chosen uniformly among the feasible moves: add an edge
     between non-adjacent nodes, rewire one edge endpoint, or swap a node label.
-    Returns None when no move is feasible (saturated unlabeled queries)."""
+    Returns None when no move is feasible (a complete query over a
+    one-label alphabet)."""
     g = query.graph
     n = g.node_count
     moves = []
@@ -248,11 +249,7 @@ def _perturb_query(
         if move == "add":
             a, b = non_edges[int(rng.integers(len(non_edges)))]
             new_g = LabeledGraph.from_edges(
-                n,
-                g.edges() + [(a, b)],
-                list(g.node_labels),
-                g.label_alphabet_size,
-                g.edge_labels,
+                n, g.edges() + [(a, b)], list(g.node_labels), g.label_alphabet_size
             )
         elif move == "rewire":
             edges = g.edges()
@@ -262,12 +259,7 @@ def _perturb_query(
                 continue
             c = others[int(rng.integers(len(others)))]
             kept = [e for e in edges if e != (a, b)] + [(min(a, c), max(a, c))]
-            labels = None
-            if g.edge_labels is not None:
-                labels = {e: lab for e, lab in g.edge_labels.items() if e != (a, b)}
-            new_g = LabeledGraph.from_edges(
-                n, kept, list(g.node_labels), g.label_alphabet_size, labels
-            )
+            new_g = LabeledGraph.from_edges(n, kept, list(g.node_labels), g.label_alphabet_size)
             if not new_g.is_connected():
                 continue
         else:  # swap one node label
@@ -275,9 +267,7 @@ def _perturb_query(
             choices = [lab for lab in range(alphabet) if lab != g.node_labels[node]]
             new_labels = list(g.node_labels)
             new_labels[node] = choices[int(rng.integers(len(choices)))]
-            new_g = LabeledGraph.from_edges(
-                n, g.edges(), new_labels, g.label_alphabet_size, g.edge_labels
-            )
+            new_g = LabeledGraph.from_edges(n, g.edges(), new_labels, g.label_alphabet_size)
         return AnchoredNeighborhood(graph=new_g, anchor=0)
     return None
 

@@ -65,14 +65,7 @@ def _injection_ok(query: LabeledGraph, target: LabeledGraph, mapping: dict[int, 
     for a in range(query.node_count):
         if query.node_labels[a] != target.node_labels[mapping[a]]:
             return False
-    check_edge_labels = query.edge_labels is not None and target.edge_labels is not None
-    for a, b in query.edges():
-        ta, tb = mapping[a], mapping[b]
-        if not target.has_edge(ta, tb):
-            return False
-        if check_edge_labels and query.edge_label(a, b) != target.edge_label(ta, tb):
-            return False
-    return True
+    return all(target.has_edge(mapping[a], mapping[b]) for a, b in query.edges())
 
 
 def brute_force_is_subgraph(query: LabeledGraph, target: LabeledGraph) -> bool:

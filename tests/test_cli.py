@@ -358,6 +358,10 @@ BAD_INPUTS = {
     "bench-negative-seed": ["bench", "--methods", "exact", "--seed", "-1"],
     "bench-nan-query-ratio": ["bench", "--methods", "exact", "--query-ratio", "nan"],
     "bench-negative-instances": ["bench", "--methods", "exact", "--n-instances", "-2"],
+    "bench-empty-graph": ["bench", "--methods", "exact", "--data", "{data}/empty-graph"],
+    "bench-one-node-graphs": ["bench", "--methods", "exact", "--data", "{data}/one-node-graphs"],
+    "bench-edge-label": ["bench", "--methods", "exact", "--data", "{data}/edge-label"],
+    "train-edge-label": ["train", "--data", "{data}/edge-label"],
     "train-negative-calibration-pairs": ["train", "--calibration-pairs", "-3"],
     "train-nan-rate": ["train", "--set", "train.learning_rate=nan"],
     "train-inf-rate": ["train", "--set", "train.learning_rate=inf"],
@@ -379,9 +383,21 @@ BAD_INPUTS = {
 }
 
 
+# graph directories for the rows above that name their own --data {data}/<name>
+BAD_DATA = {
+    "empty-graph": ['{"nodes": [], "edges": []}'],
+    "one-node-graphs": ['{"nodes": [{"id": 0}], "edges": []}'] * 2,
+    "edge-label": ['{"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "label": 1}]}'],
+}
+
+
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_one_before_writing(argv, dataset_dir, tmp_path, capsys):
-    out = tmp_path / "out"
+    out, data = tmp_path / "out", tmp_path / "data"
+    for name, docs in BAD_DATA.items():
+        (data / name).mkdir(parents=True)
+        for i, doc in enumerate(docs):
+            (data / name / f"graph_{i:04d}.json").write_text(doc)
     paths = {
         "gen": ["--out", str(out)],
         "train": ["--data", str(dataset_dir), "--out", str(out)],
@@ -391,7 +407,8 @@ def test_bad_input_exits_one_before_writing(argv, dataset_dir, tmp_path, capsys)
     # pytest's own warning capture would keep a numpy warning out of capsys
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run_cli(*argv, *paths[argv[0]])
+        # the row's own options come last, so its --data wins
+        code = run_cli(argv[0], *paths[argv[0]], *[a.format(data=data) for a in argv[1:]])
     err = capsys.readouterr().err.strip()
     assert code == 1, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from submatch.cli import GenConfig
 from submatch.config import ConfigError, build_dataclass, parse_kv_file, split_sections
 from submatch.encoder import EncoderConfig
+from submatch.graphs import from_json
 from submatch.order import MarginConfig
 from submatch.sampling import SamplerConfig
 from submatch.training import TrainConfig
@@ -142,3 +143,12 @@ def test_readme_lists_the_keys_each_command_accepts():
                 for section, cls in zip(SECTIONS, CONFIG_CLASSES)}
     accepted["margin"].remove("threshold")
     assert listed == accepted
+
+
+def test_readme_graph_example_loads():
+    """README's graph-format example is a complete document that from_json
+    reads as the labeled path it describes."""
+    (example,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    g = from_json(example)
+    assert g.edges() == [(0, 1), (1, 2)]
+    assert (g.node_labels, g.label_alphabet_size) == ((1, 0, 0), 3)

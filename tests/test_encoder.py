@@ -175,19 +175,20 @@ class TestEncodeAll:
             direct = encode(k_hop_neighborhood(g, u, 2), params, SMALL)
             assert np.array_equal(embs[u], direct)
 
-    @pytest.mark.parametrize("edge_labels", [0, 3], ids=["plain", "edge_labelled"])
-    def test_blocks_match_per_node_encode_bit_for_bit(self, edge_labels, monkeypatch):
-        # edge labels, which the encoder ignores, still split twin groups
+    @pytest.mark.parametrize("leaves", [0, 12], ids=["plain", "twins"])
+    def test_blocks_match_per_node_encode_bit_for_bit(self, leaves, monkeypatch):
+        # leaves on node 0 form twin groups, of which encode_all embeds one node
         cfg = EncoderConfig(layers=3, hidden_dim=12, output_dim=8, label_alphabet_size=3)
         params = init_params(cfg, seed=5)
         rng = np.random.default_rng(17)
         for n in (1, 2, 9, 40, 90):
             g = gen_er(n, min(1.0, 3.0 / n), 3, seed=int(rng.integers(1 << 30)))
-            if edge_labels:
+            if leaves:
                 g = LabeledGraph.from_edges(
-                    n, g.edges(), list(g.node_labels), 3,
-                    edge_labels={e: int(rng.integers(edge_labels)) for e in g.edges()},
+                    n + leaves, g.edges() + [(0, n + i) for i in range(leaves)],
+                    list(g.node_labels) + [i % 3 for i in range(leaves)], 3,
                 )
+                n += leaves
             k = int(rng.integers(1, 4))
             direct = np.stack([encode(k_hop_neighborhood(g, u, k), params, cfg)
                                for u in range(n)])
@@ -245,18 +246,13 @@ def block_reference(neighborhoods, cfg):
     )
 
 
-def random_neighborhoods(seed, count, edge_labels=0):
-    """k-hop balls of labeled ER graphs, some re-anchored away from row 0,
-    with edge labels drawn from range(edge_labels) when it is nonzero."""
+def random_neighborhoods(seed, count):
+    """k-hop balls of labeled ER graphs, some re-anchored away from row 0."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
         g = gen_er(int(rng.integers(1, 16)), float(rng.uniform(0.1, 0.5)), 2,
                    seed=int(rng.integers(2**31)))
-        if edge_labels:
-            g = LabeledGraph.from_edges(
-                g.node_count, g.edges(), list(g.node_labels), 2,
-                {e: int(rng.integers(edge_labels)) for e in g.edges()})
         ball = k_hop_neighborhood(g, int(rng.integers(g.node_count)), int(rng.integers(0, 4)))
         out.append(AnchoredNeighborhood(ball.graph, int(rng.integers(ball.node_count))))
     return out
@@ -271,11 +267,13 @@ class TestBlockOfNeighborhoods:
         for a, b in [(got.anchors, want.anchors), *zip(got.index, want.index)]:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    @pytest.mark.parametrize("edge_labels", [0, 3])
+    @pytest.mark.parametrize("unused_labels", [0, 3])
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_neighborhoods(self, seed, edge_labels):
-        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4, label_alphabet_size=2)
-        nhs = random_neighborhoods(seed, 30, edge_labels)
+    def test_random_neighborhoods(self, seed, unused_labels):
+        # the nodes draw labels 0 and 1; an alphabet past them leaves columns unused
+        cfg = EncoderConfig(layers=2, hidden_dim=4, output_dim=4,
+                            label_alphabet_size=2 + unused_labels)
+        nhs = random_neighborhoods(seed, 30)
         assert any(nh.node_count == 1 for nh in nhs) and any(nh.anchor for nh in nhs)
         self.assert_same(encoder._Block.of_neighborhoods(nhs, cfg), block_reference(nhs, cfg))
 
@@ -304,10 +302,10 @@ class TestNeighborSumPlans:
         monkeypatch.setattr(ad, "RankPlan", Counting)
         return built
 
-    @pytest.mark.parametrize("edge_labels", [0, 2])
-    def test_training_step_plans_each_direction_once(self, built, edge_labels):
-        cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8, label_alphabet_size=2)
-        nhs = random_neighborhoods(1, 12, edge_labels)
+    @pytest.mark.parametrize("layers", [2, 4])
+    def test_training_step_plans_each_direction_once(self, built, layers):
+        cfg = EncoderConfig(layers=layers, hidden_dim=8, output_dim=8, label_alphabet_size=2)
+        nhs = random_neighborhoods(1, 12)
         params = _as_tensors(init_params(cfg, seed=0))
 
         def plans_built(tape):
@@ -467,15 +465,15 @@ class TestBallPath:
 
 
 class TestTwins:
-    """encode_all embeds one node per twin class (same label, neighbors and
-    edge labels); every row must still be what encode() gives for it."""
+    """encode_all embeds one node per twin class (same label and neighbors);
+    every row must still be what encode() gives for it."""
 
     @staticmethod
-    def hub_with_leaves(edge_labels=None):
+    def hub_with_leaves():
         # hub 0 with leaves 1-30 of both labels, and a path 0-31-32-33-34 so
         # that the balls change up to k = 3
         edges = [(0, i) for i in range(1, 31)] + [(0, 31), (31, 32), (32, 33), (33, 34)]
-        return LabeledGraph.from_edges(35, edges, [i % 2 for i in range(35)], 2, edge_labels)
+        return LabeledGraph.from_edges(35, edges, [i % 2 for i in range(35)], 2)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_hub_with_leaves_of_both_labels(self, k, monkeypatch):
@@ -502,30 +500,18 @@ class TestTwins:
         assert np.array_equal(encode_all(g, k, params, SMALL), per_node(g, k, params, SMALL))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_leaves_with_different_edge_labels_are_not_merged(self, k):
-        # leaves 1 and 3 differ only in the label of their edge: they are
-        # twins without the edge labels and two groups with them
-        g = self.hub_with_leaves({(0, i): i % 3 for i in range(1, 31)})
-        assert graphs.twin_representatives(g)[3] == 3
-        assert graphs.twin_representatives(self.hub_with_leaves())[3] == 1
+    def test_twins_encode_to_the_same_bytes(self, k):
+        # the rule encode_all relies on: a node's ball embeds exactly as its
+        # representative's does, so one row serves the whole class
+        g = self.hub_with_leaves()
+        reps = graphs.twin_representatives(g)
+        assert reps[3] == 1 and reps[4] == 2
         params = init_params(SMALL, seed=10)
-        assert np.array_equal(encode_all(g, k, params, SMALL), per_node(g, k, params, SMALL))
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_encoder_ignores_edge_labels_that_split_twins(self, k):
-        # leaves 1 and 3 are not twins (the test above), yet the encoder,
-        # which reads no edge label, embeds them alike
-        g = self.hub_with_leaves({(0, i): i % 3 for i in range(1, 31)})
-        plain = self.hub_with_leaves()
-        params = init_params(SMALL, seed=10)
-        embs = encode_all(g, k, params, SMALL)
-        assert embs.tobytes() == encode_all(plain, k, params, SMALL).tobytes()
-        assert embs[1].tobytes() == embs[3].tobytes()
-        for u in range(g.node_count):
-            direct = encode(k_hop_neighborhood(g, u, k), params, SMALL)
-            assert direct.tobytes() == encode(k_hop_neighborhood(plain, u, k), params,
-                                              SMALL).tobytes()
-            assert direct.tobytes() == embs[u].tobytes()
+        rows = [encode(k_hop_neighborhood(g, u, k), params, SMALL).tobytes()
+                for u in range(g.node_count)]
+        for u, r in enumerate(reps.tolist()):
+            assert rows[u] == rows[r]
+        assert encode_all(g, k, params, SMALL).tobytes() == b"".join(rows)
 
 
 def k5_blocks_on_a_hub(blocks):

@@ -73,39 +73,27 @@ class TestInvariants:
 
 @st.composite
 def labeled_graphs(draw, max_n=10):
-    """Graphs with node labels, and with all, some or no edges labelled."""
+    """Graphs with node labels."""
     n = draw(st.integers(1, max_n))
     alphabet = draw(st.integers(1, 3))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
     labels = draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
-    edge_labels = None
-    if draw(st.booleans()):
-        keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-        edge_labels = {(a, b): (a + b) % 3 for (a, b), k in zip(edges, keep) if k} or None
-    return LabeledGraph.from_edges(n, edges, labels, alphabet, edge_labels)
+    return LabeledGraph.from_edges(n, edges, labels, alphabet)
 
 
 def reference_induced_on(g: LabeledGraph, nodes: list[int]) -> LabeledGraph:
     """The edge list -> from_edges rebuild that induced_on replaced."""
     index = {old: new for new, old in enumerate(nodes)}
-    edges, edge_labels = [], {}
-    for old_u in nodes:
-        for old_v in g.adjacency[old_u]:
-            if old_v in index and old_u < old_v:
-                nu, nv = index[old_u], index[old_v]
-                edges.append((nu, nv))
-                if g.edge_label(old_u, old_v) is not None:
-                    edge_labels[(min(nu, nv), max(nu, nv))] = g.edge_label(old_u, old_v)
+    edges = [(index[old_u], index[old_v]) for old_u in nodes for old_v in g.adjacency[old_u]
+             if old_v in index and old_u < old_v]
     return LabeledGraph.from_edges(
-        len(nodes), edges, [g.node_labels[u] for u in nodes], g.label_alphabet_size,
-        edge_labels if g.edge_labels is not None else None,
+        len(nodes), edges, [g.node_labels[u] for u in nodes], g.label_alphabet_size
     )
 
 
 def revalidated_graph(g: LabeledGraph) -> LabeledGraph:
-    return LabeledGraph(g.node_count, g.adjacency, g.node_labels, g.label_alphabet_size,
-                        g.edge_labels)
+    return LabeledGraph(g.node_count, g.adjacency, g.node_labels, g.label_alphabet_size)
 
 
 def revalidated(nh: AnchoredNeighborhood) -> AnchoredNeighborhood:
@@ -264,24 +252,20 @@ class TestTriangles:
 class TestTwins:
     @staticmethod
     def reference(g: LabeledGraph) -> list[int]:
-        """Lowest node with the same label, neighbors and edge labels, by
-        comparing every pair."""
+        """Lowest node with the same label and neighbors, by comparing every
+        pair."""
         def key(u):
-            nbrs = g.adjacency[u]
-            return g.node_labels[u], nbrs, [g.edge_label(u, v) for v in nbrs]
+            return g.node_labels[u], g.adjacency[u]
         return [next(v for v in range(u + 1) if key(v) == key(u)) for u in range(g.node_count)]
 
     @settings(max_examples=150, deadline=None)
     @given(g=labeled_graphs(max_n=9), fill=st.integers(0, 3))
-    def test_groups_equal_label_neighbors_and_edge_labels(self, g, fill):
-        # pad with leaves on node 0, some of whose edges carry labels, so
-        # that most draws hold twins
+    def test_groups_equal_label_and_neighbors(self, g, fill):
+        # pad with leaves on node 0, so that most draws hold twins
         n = g.node_count
-        labels = dict(g.edge_labels or {})
-        labels.update({(0, n + i): i % 2 for i in range(fill) if i % 3})
         g = LabeledGraph.from_edges(n + fill, g.edges() + [(0, n + i) for i in range(fill)],
                                     list(g.node_labels) + [i % 2 for i in range(fill)],
-                                    max(g.label_alphabet_size, 2), labels or None)
+                                    max(g.label_alphabet_size, 2))
         reps = twin_representatives(g)
         assert reps.tolist() == self.reference(g)
         for u, r in enumerate(reps.tolist()):
@@ -291,15 +275,10 @@ class TestTwins:
             assert not g.has_edge(u, r)
             for a, b in g.edges():
                 assert g.has_edge(swap[a], swap[b])
-                assert g.edge_label(a, b) == g.edge_label(swap[a], swap[b])
 
-    def test_edge_labels_split_leaves(self):
-        # leaves 1-6 of hub 0 carry labels 0, 1 and none on their edges
-        g = LabeledGraph.from_edges(7, [(0, i) for i in range(1, 7)], [0] * 7, 1,
-                                    {(0, i): i % 3 for i in range(1, 7) if i % 3 < 2})
-        assert twin_representatives(g).tolist() == [0, 1, 2, 3, 1, 2, 3]
-        plain = LabeledGraph.from_edges(7, g.edges(), [0] * 7, 1)
-        assert twin_representatives(plain).tolist() == [0, 1, 1, 1, 1, 1, 1]
+    def test_leaves_of_a_hub_are_twins(self):
+        star = LabeledGraph.from_edges(7, [(0, i) for i in range(1, 7)], [0] * 7, 1)
+        assert twin_representatives(star).tolist() == [0, 1, 1, 1, 1, 1, 1]
 
     def test_isolated_nodes_form_one_class_per_label(self):
         g = LabeledGraph.from_edges(6, [(4, 5)], [0, 1, 0, 1, 0, 0], 2)
@@ -333,9 +312,15 @@ class TestJsonFormat:
             [(0, 1), (1, 2)],
             node_labels=[1, 0, 1],
             label_alphabet_size=3,
-            edge_labels={(0, 1): 2},
         )
         assert from_json(to_json(g)) == g
+
+    def test_edge_label_rejected(self):
+        # the exact matcher would ignore it, and so answer another question
+        text = json.dumps({"nodes": [{"id": 0}, {"id": 1}],
+                           "edges": [{"u": 0, "v": 1, "label": 2}]})
+        with pytest.raises(GraphError, match="label"):
+            from_json(text)
 
     def test_ids_must_be_contiguous(self):
         bad = json.dumps({"nodes": [{"id": 0}, {"id": 2}], "edges": []})

@@ -223,3 +223,10 @@ class TestThresholdCalibration:
         labels = np.array([1, 1, 0, 0])
         t = calibrate_threshold(violations, labels, cfg)
         assert 0.0 < t < cfg.margin
+
+    def test_violations_all_at_or_above_margin_fall_back_below_it(self):
+        # the swept range [2, 4], clipped at the margin, lies above it
+        cfg = MarginConfig(margin=1.0, threshold=0.5)
+        t = calibrate_threshold(np.array([2.0, 3.0, 2.5, 4.0]), np.array([1, 0, 1, 0]), cfg)
+        assert t == cfg.margin / 2
+        MarginConfig(margin=cfg.margin, threshold=t)

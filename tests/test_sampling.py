@@ -124,8 +124,7 @@ def reference_random_bfs_sample(g, u, cfg, rng):
 
 @st.composite
 def sampler_graphs(draw):
-    """Random graphs with hubs, leaves and isolated nodes, with or without
-    edge labels."""
+    """Random graphs with hubs, leaves and isolated nodes."""
     core = draw(st.integers(1, 16))
     pairs = [(a, b) for a in range(core) for b in range(a + 1, core)]
     edges = set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * core))
@@ -137,13 +136,8 @@ def sampler_graphs(draw):
     edges |= {(v, core + i) for i, v in enumerate(leaves)}
     n = core + len(leaves) + draw(st.integers(0, 3))  # the rest are isolated
     alphabet = draw(st.integers(1, 3))
-    edges = sorted(edges)
-    edge_labels = None
-    if draw(st.booleans()):
-        codes = draw(st.lists(st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
-        edge_labels = dict(zip(edges, codes)) or None
     labels = draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
-    return LabeledGraph.from_edges(n, edges, labels, alphabet, edge_labels)
+    return LabeledGraph.from_edges(n, sorted(edges), labels, alphabet)
 
 
 class TestDrawsKept:

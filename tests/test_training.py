@@ -17,7 +17,6 @@ from submatch import training as T
 from submatch.datasets import gen_er
 from submatch.encoder import EncoderConfig, encode_batch, init_params, _as_tensors
 from submatch.exact import _Search, is_subgraph_anchored
-from submatch.graphs import LabeledGraph
 from submatch.order import MarginConfig, margin_loss
 from submatch.sampling import SamplerConfig
 from submatch.training import (
@@ -422,16 +421,6 @@ def _search_only_anchored(self, q_anchor, t_anchor):
     return self._run(self._order_from(q_anchor), (t_anchor,))
 
 
-def _edge_labeled_pool():
-    rng = np.random.default_rng(6)
-    pool = []
-    for g in tiny_pool(count=3, seed=20):
-        labels = {e: int(rng.integers(2)) for e in g.edges()}
-        pool.append(LabeledGraph.from_edges(g.node_count, g.edges(), list(g.node_labels),
-                                            g.label_alphabet_size, labels))
-    return pool
-
-
 class TestShortcutsKeepTheBits:
     """A small training run is the same, bit for bit, with each shortcut of
     the training path swapped for what it replaced: the shuffled BFS sampler,
@@ -457,10 +446,8 @@ class TestShortcutsKeepTheBits:
                         enc, MarginConfig(), SamplerConfig(max_nodes=7))
         return res, pairs
 
-    @pytest.mark.parametrize("edge_labels", [False, True], ids=["plain", "edge_labels"])
-    def test_training_equals_reference_paths(self, monkeypatch, edge_labels):
-        # edge labels feed the hard negatives and the exact matcher, not the encoder
-        pool = _edge_labeled_pool() if edge_labels else tiny_pool(count=3)
+    def test_training_equals_reference_paths(self, monkeypatch):
+        pool = tiny_pool(count=3)
         enc = EncoderConfig(layers=3, hidden_dim=8, output_dim=8, label_alphabet_size=1)
         fast, fast_pairs = self.run(monkeypatch, pool, enc)
         references = (_permutation_bfs_sample, _full_width_forward, _search_only_anchored)
