@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -36,9 +36,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; we want 1
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
+    def error(self, message):  # argparse prints usage and exits 2; we want one line and 1
+        raise UsageError(f"{message} (see {self.prog} --help)")
+
+
+# gen's uniform-random graphs have this mean degree; its attachment graphs
+# take gen_extended_barabasi's defaults
+ER_AVG_DEGREE = 4.0
 
 
 @dataclass(frozen=True)
@@ -47,24 +51,16 @@ class GenConfig:
     family: str = "mix"  # mix | erdos_renyi | extended_barabasi
     min_nodes: int = 16
     max_nodes: int = 30
-    er_avg_degree: float = 4.0
-    eb_m: int = 2
-    eb_p_add: float = 0.2
-    eb_p_rewire: float = 0.2
     label_alphabet_size: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.family not in ("mix", "erdos_renyi", "extended_barabasi"):
             raise ValueError(f"unknown family {self.family!r}")
-        if min(self.n_graphs, self.eb_m, self.label_alphabet_size) < 1 or self.seed < 0:
-            raise ValueError("n_graphs, eb_m and label_alphabet_size must be >= 1, seed >= 0")
+        if min(self.n_graphs, self.label_alphabet_size) < 1 or self.seed < 0:
+            raise ValueError("n_graphs and label_alphabet_size must be >= 1, seed >= 0")
         if not 1 <= self.min_nodes <= self.max_nodes:
             raise ValueError("need 1 <= min_nodes <= max_nodes")
-        if not all(0.0 <= p <= 1.0 for p in (self.eb_p_add, self.eb_p_rewire)):
-            raise ValueError("eb_p_add and eb_p_rewire must lie in [0, 1]")
-        if not (self.eb_p_add + self.eb_p_rewire < 1.0 and self.er_avg_degree >= 0.0):
-            raise ValueError("need eb_p_add + eb_p_rewire < 1 and er_avg_degree >= 0")
 
 
 def _load_config_sections(path: str | None, overrides: list[str], prefixes: list[str]):
@@ -102,13 +98,10 @@ def cmd_gen(args) -> int:
         if family == "mix":
             family = "erdos_renyi" if i % 2 == 0 else "extended_barabasi"
         if family == "erdos_renyi":
-            p = min(1.0, cfg.er_avg_degree / max(n - 1, 1))
+            p = min(1.0, ER_AVG_DEGREE / max(n - 1, 1))
             g = gen_er(n, p, cfg.label_alphabet_size, seed)
         else:
-            g = gen_extended_barabasi(
-                n, cfg.eb_m, cfg.eb_p_add, cfg.eb_p_rewire,
-                cfg.label_alphabet_size, seed,
-            )
+            g = gen_extended_barabasi(n, alphabet=cfg.label_alphabet_size, seed=seed)
         name = f"graph_{i:04d}.json"
         save_graph(g, os.path.join(args.out, name))
         names.append(name)
@@ -135,6 +128,9 @@ def cmd_train(args) -> int:
         )
     if "threshold" in sections["margin"]:
         raise ConfigError("margin.threshold cannot be set: train calibrates it")
+    if "label_alphabet_size" in sections["encoder"]:
+        raise ConfigError("encoder.label_alphabet_size cannot be set: "
+                          "train reads it from the training graphs")
     if args.epochs is not None:
         sections["train"]["epochs"] = str(args.epochs)
     if args.seed is not None:
@@ -147,6 +143,8 @@ def cmd_train(args) -> int:
     sampler_cfg: SamplerConfig = build_dataclass(SamplerConfig, sections["sampler"])
 
     targets = _load_targets(args.data)
+    alphabet = max(g.label_alphabet_size for g in targets)
+    encoder_cfg = replace(encoder_cfg, label_alphabet_size=alphabet)
     result = train(targets, train_cfg, encoder_cfg, margin_cfg, sampler_cfg)
     checkpoint = result.checkpoint
 
@@ -173,7 +171,7 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     g = load_graph(args.graph)
-    index = build_index(g, checkpoint, k=args.k)
+    index = build_index(g, checkpoint)
     save_index(index, args.out)
     print(f"indexed {index.node_count} nodes at radius {index.radius} -> {args.out}")
     return 0
@@ -216,15 +214,12 @@ def cmd_bench(args) -> int:
         bool(args.checkpoint),
         args.timeout,
         n_instances=args.n_instances,
-        query_ratio=args.query_ratio,
         seed=args.seed,
     )
     checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
     targets = _load_targets(args.data)
     rng = np.random.default_rng(args.seed)
-    instances = make_problem1_instances(
-        targets, args.n_instances, rng, query_ratio=args.query_ratio
-    )
+    instances = make_problem1_instances(targets, args.n_instances, rng)
     results, summary = run_bench(
         methods, instances, checkpoint=checkpoint, timeout=args.timeout
     )
@@ -274,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("query", help="decide whether a query embeds in a target")
@@ -292,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--methods", default="exact,neural")
     p.add_argument("--n-instances", type=int, default=40)
-    p.add_argument("--query-ratio", type=float, default=0.5)
     p.add_argument("--timeout", type=float, default=20.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-csv", required=True)

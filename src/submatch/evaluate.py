@@ -83,20 +83,22 @@ def _perturbed_query(
 
 # certifies each negative instance; a timeout redraws it, never labels it
 ORACLE_BUDGET = MatchBudget(max_states=2_000_000, wall_timeout=10.0)
+# a query holds at most this share of its target's nodes (and at least 2)
+QUERY_RATIO = 0.5
 
 
 def make_problem1_instances(
     targets: list[LabeledGraph],
     n_instances: int,
     rng: np.random.Generator,
-    query_ratio: float = 0.5,
 ) -> list[BenchInstance]:
     """Whole-graph (query, target) decision instances, half positive.
 
     Positives are sampled subgraphs (true by construction). Negatives mix
     chord-densified subgraphs and cross-graph queries, certified non-subgraphs
     by the exact matcher, resampling on accidental positives or oracle
-    timeouts. A target of fewer than 2 nodes raises GraphError.
+    timeouts. A target of fewer than 2 nodes, or a pool without an edge, raises
+    GraphError.
     """
     small = [i for i, g in enumerate(targets) if g.node_count < 2]
     if small:
@@ -104,12 +106,14 @@ def make_problem1_instances(
             f"target graph {small[0]} has {targets[small[0]].node_count} node(s); "
             "a query instance needs at least 2"
         )
+    if not any(g.edge_count for g in targets):
+        raise GraphError("no target graph has an edge; every query drawn would be one node")
     instances: list[BenchInstance] = []
     guard = 0
     while len(instances) < n_instances and guard < 50 * n_instances:
         guard += 1
         target = targets[int(rng.integers(len(targets)))]
-        max_q = max(2, int(round(query_ratio * target.node_count)))
+        max_q = max(2, int(round(QUERY_RATIO * target.node_count)))
         want_positive = len(instances) % 2 == 0
         if want_positive:
             query = _bfs_subgraph(target, max_q, rng)
@@ -249,7 +253,6 @@ def check_bench_request(
     timeout: float,
     *,
     n_instances: int | None = None,
-    query_ratio: float | None = None,
     seed: int | None = None,
 ) -> None:
     """Raise ConfigError for a request bench() cannot run, before any instance
@@ -265,8 +268,6 @@ def check_bench_request(
         raise ConfigError(f"timeout must be positive, got {timeout}")
     if n_instances is not None and n_instances < 1:
         raise ConfigError(f"n_instances must be at least 1, got {n_instances}")
-    if query_ratio is not None and not 0 < query_ratio <= 1:
-        raise ConfigError(f"query_ratio must lie in (0, 1], got {query_ratio}")
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 

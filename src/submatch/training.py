@@ -32,6 +32,13 @@ VALIDATION_CHUNK = 128  # pairs encoded per tape-less batch in pair_violations
 # data is declared unable to yield any
 MAX_FAILED_NEGATIVES = 100
 
+LEARNING_RATE = 1e-3  # the cosine schedule's peak
+# fraction of weight magnitude decayed per step at the peak learning rate
+# (anneals with the cosine schedule, biases exempt); counterweight to the
+# hinge term's one-sided pressure, without which the embedding scale
+# ratchets upward until every pair is either exactly dominated or
+# violated far beyond the margin and ranking resolution is lost
+WEIGHT_DECAY = 0.02
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -71,31 +78,24 @@ class CurriculumState:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
-    learning_rate: float = 1e-3
     plateau_patience: int = 20
     plateau_delta: float = 0.1  # percentage points of validation AUROC
     regen_period: int = 50
     min_iterations: int = 64
     val_radius: int = MAX_RADIUS
-    # fraction of weight magnitude decayed per step at the base learning rate
-    # (anneals with the cosine schedule, biases exempt); counterweight to the
-    # hinge term's one-sided pressure, without which the embedding scale
-    # ratchets upward until every pair is either exactly dominated or
-    # violated far beyond the margin and ranking resolution is lost
-    weight_decay: float = 0.02
     seed: int = 0
 
     def __post_init__(self) -> None:
         positive = (
-            self.epochs, self.learning_rate, self.plateau_patience, self.plateau_delta,
+            self.epochs, self.plateau_patience, self.plateau_delta,
             self.regen_period, self.min_iterations,
         )
         if not all(0 < x < math.inf for x in positive):
-            raise ValueError("all counts, periods and rates must be positive and finite")
+            raise ValueError("all counts, periods and deltas must be positive and finite")
+        if self.val_radius < 1:
+            raise ValueError(f"val_radius must be at least 1, got {self.val_radius}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not 0.0 <= self.weight_decay <= 1.0:
-            raise ValueError("weight_decay must lie in [0, 1]")
 
 
 @dataclass
@@ -397,7 +397,7 @@ def train(
         if epoch % cfg.regen_period == 0:
             refresh_pool()
             refresh_val()
-        lr = cosine_lr(epoch, cfg.learning_rate)
+        lr = cosine_lr(epoch, LEARNING_RATE)
         batches = build_epoch_batches(pool, curriculum, cfg, sampler_cfg, data_rng)
         epoch_loss = 0.0
         for pairs in batches:
@@ -416,15 +416,12 @@ def train(
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} (lr={lr:.3g}); "
-                    "lower the learning rate or check the data"
+                    "lower the margin or check the data"
                 )
             grads = ad.backward(tape, loss)
             params = adam_step(params, grads, adam, lr)
-            if cfg.weight_decay > 0.0:
-                keep = 1.0 - cfg.weight_decay * lr / cfg.learning_rate
-                params = {
-                    k: v if ".b" in k else v * keep for k, v in params.items()
-                }
+            keep = 1.0 - WEIGHT_DECAY * lr / LEARNING_RATE
+            params = {k: v if ".b" in k else v * keep for k, v in params.items()}
             epoch_loss += float(loss.value)
 
         violations = pair_violations(val_pairs, params, encoder_cfg)

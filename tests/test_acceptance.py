@@ -151,7 +151,7 @@ def test_criterion_5_sampler_generalization(trained):
 def problem1_fixture(trained, desk_pool):
     ckpt = trained.checkpoint
     rng = np.random.default_rng(909)
-    instances = make_problem1_instances(desk_pool, 200, rng, query_ratio=0.5)
+    instances = make_problem1_instances(desk_pool, 200, rng)
     rows = []
     for inst in instances:
         index = build_index(inst.target, ckpt)

@@ -119,6 +119,21 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "epochz" in err and "lr" in err
 
+    def test_label_alphabet_comes_from_the_data(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "m"
+        assert run_cli("gen", "--out", str(data), "--seed", "2", "--set", "n_graphs=3",
+                       "--set", "min_nodes=8", "--set", "max_nodes=10",
+                       "--set", "label_alphabet_size=3") == 0
+        code = run_cli(
+            "train", "--data", str(data), "--out", str(out), "--epochs", "1",
+            "--calibration-pairs", "0", "--set", "train.min_iterations=1",
+            "--set", "train.val_radius=2", "--set", "encoder.layers=2",
+            "--set", "encoder.hidden_dim=8", "--set", "encoder.output_dim=8",
+            "--set", "sampler.max_nodes=5",
+        )
+        assert code == 0
+        assert load_checkpoint(out / "checkpoint.json").config.label_alphabet_size == 3
+
     def test_config_not_utf8_exits_one(self, dataset_dir, tmp_path, capsys):
         conf = tmp_path / "train.conf"
         conf.write_bytes(b"train.epochs = 1\n# \xff\xfe is not UTF-8\n")
@@ -346,25 +361,32 @@ class TestBenchCommand:
 
 BAD_INPUTS = {
     "gen-min-above-max": ["gen", "--set", "min_nodes=30", "--set", "max_nodes=16"],
-    "gen-eb-m-zero": ["gen", "--set", "eb_m=0", "--set", "family=extended_barabasi"],
-    "gen-eb-probabilities": ["gen", "--set", "eb_p_add=0.6", "--set", "eb_p_rewire=0.5"],
     "gen-negative-count": ["gen", "--set", "n_graphs=-3"],
     "gen-negative-seed": ["gen", "--seed", "-1"],
     "gen-removed-er-p": ["gen", "--set", "er_p=0.3"],
+    "gen-removed-er-avg-degree": ["gen", "--set", "er_avg_degree=3"],
+    "gen-removed-eb-m": ["gen", "--set", "eb_m=3"],
+    "gen-removed-eb-p-add": ["gen", "--set", "eb_p_add=0.1"],
+    "gen-removed-eb-p-rewire": ["gen", "--set", "gen.eb_p_rewire=0.1"],
+    "embed-removed-k": ["embed", "--k", "2"],
     "bench-zero-timeout": ["bench", "--methods", "exact", "--timeout", "0"],
     "bench-unknown-method": ["bench", "--methods", "foo"],
     "bench-no-methods": ["bench", "--methods", ","],
     "bench-neural-without-checkpoint": ["bench", "--methods", "neural"],
     "bench-negative-seed": ["bench", "--methods", "exact", "--seed", "-1"],
-    "bench-nan-query-ratio": ["bench", "--methods", "exact", "--query-ratio", "nan"],
+    "bench-removed-query-ratio": ["bench", "--methods", "exact", "--query-ratio", "0.4"],
     "bench-negative-instances": ["bench", "--methods", "exact", "--n-instances", "-2"],
     "bench-empty-graph": ["bench", "--methods", "exact", "--data", "{data}/empty-graph"],
     "bench-one-node-graphs": ["bench", "--methods", "exact", "--data", "{data}/one-node-graphs"],
+    "bench-edgeless-graphs": ["bench", "--methods", "exact", "--data", "{data}/edgeless-graphs"],
     "bench-edge-label": ["bench", "--methods", "exact", "--data", "{data}/edge-label"],
     "train-edge-label": ["train", "--data", "{data}/edge-label"],
     "train-negative-calibration-pairs": ["train", "--calibration-pairs", "-3"],
-    "train-nan-rate": ["train", "--set", "train.learning_rate=nan"],
-    "train-inf-rate": ["train", "--set", "train.learning_rate=inf"],
+    "train-removed-learning-rate": ["train", "--set", "train.learning_rate=0.002"],
+    "train-removed-weight-decay": ["train", "--set", "train.weight_decay=0.01"],
+    "train-derived-label-alphabet": ["train", "--set", "encoder.label_alphabet_size=3"],
+    "train-zero-val-radius": ["train", "--set", "train.val_radius=0"],
+    "train-negative-val-radius": ["train", "--set", "train.val_radius=-1"],
     "train-nan-beta": ["train", "--set", "train.beta1=nan"],
     "train-removed-neg-pos-ratio": ["train", "--set", "train.neg_pos_ratio=3"],
     "train-removed-beta2": ["train", "--set", "train.beta2=0.99"],
@@ -387,12 +409,13 @@ BAD_INPUTS = {
 BAD_DATA = {
     "empty-graph": ['{"nodes": [], "edges": []}'],
     "one-node-graphs": ['{"nodes": [{"id": 0}], "edges": []}'] * 2,
+    "edgeless-graphs": ['{"nodes": [{"id": 0}, {"id": 1}], "edges": []}'] * 2,
     "edge-label": ['{"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "label": 1}]}'],
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_one_before_writing(argv, dataset_dir, tmp_path, capsys):
+def test_bad_input_exits_one_before_writing(argv, dataset_dir, smoke_model, tmp_path, capsys):
     out, data = tmp_path / "out", tmp_path / "data"
     for name, docs in BAD_DATA.items():
         (data / name).mkdir(parents=True)
@@ -401,6 +424,8 @@ def test_bad_input_exits_one_before_writing(argv, dataset_dir, tmp_path, capsys)
     paths = {
         "gen": ["--out", str(out)],
         "train": ["--data", str(dataset_dir), "--out", str(out)],
+        "embed": ["--graph", str(dataset_dir / "graph_0000.json"),
+                  "--checkpoint", str(smoke_model / "checkpoint.json"), "--out", str(out)],
         "bench": ["--data", str(dataset_dir), "--out-csv", str(out / "rows.csv"),
                   "--out-json", str(out / "summary.json")],
     }
@@ -485,7 +510,7 @@ class TestTrainedModelQuery:
         ckpt = trained.checkpoint
         save_checkpoint(ckpt, tmp_path / "ckpt.json")
         rng = np.random.default_rng(123)
-        instances = make_problem1_instances(desk_pool[:6], 4, rng, query_ratio=0.5)
+        instances = make_problem1_instances(desk_pool[:6], 4, rng)
         positives = [i for i in instances if i.oracle_label]
         assert positives
         hits = 0

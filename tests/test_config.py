@@ -43,9 +43,9 @@ class TestParse:
 class TestBuild:
     def test_typed_fields(self):
         cfg = build_dataclass(
-            TrainConfig, {"epochs": "12", "learning_rate": "0.01", "seed": "5"}
+            TrainConfig, {"epochs": "12", "plateau_delta": "0.5", "seed": "5"}
         )
-        assert cfg.epochs == 12 and cfg.learning_rate == 0.01 and cfg.seed == 5
+        assert cfg.epochs == 12 and cfg.plateau_delta == 0.5 and cfg.seed == 5
 
     def test_unknown_keys_all_reported(self):
         with pytest.raises(ConfigError) as err:
@@ -132,16 +132,17 @@ def test_values_parse_as_the_annotated_type(cls):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_lists_the_keys_each_command_accepts():
+def test_readme_lists_every_config_key():
     """README's config paragraph lists, per section, exactly the keys train
-    and gen accept: every field of the section's config, except the
-    threshold, which train calibrates and rejects."""
+    and gen accept: every field of the section's config, except the two that
+    train works out and rejects, the threshold and the label alphabet."""
     text = README.read_text(encoding="utf-8")
     listed = {section: set(re.findall(r"`(\w+)`", keys)) for section, keys in
               re.findall(r"`(\w+)\.`(?: keys)?:((?:\s*`\w+`,?)+)", text)}
     accepted = {section: {f.name for f in fields(cls)}
                 for section, cls in zip(SECTIONS, CONFIG_CLASSES)}
     accepted["margin"].remove("threshold")
+    accepted["encoder"].remove("label_alphabet_size")
     assert listed == accepted
 
 

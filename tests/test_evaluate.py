@@ -148,9 +148,7 @@ class TestInstances:
 
     def test_balanced_and_ratio(self):
         targets = [gen_er(20, 0.2, 1, seed=s) for s in (5, 6)]
-        instances = make_problem1_instances(
-            targets, 10, np.random.default_rng(1), query_ratio=0.5
-        )
+        instances = make_problem1_instances(targets, 10, np.random.default_rng(1))
         labels = [i.oracle_label for i in instances]
         assert sum(labels) == 5
         ratios = [i.query.node_count / i.target.node_count for i in instances]

@@ -125,6 +125,11 @@ class TestCurriculum:
         with pytest.raises(ValueError):
             CurriculumState(current_target_count=512)
 
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_val_radius_below_one_rejected(self, radius):
+        with pytest.raises(ValueError, match="val_radius"):
+            TrainConfig(val_radius=radius)
+
     def test_batch_grows_with_target_count(self):
         assert batch_size_for(CurriculumState(1, 1, 0, 0)) == 16
         assert batch_size_for(CurriculumState(4, 2, 0, 0)) == 32
@@ -323,10 +328,10 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
         pool = tiny_pool()
-        # a step this size overflows the next forward pass outright
-        cfg = TrainConfig(epochs=2, min_iterations=2, learning_rate=1e160, weight_decay=0.0, seed=0)
+        # a margin this size overflows the hinge term's square
+        cfg = TrainConfig(epochs=2, min_iterations=2, seed=0)
         with pytest.raises(TrainingDiverged):
-            train(pool, cfg, TINY_ENC, MarginConfig(), SamplerConfig(max_nodes=6))
+            train(pool, cfg, TINY_ENC, MarginConfig(margin=1e308), SamplerConfig(max_nodes=6))
 
     def test_regeneration_changes_examples(self):
         pool = tiny_pool(count=6)
