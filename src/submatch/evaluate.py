@@ -12,7 +12,7 @@ import numpy as np
 from .config import ConfigError
 from .exact import MatchBudget, MatchOutcome, is_subgraph
 from .graphs import GraphError, LabeledGraph
-from .query import answer, build_index, calibrate_decision_cutoff
+from .query import EmbeddingIndex, answer, build_index, calibrate_decision_cutoff
 from .util import atomic_write_text
 
 
@@ -138,14 +138,19 @@ def make_problem1_instances(
     return instances
 
 
-def _indexes_by_target(instances: list[BenchInstance], checkpoint) -> dict:
-    """One index per distinct target, keyed by the target's fingerprint."""
-    indexes = {}
+def _indexes_by_target(instances: list[BenchInstance], checkpoint) -> list[EmbeddingIndex]:
+    """The index of each instance's target, one per distinct target content.
+    Each distinct target object is fingerprinted once."""
+    by_object: dict[int, EmbeddingIndex] = {}  # id(target) -> its index
+    by_content: dict[str, EmbeddingIndex] = {}  # fingerprint -> its index
     for inst in instances:
-        key = inst.target.fingerprint()
-        if key not in indexes:
-            indexes[key] = build_index(inst.target, checkpoint)
-    return indexes
+        target = inst.target
+        if id(target) not in by_object:
+            key = target.fingerprint()
+            if key not in by_content:
+                by_content[key] = build_index(target, checkpoint)
+            by_object[id(target)] = by_content[key]
+    return [by_object[id(inst.target)] for inst in instances]
 
 
 def calibrate_decision(checkpoint, targets: list[LabeledGraph], n_pairs: int, seed: int) -> float:
@@ -156,10 +161,8 @@ def calibrate_decision(checkpoint, targets: list[LabeledGraph], n_pairs: int, se
     if not instances:
         return checkpoint.decision_cutoff
     indexes = _indexes_by_target(instances, checkpoint)
-    scores = [
-        answer(inst.query, indexes[inst.target.fingerprint()], checkpoint)[1].score
-        for inst in instances
-    ]
+    scores = [answer(inst.query, index, checkpoint)[1].score
+              for inst, index in zip(instances, indexes)]
     return calibrate_decision_cutoff(scores, [inst.oracle_label for inst in instances])
 
 
@@ -220,8 +223,7 @@ def bench_neural(
     indexes = _indexes_by_target(instances, checkpoint)
     index_time = time.perf_counter() - start
     results = []
-    for inst in instances:
-        index = indexes[inst.target.fingerprint()]
+    for inst, index in zip(instances, indexes):
         start = time.perf_counter()
         _, verdict = answer(
             inst.query, index, checkpoint, vote_on=inst.target if use_vote else None
@@ -241,7 +243,8 @@ def bench_neural(
                 score=-verdict.mean_violation,
             )
         )
-    return results, {"index_build_s": index_time, "n_indexes": float(len(indexes))}
+    n_indexes = len({id(index) for index in indexes})
+    return results, {"index_build_s": index_time, "n_indexes": float(n_indexes)}
 
 
 BENCH_METHODS = ("exact", "neural", "neural_vote")

@@ -22,11 +22,22 @@ class GraphError(ValueError):
     """Raised when a graph or neighborhood violates a structural invariant."""
 
 
+def _check_labels(labels, node_count: int, alphabet: int) -> None:
+    if len(labels) != node_count:
+        raise GraphError("node_labels length does not match node_count")
+    for u, lab in enumerate(labels):
+        if not 0 <= lab < alphabet:
+            raise GraphError(
+                f"node {u} has label {lab} outside alphabet of size {alphabet}"
+            )
+
+
 def _trusted(cls, **values):
     """An instance of the frozen dataclass cls that skips __post_init__.
 
-    Only for values derived from an already validated graph whose invariants
-    hold by construction; every public constructor still validates.
+    Only for values whose invariants hold by construction: those derived from
+    an already validated graph, and those from_edges builds from the inputs
+    it has checked. The dataclass constructors still validate.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(values)
@@ -47,28 +58,30 @@ class LabeledGraph:
     label_alphabet_size: int
 
     def __post_init__(self) -> None:
-        if self.node_count < 0:
+        n, adjacency = self.node_count, self.adjacency
+        if n < 0:
             raise GraphError("node_count must be nonnegative")
-        if len(self.adjacency) != self.node_count:
+        if len(adjacency) != n:
             raise GraphError("adjacency length does not match node_count")
-        if len(self.node_labels) != self.node_count:
-            raise GraphError("node_labels length does not match node_count")
-        for u, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
+        _check_labels(self.node_labels, n, self.label_alphabet_size)
+        for u, nbrs in enumerate(adjacency):
+            if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
                 raise GraphError(f"adjacency[{u}] must be sorted and duplicate-free")
+            if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n):
+                bad = nbrs[0] if nbrs[0] < 0 else nbrs[-1]
+                raise GraphError(f"neighbor {bad} of node {u} out of range")
+        # Walking u upward, the nodes that list v arrive in ascending order,
+        # so in a symmetric graph they are adjacency[v] read front to back.
+        listed = [0] * n  # how many of v's neighbors have listed v so far
+        for u, nbrs in enumerate(adjacency):
             for v in nbrs:
-                if not 0 <= v < self.node_count:
-                    raise GraphError(f"neighbor {v} of node {u} out of range")
                 if v == u:
                     raise GraphError(f"self-loop at node {u}")
-                if u not in self.adjacency[v]:
+                i = listed[v]
+                back = adjacency[v]
+                if i == len(back) or back[i] != u:
                     raise GraphError(f"edge {u}-{v} is not symmetric")
-        for u, lab in enumerate(self.node_labels):
-            if not 0 <= lab < self.label_alphabet_size:
-                raise GraphError(
-                    f"node {u} has label {lab} outside alphabet of size "
-                    f"{self.label_alphabet_size}"
-                )
+                listed[v] = i + 1
 
     @staticmethod
     def from_edges(
@@ -77,7 +90,13 @@ class LabeledGraph:
         node_labels: list[int] | None = None,
         label_alphabet_size: int | None = None,
     ) -> "LabeledGraph":
-        """Build a graph from an edge list, deduplicating undirected edges."""
+        """Build a graph from an edge list, deduplicating undirected edges.
+
+        Validated in O(n + m): the sets it builds are symmetric, and their
+        sorted tuples are duplicate-free, so only the inputs are checked.
+        """
+        if node_count < 0:
+            raise GraphError("node_count must be nonnegative")
         nbrs: list[set[int]] = [set() for _ in range(node_count)]
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
@@ -86,16 +105,18 @@ class LabeledGraph:
                 raise GraphError(f"self-loop at node {u}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        labels = list(node_labels) if node_labels is not None else [0] * node_count
+        labels = tuple(node_labels) if node_labels is not None else (0,) * node_count
         alphabet = (
             label_alphabet_size
             if label_alphabet_size is not None
             else (max(labels) + 1 if labels else 1)
         )
-        return LabeledGraph(
+        _check_labels(labels, node_count, alphabet)
+        return _trusted(
+            LabeledGraph,
             node_count=node_count,
-            adjacency=tuple(tuple(sorted(s)) for s in nbrs),
-            node_labels=tuple(labels),
+            adjacency=tuple([tuple(sorted(s)) for s in nbrs]),
+            node_labels=labels,
             label_alphabet_size=alphabet,
         )
 

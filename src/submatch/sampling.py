@@ -268,7 +268,9 @@ def _perturb_query(
             new_labels = list(g.node_labels)
             new_labels[node] = choices[int(rng.integers(len(choices)))]
             new_g = LabeledGraph.from_edges(n, g.edges(), new_labels, g.label_alphabet_size)
-        return AnchoredNeighborhood(graph=new_g, anchor=0)
+        # adding an edge or swapping a label keeps the query connected, and
+        # a rewire that disconnects it was skipped above
+        return _trusted(AnchoredNeighborhood, graph=new_g, anchor=0)
     return None
 
 

@@ -257,8 +257,10 @@ def sample_validation_pairs(
     """Balanced held-out pairs drawn with a dedicated rng stream.
 
     Validation difficulty stays fixed at the given radius (the final task)
-    rather than tracking the curriculum, so per-epoch AUROC is comparable
-    across epochs and the best checkpoint is best at the task that matters.
+    rather than tracking the curriculum, so every epoch is scored at the
+    task that matters. train redraws the pairs every regen_period epochs:
+    per-epoch AUROCs are measured on the same pairs only within one draw,
+    and the best-epoch pick compares them across draws as they are.
     Raises GraphError after MAX_FAILED_NEGATIVES negative draws in a row
     without a certified pair.
     """

@@ -13,6 +13,7 @@ from submatch.evaluate import (
     BenchResult,
     auroc,
     bench,
+    bench_neural,
     calibrate_decision,
     make_problem1_instances,
     results_to_csv,
@@ -20,6 +21,7 @@ from submatch.evaluate import (
     write_bench_outputs,
 )
 from submatch.exact import MatchBudget, is_subgraph
+from submatch.graphs import LabeledGraph, from_json, to_json
 from submatch.order import MarginConfig
 from submatch.query import answer, build_index, calibrate_decision_cutoff
 
@@ -174,6 +176,50 @@ class TestCalibrateDecision:
         distinct = {inst.target.fingerprint() for inst in instances}
         assert sorted(built) == sorted(distinct) and len(distinct) < len(instances)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestFingerprints:
+    """Fingerprinting serializes and hashes a whole target, so it is paid
+    once per distinct target object, never once per instance."""
+
+    @staticmethod
+    def counted_fingerprints(monkeypatch) -> list:
+        calls = []
+        original = LabeledGraph.fingerprint
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(LabeledGraph, "fingerprint", counted)
+        return calls
+
+    @pytest.mark.parametrize("use_vote", [False, True])
+    def test_bench_neural_count_does_not_grow_with_instances(self, ckpt, monkeypatch, use_vote):
+        targets = [gen_er(12, 0.3, 1, seed=s) for s in (7, 8, 9)]
+        query = LabeledGraph.from_edges(2, [(0, 1)])
+        counts = []
+        for n in (4, 40):
+            instances = [BenchInstance(f"i{i}", query, targets[i % 3]) for i in range(n)]
+            calls = self.counted_fingerprints(monkeypatch)
+            _, offline = bench_neural(instances, ckpt, use_vote=use_vote)
+            counts.append(len(calls))
+            assert offline["n_indexes"] == 3.0
+        assert counts[0] == counts[1] <= 2 * len(targets)
+
+    def test_one_index_per_distinct_content(self, ckpt):
+        target = gen_er(12, 0.3, 1, seed=7)
+        twin = from_json(to_json(target))  # equal content, another object
+        query = LabeledGraph.from_edges(2, [(0, 1)])
+        instances = [BenchInstance(f"i{i}", query, t) for i, t in enumerate([target, twin] * 3)]
+        indexes = evaluate._indexes_by_target(instances, ckpt)
+        assert len({id(index) for index in indexes}) == 1
+
+    def test_calibrate_decision_count_does_not_grow_with_instances(self, ckpt, monkeypatch):
+        targets = [gen_er(14, 0.25, 1, seed=s) for s in (7, 8, 9)]
+        calls = self.counted_fingerprints(monkeypatch)
+        calibrate_decision(ckpt, targets, 40, 3)
+        assert len(calls) <= 2 * len(targets)
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations
 
 import numpy as np
@@ -49,26 +50,85 @@ def er_strategy(max_n=8):
     return build()
 
 
+def _document(n, edges, labels=None, alphabet=None) -> str:
+    nodes = [{"id": i} if labels is None else {"id": i, "label": labels[i]} for i in range(n)]
+    obj = {"nodes": nodes, "edges": [{"u": u, "v": v} for u, v in edges]}
+    if alphabet is not None:
+        obj["label_alphabet_size"] = alphabet
+    return json.dumps(obj)
+
+
+# (case, path, how that path builds it); a path that cannot express a case
+# (the JSON format has no node count of its own, and from_edges makes its
+# own tuples) has no row for it
+REJECTED = [
+    ("negative node count", "from_edges", lambda: LabeledGraph.from_edges(-1, [])),
+    ("negative node count", "constructor", lambda: LabeledGraph(-1, (), (), 1)),
+    ("label count != node count", "from_edges", lambda: LabeledGraph.from_edges(2, [], [0], 1)),
+    ("label count != node count", "constructor",
+     lambda: LabeledGraph(2, ((), ()), (0, 0, 0), 1)),
+    ("label outside alphabet", "from_edges",
+     lambda: LabeledGraph.from_edges(2, [(0, 1)], [0, 5], 2)),
+    ("label outside alphabet", "constructor", lambda: LabeledGraph(2, ((1,), (0,)), (0, 2), 2)),
+    ("label outside alphabet", "from_json", lambda: from_json(_document(2, [], [0, 5], 2))),
+    ("negative label", "from_edges", lambda: LabeledGraph.from_edges(2, [], [0, -1])),
+    ("negative label", "constructor", lambda: LabeledGraph(2, ((), ()), (-1, 0), 2)),
+    ("negative label", "from_json", lambda: from_json(_document(2, [], [0, -1]))),
+    ("endpoint out of range", "from_edges", lambda: LabeledGraph.from_edges(3, [(0, 3)])),
+    ("endpoint out of range", "constructor", lambda: LabeledGraph(2, ((2,), ()), (0, 0), 1)),
+    ("endpoint out of range", "from_json", lambda: from_json(_document(3, [(3, 0)]))),
+    ("negative endpoint", "from_edges", lambda: LabeledGraph.from_edges(3, [(0, -1)])),
+    ("negative endpoint", "constructor",
+     lambda: LabeledGraph(3, ((-1,), (), (0,)), (0, 0, 0), 1)),
+    ("negative endpoint", "from_json", lambda: from_json(_document(3, [(-1, 2)]))),
+    ("self-loop", "from_edges", lambda: LabeledGraph.from_edges(2, [(1, 1)])),
+    ("self-loop", "constructor", lambda: LabeledGraph(2, ((0, 1), (0,)), (0, 0), 1)),
+    ("self-loop", "from_json", lambda: from_json(_document(2, [(0, 1), (1, 1)]))),
+    ("repeated neighbor in a sorted tuple", "constructor",
+     lambda: LabeledGraph(2, ((1, 1), (0,)), (0, 0), 1)),
+    ("unsorted tuple", "constructor",
+     lambda: LabeledGraph(3, ((2, 1), (0, 2), (0, 1)), (0, 0, 0), 1)),
+    ("asymmetric adjacency", "constructor", lambda: LabeledGraph(2, ((1,), ()), (0, 0), 1)),
+    ("asymmetric adjacency", "constructor",
+     lambda: LabeledGraph(3, ((1, 2), (0,), (1,)), (0, 0, 0), 1)),
+]
+
+
 class TestInvariants:
-    def test_self_loop_rejected(self):
+    @pytest.mark.parametrize("case,path,build", REJECTED,
+                             ids=[f"{case}-{path}" for case, path, _ in REJECTED])
+    def test_rejected(self, case, path, build):
         with pytest.raises(GraphError):
-            LabeledGraph.from_edges(2, [(0, 0)])
+            build()
 
-    def test_asymmetric_adjacency_rejected(self):
-        with pytest.raises(GraphError):
-            LabeledGraph(2, ((1,), ()), (0, 0), 1)
-
-    def test_unsorted_adjacency_rejected(self):
-        with pytest.raises(GraphError):
-            LabeledGraph(3, ((2, 1), (0, 2), (0, 1)), (0, 0, 0), 1)
-
-    def test_label_out_of_alphabet_rejected(self):
-        with pytest.raises(GraphError):
-            LabeledGraph.from_edges(2, [(0, 1)], node_labels=[0, 5], label_alphabet_size=2)
+    def test_a_valid_graph_passes_every_path(self):
+        g = LabeledGraph.from_edges(3, [(1, 0), (2, 1)], [1, 0, 1], 3)
+        assert LabeledGraph(g.node_count, g.adjacency, g.node_labels, g.label_alphabet_size) == g
+        assert from_json(_document(3, [(0, 1), (1, 2)], [1, 0, 1], 3)) == g
 
     def test_duplicate_edges_merged(self):
         g = LabeledGraph.from_edges(2, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
+
+    def test_large_star_builds_in_linear_time(self):
+        # a symmetry check that scans a neighbor's whole tuple per edge is
+        # quadratic in the hub's degree: about 12 s per path at this size
+        leaves = 50_000
+        want = (leaves + 1, (tuple(range(1, leaves + 1)),) + ((0,),) * leaves,
+                (0,) * (leaves + 1), 1)
+        text = _document(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+        builds = {
+            "from_edges": lambda: LabeledGraph.from_edges(
+                leaves + 1, [(v, 0) for v in range(leaves, 0, -1)]),
+            "constructor": lambda: LabeledGraph(*want),
+            "from_json": lambda: from_json(text),
+        }
+        for path, build in builds.items():
+            start = time.perf_counter()
+            g = build()
+            elapsed = time.perf_counter() - start
+            assert elapsed < 2.0, (path, elapsed)
+            assert (g.node_count, g.adjacency, g.node_labels, g.label_alphabet_size) == want
 
 
 @st.composite
