@@ -444,11 +444,14 @@ class TestBallPath:
         assert first == len(balls.nodes)
 
     def test_builds_no_graph_objects(self, monkeypatch):
+        # from_edges builds without the constructor's check, so both are watched
         g = gen_er(300, 0.015, 2, seed=12)
         built = []
-        original = LabeledGraph.__post_init__
+        check, from_edges = LabeledGraph.__post_init__, LabeledGraph.from_edges
         monkeypatch.setattr(LabeledGraph, "__post_init__",
-                            lambda self: built.append(1) or original(self))
+                            lambda self: built.append(1) or check(self))
+        monkeypatch.setattr(LabeledGraph, "from_edges",
+                            staticmethod(lambda *a, **k: built.append(1) or from_edges(*a, **k)))
         encode_all(g, 3, init_params(SMALL, seed=0), SMALL)
         assert built == []
 

@@ -182,8 +182,9 @@ class TestFingerprints:
     """Fingerprinting serializes and hashes a whole target, so it is paid
     once per distinct target object, never once per instance."""
 
-    @staticmethod
-    def counted_fingerprints(monkeypatch) -> list:
+    @pytest.fixture
+    def fingerprint_calls(self, monkeypatch) -> list:
+        """The graphs LabeledGraph.fingerprint is called on, in order."""
         calls = []
         original = LabeledGraph.fingerprint
 
@@ -195,15 +196,16 @@ class TestFingerprints:
         return calls
 
     @pytest.mark.parametrize("use_vote", [False, True])
-    def test_bench_neural_count_does_not_grow_with_instances(self, ckpt, monkeypatch, use_vote):
+    def test_bench_neural_count_does_not_grow_with_instances(
+            self, ckpt, fingerprint_calls, use_vote):
         targets = [gen_er(12, 0.3, 1, seed=s) for s in (7, 8, 9)]
         query = LabeledGraph.from_edges(2, [(0, 1)])
         counts = []
         for n in (4, 40):
             instances = [BenchInstance(f"i{i}", query, targets[i % 3]) for i in range(n)]
-            calls = self.counted_fingerprints(monkeypatch)
+            before = len(fingerprint_calls)
             _, offline = bench_neural(instances, ckpt, use_vote=use_vote)
-            counts.append(len(calls))
+            counts.append(len(fingerprint_calls) - before)
             assert offline["n_indexes"] == 3.0
         assert counts[0] == counts[1] <= 2 * len(targets)
 
@@ -215,11 +217,10 @@ class TestFingerprints:
         indexes = evaluate._indexes_by_target(instances, ckpt)
         assert len({id(index) for index in indexes}) == 1
 
-    def test_calibrate_decision_count_does_not_grow_with_instances(self, ckpt, monkeypatch):
+    def test_calibrate_decision_count_does_not_grow_with_instances(self, ckpt, fingerprint_calls):
         targets = [gen_er(14, 0.25, 1, seed=s) for s in (7, 8, 9)]
-        calls = self.counted_fingerprints(monkeypatch)
         calibrate_decision(ckpt, targets, 40, 3)
-        assert len(calls) <= 2 * len(targets)
+        assert len(fingerprint_calls) <= 2 * len(targets)
 
 
 class TestBench:

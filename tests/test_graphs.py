@@ -168,6 +168,18 @@ class TestDerivedGraphs:
     validated again; they must equal what the validating path builds."""
 
     @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_from_edges_passes_the_validating_constructor(self, data):
+        # repeated edges in both orientations, in any order
+        n = data.draw(st.integers(0, 10))
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=4 * n)) if pairs else []
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        g = LabeledGraph.from_edges(n, edges, labels)
+        assert revalidated_graph(g) == g
+        assert g.edges() == sorted({(min(e), max(e)) for e in edges})
+
+    @settings(max_examples=200, deadline=None)
     @given(labeled_graphs(), st.data())
     def test_induced_on_matches_from_edges_rebuild(self, g, data):
         order = data.draw(st.permutations(range(g.node_count)))
