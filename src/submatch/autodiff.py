@@ -110,22 +110,15 @@ def relu(tape: Tape, a: Tensor) -> Tensor:
 
 
 def concat(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the feature axis (columns for 2-D, axis 0 for 1-D)."""
-    if a.value.ndim != b.value.ndim or a.value.ndim not in (1, 2):
+    """Concatenate two 2-D tensors with the same rows along the columns."""
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError(f"concat shape mismatch: {_shapes(a, b)}")
-    axis = a.value.ndim - 1
-    if axis == 1 and a.shape[0] != b.shape[0]:
-        raise ValueError(f"concat shape mismatch: {_shapes(a, b)}")
-    out = Tensor(np.concatenate([a.value, b.value], axis=axis))
-    split = a.shape[axis]
+    out = Tensor(np.concatenate([a.value, b.value], axis=1))
+    split = a.shape[1]
 
     def backward(g, grads):
-        if axis == 0:
-            grads.add(a, g[:split])
-            grads.add(b, g[split:])
-        else:
-            grads.add(a, g[:, :split])
-            grads.add(b, g[:, split:])
+        grads.add(a, g[:, :split])
+        grads.add(b, g[:, split:])
 
     tape.push(out, (a, b), backward)
     return out
@@ -193,9 +186,9 @@ class RankPlan:
         return out
 
     def sorted_sum(self, values: np.ndarray, only: np.ndarray | None = None) -> np.ndarray:
-        """sum() with each column's addends in ascending order, added left to
-        right from the smallest; a zero sum is +0.0. With only, a boolean
-        mask of output rows, the rows outside it are +0.0.
+        """sum() of 2-D values with each column's addends in ascending order,
+        added left to right from the smallest; a zero sum is +0.0. With only,
+        a boolean mask of output rows, the rows outside it are +0.0.
 
         A size class is gathered into one (size, rows, columns) array, with
         0.0 added to every cell: that turns -0.0 into +0.0 and changes no
@@ -209,13 +202,12 @@ class RankPlan:
         if only is not None:  # kept rows keep their order: count them in each prefix
             keep = only[rows]
             rows, firsts, widths = rows[keep], firsts[keep], np.append(0, keep.cumsum())[widths]
-        cols = values if values.ndim == 2 else values[:, None]
-        out = np.zeros((self.n_out, cols.shape[1]))
+        out = np.zeros((self.n_out, values.shape[1]))
         for size in range(1, len(widths)):
             lo, hi = widths[size], widths[size - 1]
             if lo == hi:
                 continue
-            cells = cols[self.by_idx[firsts[lo:hi] + np.arange(size)[:, None]]]
+            cells = values[self.by_idx[firsts[lo:hi] + np.arange(size)[:, None]]]
             cells += 0.0
             if size > NETWORK_MAX_SIZE:
                 cells.sort(axis=0)
@@ -231,7 +223,7 @@ class RankPlan:
             for cell in cells[2:]:
                 total += cell
             out[rows[lo:hi]] = total
-        return out.reshape((self.n_out,) + values.shape[1:])
+        return out
 
 
 class IndexPairs(tuple):
@@ -254,12 +246,11 @@ class IndexPairs(tuple):
 
 
 def row_sum_aggregate(
-    tape: Tape, h: Tensor, pairs, value_sorted: bool = False, previous: Tensor | None = None,
-    only: np.ndarray | None = None,
+    tape: Tape, h: Tensor, pairs: IndexPairs, value_sorted: bool = False,
+    previous: Tensor | None = None, only: np.ndarray | None = None,
 ) -> Tensor:
     """out[i] = sum of h[j] over the (j, i) in pairs, a (src, dst) pair of
-    index arrays; out has h's rows. An IndexPairs keeps its plans for the
-    next call; other pairs plan for this call.
+    index arrays that keeps its plans for the next call; out has h's rows.
 
     Without value_sorted, rows are added in index order. With it, each
     column's values within a group are added in ascending order, left to
@@ -276,7 +267,6 @@ def row_sum_aggregate(
     appended, which gives the same bits. The backward still sums the whole
     gradient into h, and previous gets none.
     """
-    pairs = pairs if isinstance(pairs, IndexPairs) else IndexPairs(*pairs)
     plan = pairs.plan(h.shape[0], into_src=False)
     if value_sorted:
         out = Tensor(plan.sorted_sum(h.value, only))
@@ -306,17 +296,16 @@ def take_rows(tape: Tape, h: Tensor, idx) -> Tensor:
 
 
 def squared_l2_of_positive_part(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    """||max{0, a-b}||^2, rowwise for 2-D inputs, scalar for 1-D."""
-    if a.shape != b.shape:
+    """||max{0, a-b}||^2 of each row of two 2-D tensors of one shape."""
+    if a.value.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"shape mismatch: {_shapes(a, b)}")
     pos = np.maximum(0.0, a.value - b.value)
-    axis = a.value.ndim - 1
-    out = Tensor(np.sum(pos * pos, axis=axis))
+    out = Tensor(np.sum(pos * pos, axis=1))
 
     def backward(g, grads):
-        g_exp = np.expand_dims(g, axis) if a.value.ndim > 0 else g
-        grads.add(a, 2.0 * pos * g_exp)
-        grads.add(b, -2.0 * pos * g_exp)
+        g_col = g[:, None]
+        grads.add(a, 2.0 * pos * g_col)
+        grads.add(b, -2.0 * pos * g_col)
 
     tape.push(out, (a, b), backward)
     return out

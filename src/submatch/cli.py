@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # gen's uniform-random graphs have this mean degree; its attachment graphs
-# take gen_extended_barabasi's defaults
+# grow by datasets.ATTACH_M, P_ADD and P_REWIRE
 ER_AVG_DEGREE = 4.0
 
 
@@ -83,8 +83,7 @@ def _load_targets(data_dir: str) -> list[LabeledGraph]:
 
 
 def cmd_gen(args) -> int:
-    sections = _load_config_sections(args.config, args.set or [], ["gen"])
-    flat = {**sections[""], **sections["gen"]}
+    flat = _load_config_sections(args.config, args.set or [], [])[""]
     if args.seed is not None:
         flat["seed"] = str(args.seed)
     cfg: GenConfig = build_dataclass(GenConfig, flat)
@@ -101,7 +100,7 @@ def cmd_gen(args) -> int:
             p = min(1.0, ER_AVG_DEGREE / max(n - 1, 1))
             g = gen_er(n, p, cfg.label_alphabet_size, seed)
         else:
-            g = gen_extended_barabasi(n, alphabet=cfg.label_alphabet_size, seed=seed)
+            g = gen_extended_barabasi(n, cfg.label_alphabet_size, seed)
         name = f"graph_{i:04d}.json"
         save_graph(g, os.path.join(args.out, name))
         names.append(name)

@@ -48,27 +48,24 @@ def gen_er(n: int, p: float, alphabet: int, seed: int) -> LabeledGraph:
     )
 
 
-def gen_extended_barabasi(
-    n: int,
-    m: int = 2,
-    p_add: float = 0.2,
-    p_rewire: float = 0.2,
-    alphabet: int = 1,
-    seed: int = 0,
-) -> LabeledGraph:
+# gen_extended_barabasi's step: edges per step, and the chances that a step
+# adds edges between existing nodes or rewires them instead of growing a node
+ATTACH_M = 2
+P_ADD = 0.2
+P_REWIRE = 0.2
+
+
+def gen_extended_barabasi(n: int, alphabet: int, seed: int) -> LabeledGraph:
     """Preferential-attachment growth with extra-edge and rewiring steps.
 
-    Starts from a clique on m+1 nodes. Each step either adds m edges between
-    existing nodes (prob p_add), rewires m edges (prob p_rewire), or grows a
-    new node with m preferentially attached edges. Rewires that would
-    disconnect the graph are rolled back so every draw stays connected.
+    Starts from a clique on m+1 nodes, m = ATTACH_M. Each step either adds m
+    edges between existing nodes (prob P_ADD), rewires m edges (prob
+    P_REWIRE), or grows a new node with m preferentially attached edges.
+    Rewires that would disconnect the graph are rolled back so every draw
+    stays connected.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if p_add + p_rewire >= 1.0:
-        raise ValueError("p_add + p_rewire must be < 1")
     rng = np.random.default_rng(seed)
-    seed_size = min(n, m + 1)
+    seed_size = min(n, ATTACH_M + 1)
     nodes = list(range(seed_size))
     nbrs: list[set[int]] = [set() for _ in range(seed_size)]
     for u in range(seed_size):
@@ -118,19 +115,20 @@ def gen_extended_barabasi(
             frontier = nxt
         return False
 
+    # the loop runs only when n > ATTACH_M + 1 = 3, so from the whole seed
+    # clique on; the graph stays connected, so every node has a neighbor,
+    # and a new node has more than ATTACH_M earlier nodes to link to
     while len(nodes) < n:
         r = rng.random()
-        if r < p_add and len(nodes) > 2:
-            for _ in range(m):
+        if r < P_ADD:
+            for _ in range(ATTACH_M):
                 u = int(rng.integers(len(nodes)))
                 v = pick_preferential(exclude=nbrs[u] | {u})
                 if v is not None:
                     link(u, v)
-        elif r < p_add + p_rewire and len(nodes) > 2:
-            for _ in range(m):
+        elif r < P_ADD + P_REWIRE:
+            for _ in range(ATTACH_M):
                 u = int(rng.integers(len(nodes)))
-                if not nbrs[u]:
-                    continue
                 old = sorted(nbrs[u])[int(rng.integers(len(nbrs[u])))]
                 new = pick_preferential(exclude=nbrs[u] | {u})
                 if new is None:
@@ -145,10 +143,8 @@ def gen_extended_barabasi(
             new_id = len(nodes)
             nodes.append(new_id)
             nbrs.append(set())
-            for _ in range(min(m, new_id)):
-                v = pick_preferential(exclude=nbrs[new_id] | {new_id})
-                if v is not None:
-                    link(new_id, v)
+            for _ in range(ATTACH_M):
+                link(new_id, pick_preferential(exclude=nbrs[new_id] | {new_id}))
 
     edges = [(u, v) for u in nodes for v in nbrs[u] if u < v]
     return LabeledGraph.from_edges(

@@ -78,7 +78,7 @@ def expected_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: EncoderConfig, seed: int = 0) -> dict[str, np.ndarray]:
+def init_params(cfg: EncoderConfig, seed: int) -> dict[str, np.ndarray]:
     """Glorot-uniform weights; zero biases except the output bias at +0.1,
     which keeps fresh models off the clamp's zero-gradient region.
 

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError
 from .exact import MatchBudget, MatchOutcome, is_subgraph
 from .graphs import GraphError, LabeledGraph
-from .query import EmbeddingIndex, answer, build_index, calibrate_decision_cutoff
+from .query import EmbeddingIndex, _build_index, answer, calibrate_decision_cutoff
 from .util import atomic_write_text
 
 
@@ -41,7 +41,7 @@ class BenchInstance:
     instance_id: str
     query: LabeledGraph
     target: LabeledGraph
-    oracle_label: bool | None = None
+    oracle_label: bool
 
 
 def _bfs_subgraph(
@@ -66,12 +66,7 @@ def _perturbed_query(
     """Densify a sampled subgraph with extra chords; the result usually stops
     being a subgraph of the source and fails fast in the exact matcher."""
     edges = base.edges()
-    non_edges = [
-        (a, b)
-        for a in range(base.node_count)
-        for b in range(a + 1, base.node_count)
-        if not base.has_edge(a, b)
-    ]
+    non_edges = base.non_edges()
     take = min(extra_edges, len(non_edges))
     if take:
         idx = rng.choice(len(non_edges), size=take, replace=False)
@@ -148,7 +143,7 @@ def _indexes_by_target(instances: list[BenchInstance], checkpoint) -> list[Embed
         if id(target) not in by_object:
             key = target.fingerprint()
             if key not in by_content:
-                by_content[key] = build_index(target, checkpoint)
+                by_content[key] = _build_index(target, key, checkpoint, checkpoint.radius)
             by_object[id(target)] = by_content[key]
     return [by_object[id(inst.target)] for inst in instances]
 
@@ -175,7 +170,7 @@ class BenchResult:
     time_s: float
     success: bool
     decision: bool | None
-    label: bool | None = None
+    label: bool
     score: float | None = None
 
     def __post_init__(self) -> None:
@@ -186,7 +181,7 @@ class BenchResult:
 EXACT_BENCH_MAX_STATES = 500_000_000  # bench_exact's state cap per instance, next to its timeout
 
 
-def bench_exact(instances: list[BenchInstance], timeout: float = 20.0) -> list[BenchResult]:
+def bench_exact(instances: list[BenchInstance], timeout: float) -> list[BenchResult]:
     """Run the backtracking matcher per instance; timing covers only the
     decision, never oracle-label computation."""
     budget = MatchBudget(max_states=EXACT_BENCH_MAX_STATES, wall_timeout=timeout)
@@ -214,7 +209,7 @@ def bench_exact(instances: list[BenchInstance], timeout: float = 20.0) -> list[B
 def bench_neural(
     instances: list[BenchInstance],
     checkpoint,
-    use_vote: bool = False,
+    use_vote: bool,
 ) -> tuple[list[BenchResult], dict[str, float]]:
     """Time the online query path with indexes prebuilt. Index-build wall time
     is reported separately as the offline cost."""
@@ -298,8 +293,8 @@ def bench(
     return all_results, summarize(all_results, meta)
 
 
-def summarize(results: list[BenchResult], meta: dict | None = None) -> dict:
-    summary: dict = {"methods": {}, "offline": meta or {}}
+def summarize(results: list[BenchResult], meta: dict) -> dict:
+    summary: dict = {"methods": {}, "offline": meta}
     by_method: dict[str, list[BenchResult]] = {}
     for r in results:
         by_method.setdefault(r.method, []).append(r)
@@ -320,7 +315,7 @@ def summarize(results: list[BenchResult], meta: dict | None = None) -> dict:
             "mean_time_s": float(np.mean([r.time_s for r in rows])),
             "by_query_size": curve,
         }
-        labeled = [r for r in rows if r.label is not None and r.score is not None]
+        labeled = [r for r in rows if r.score is not None]
         if labeled:
             labels = np.array([1 if r.label else 0 for r in labeled])
             if labels.min() != labels.max():
@@ -335,10 +330,9 @@ def results_to_csv(results: list[BenchResult]) -> str:
     lines = ["method,instance_id,n_query,n_target,time_s,success,decision,label"]
     for r in results:
         decision = "" if r.decision is None else str(int(r.decision))
-        label = "" if r.label is None else str(int(r.label))
         lines.append(
             f"{r.method},{r.instance_id},{r.n_query},{r.n_target},"
-            f"{r.time_s:.6f},{int(r.success)},{decision},{label}"
+            f"{r.time_s:.6f},{int(r.success)},{decision},{int(r.label)}"
         )
     return "\n".join(lines) + "\n"
 

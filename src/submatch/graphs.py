@@ -127,6 +127,11 @@ class LabeledGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
 
+    def non_edges(self) -> list[tuple[int, int]]:
+        """Every pair (a, b) of nodes a < b without an edge, by a then b."""
+        n = self.node_count
+        return [(a, b) for a in range(n) for b in range(a + 1, n) if not self.has_edge(a, b)]
+
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 

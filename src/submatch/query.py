@@ -47,9 +47,15 @@ class EmbeddingIndex:
 def build_index(g: LabeledGraph, checkpoint: Checkpoint, k: int | None = None) -> EmbeddingIndex:
     """Embed every node of g over its k-hop neighborhood (k defaults to the
     radius the checkpoint was trained at)."""
-    radius = checkpoint.radius if k is None else k
+    return _build_index(g, g.fingerprint(), checkpoint, checkpoint.radius if k is None else k)
+
+
+def _build_index(
+    g: LabeledGraph, fingerprint: str, checkpoint: Checkpoint, radius: int
+) -> EmbeddingIndex:
+    """build_index for a caller that already holds g.fingerprint()."""
     return EmbeddingIndex(
-        graph_fingerprint=g.fingerprint(),
+        graph_fingerprint=fingerprint,
         radius=radius,
         matrix=encode_all(g, radius, checkpoint.params, checkpoint.config),
         checkpoint_fingerprint=checkpoint.fingerprint(),
@@ -112,10 +118,6 @@ class AlignmentMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or np.any(self.values < 0):
             raise ValueError("alignment entries must form a nonnegative matrix")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
     def to_csv(self) -> str:
         n_t, n_q = self.values.shape
@@ -250,7 +252,11 @@ def vote_mask_for(
     """Voting indicator for every alignment entry, over the index's radius.
     Entries already above the threshold are skipped: voting with hop-0
     included can only reject. Each node's hop shells are computed once, on
-    first use."""
+    first use. A target whose node count is not the index's raises
+    IndexError_."""
+    if target.node_count != index.node_count:
+        raise IndexError_(f"the vote target has {target.node_count} nodes and the index "
+                          f"{index.node_count}; vote against the indexed graph")
     hops = index.radius
     passing = matrix.values < cfg.threshold
     mask = np.zeros_like(passing)

@@ -235,9 +235,7 @@ def _perturb_query(
     g = query.graph
     n = g.node_count
     moves = []
-    non_edges = [
-        (a, b) for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b)
-    ]
+    non_edges = g.non_edges()
     if non_edges:
         moves.append("add")
     if g.edges() and n > 2:

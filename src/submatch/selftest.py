@@ -32,7 +32,7 @@ def oracle_equivalence_suite(max_query: int, max_target: int) -> tuple[bool, str
     return disagreements == 0, f"{pairs} pairs, {disagreements} disagreements{first}"
 
 
-def geometry_suite(trials: int = 10_000, seed: int = 0) -> tuple[bool, str]:
+def geometry_suite(trials: int, seed: int = 0) -> tuple[bool, str]:
     """Transitivity, anti-symmetry and the intersection lower bound, each on
     `trials` random nonnegative triples checked through order.violation and
     order.intersection, then the margin loss at its boundary."""
@@ -71,7 +71,7 @@ def geometry_suite(trials: int = 10_000, seed: int = 0) -> tuple[bool, str]:
     return loss_ok and not any(bad.values()), detail
 
 
-def run_selftest(fast: bool = False) -> bool:
+def run_selftest(fast: bool) -> bool:
     suites = [
         (
             "oracle-equivalence",

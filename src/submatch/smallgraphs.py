@@ -20,8 +20,6 @@ def all_graphs_upto_iso(n: int) -> tuple[LabeledGraph, ...]:
     """Every simple graph on n unlabeled nodes, one representative per
     isomorphism class (canonical form = minimum edge bitmask over all node
     permutations, evaluated vectorized over all masks at once)."""
-    if n == 0:
-        return (LabeledGraph.from_edges(0, []),)
     pairs = list(itertools.combinations(range(n), 2))
     n_bits = len(pairs)
     pair_index = {p: i for i, p in enumerate(pairs)}

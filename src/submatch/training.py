@@ -118,16 +118,15 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; parameters without a gradient entry are
-    treated as having zero gradient (their moments decay)."""
+    """One bias-corrected Adam update. grads holds every parameter's
+    gradient: each parameter enters the encoder's forward pass, so backward
+    returns it."""
     state.t += 1
     correction1 = 1.0 - ADAM_BETA1 ** state.t
     correction2 = 1.0 - ADAM_BETA2 ** state.t
     new_params = {}
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
+        g = grads[name]
         state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
         state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / correction1
@@ -273,7 +272,7 @@ def sample_validation_pairs(
     failed = 0
     while len(pairs) < n_pairs:
         kind = "hard" if rng.random() < HARD_NEGATIVE_FRACTION else "random"
-        cross = kind == "random" and rng.random() < 0.5
+        cross = kind == "random" and rng.random() < 1.0 - SAME_TARGET_FRACTION
         pair = _negative(datasets, kind, cross, radius, sampler_cfg, rng, memo)
         if pair is None:
             pair = _negative(datasets, "random", False, radius, sampler_cfg, rng, memo)

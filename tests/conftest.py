@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from submatch.autodiff import IndexPairs
 from submatch.datasets import gen_er, gen_extended_barabasi
 from submatch.encoder import EncoderConfig
 from submatch.graphs import LabeledGraph
@@ -43,7 +44,7 @@ def desk_targets(n_graphs: int = 40, max_nodes: int = 30, base_seed: int = 0):
         graphs.append(gen_er(n, 4.0 / n, 1, seed=1000 + i))
     for i in range(n_graphs - n_graphs // 2):
         n = int(rng.integers(16, max_nodes + 1))
-        graphs.append(gen_extended_barabasi(n, m=2, seed=2000 + i))
+        graphs.append(gen_extended_barabasi(n, 1, 2000 + i))
     return graphs
 
 
@@ -137,9 +138,9 @@ def mutated_json_text(doc, data, keys: list[str]) -> str:
     return text[:data.draw(st.integers(0, len(text)))] if data.draw(st.booleans()) else text
 
 
-def pairs_of(groups) -> tuple[np.ndarray, np.ndarray]:
+def pairs_of(groups) -> IndexPairs:
     """The (src, dst) pairs of a per-row listing of source rows: row i sums
     the rows in groups[i]."""
     src = np.array([j for g in groups for j in g], dtype=np.intp)
     dst = np.repeat(np.arange(len(groups), dtype=np.intp), [len(g) for g in groups])
-    return src, dst
+    return IndexPairs(src, dst)

@@ -281,7 +281,7 @@ def test_criterion_8_runtime_crossover(trained):
     rng = np.random.default_rng(808)
     instances = _runtime_instances(rng)
     exact_rows = bench_exact(instances, timeout=20.0)
-    neural_rows, offline = bench_neural(instances, ckpt)
+    neural_rows, offline = bench_neural(instances, ckpt, use_vote=False)
 
     def mean_time(rows, min_size):
         sel = [r.time_s for r in rows if r.n_query >= min_size]

@@ -25,12 +25,12 @@ class TestForward:
         assert np.array_equal(run(ad.relu, ad.Tensor([-3.0, 0.0, 5.0])), [0.0, 0.0, 5.0])
 
     def test_dominated_pair_has_zero_energy(self):
-        out = run(ad.squared_l2_of_positive_part, ad.Tensor([1.0, 2.0]), ad.Tensor([2.0, 3.0]))
-        assert out == 0.0
+        out = run(ad.squared_l2_of_positive_part, ad.Tensor([[1.0, 2.0]]), ad.Tensor([[2.0, 3.0]]))
+        assert np.array_equal(out, [0.0])
 
     def test_partial_violation(self):
-        out = run(ad.squared_l2_of_positive_part, ad.Tensor([3.0, 1.0]), ad.Tensor([2.0, 3.0]))
-        assert out == 1.0
+        out = run(ad.squared_l2_of_positive_part, ad.Tensor([[3.0, 1.0]]), ad.Tensor([[2.0, 3.0]]))
+        assert np.array_equal(out, [1.0])
 
     def test_rowwise_energy(self):
         a = ad.Tensor([[3.0, 1.0], [1.0, 2.0]])
@@ -42,6 +42,11 @@ class TestForward:
             run(ad.matmul, ad.Tensor([[1.0]]), ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         with pytest.raises(ValueError):
             run(ad.add, ad.Tensor([1.0]), ad.Tensor([1.0, 2.0]))
+        # concat and the energy take 2-D tensors only
+        with pytest.raises(ValueError):
+            run(ad.concat, ad.Tensor([1.0]), ad.Tensor([2.0]))
+        with pytest.raises(ValueError):
+            run(ad.squared_l2_of_positive_part, ad.Tensor([1.0]), ad.Tensor([2.0]))
 
     def test_row_sum_aggregate(self):
         h = ad.Tensor([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
@@ -64,12 +69,12 @@ class TestBackward:
 
     def test_dominated_point_has_zero_gradient(self):
         tape = ad.Tape()
-        a = ad.Tensor([1.0, 2.0], name="a")
-        b = ad.Tensor([2.0, 3.0], name="b")
-        loss = ad.squared_l2_of_positive_part(tape, a, b)
+        a = ad.Tensor([[1.0, 2.0]], name="a")
+        b = ad.Tensor([[2.0, 3.0]], name="b")
+        loss = ad.sum_all(tape, ad.squared_l2_of_positive_part(tape, a, b))
         grads = ad.backward(tape, loss)
-        assert np.array_equal(grads["a"], [0.0, 0.0])
-        assert np.array_equal(grads["b"], [0.0, 0.0])
+        assert np.array_equal(grads["a"], [[0.0, 0.0]])
+        assert np.array_equal(grads["b"], [[0.0, 0.0]])
 
     def test_non_scalar_loss_rejected(self):
         tape = ad.Tape()
@@ -115,7 +120,7 @@ OPS_FOR_GRADCHECK = [
     ("mul", lambda p, t: ad.sum_all(t, ad.mul(t, p["a"], p["b"]))),
     ("leaky_relu", lambda p, t: ad.sum_all(t, ad.leaky_relu(t, p["a"], 0.2))),
     ("relu", lambda p, t: ad.sum_all(t, ad.relu(t, p["a"]))),
-    ("concat", lambda p, t: ad.sum_all(t, ad.mul(t, c := ad.concat(t, p["a"], p["b"]), c))),
+    ("concat", lambda p, t: ad.sum_all(t, ad.mul(t, c := ad.concat(t, p["a2"], p["c2"]), c))),
     (
         "row_sum",
         lambda p, t: ad.sum_all(
@@ -123,7 +128,7 @@ OPS_FOR_GRADCHECK = [
         ),
     ),
     ("take_rows", lambda p, t: ad.sum_all(t, ad.mul(t, g := ad.take_rows(t, p["a2"], [0, 2, 2]), g))),
-    ("energy", lambda p, t: ad.sum_all(t, ad.squared_l2_of_positive_part(t, p["a"], p["b"]))),
+    ("energy", lambda p, t: ad.sum_all(t, ad.squared_l2_of_positive_part(t, p["a2"], p["c2"]))),
 ]
 
 
@@ -138,6 +143,7 @@ def test_every_op_passes_grad_check(name, fn):
             "a2": rng.normal(size=(3, 4)),
             "b2": rng.normal(size=(4, 2)),
             "bias": rng.normal(size=4),
+            "c2": rng.normal(size=(3, 4)),
         }
         # keep clear of the relu/max kinks so central differences are valid
         for key in ("a", "b"):
@@ -188,13 +194,14 @@ class TestValueSortedSum:
         # the pairs in any order give the same bits
         src, dst = shuffled
         order = np.asarray(data.draw(st.permutations(range(len(src)))), dtype=np.intp)
-        pairs = run(ad.row_sum_aggregate, ad.Tensor(h), (src[order], dst[order]),
+        pairs = run(ad.row_sum_aggregate, ad.Tensor(h), ad.IndexPairs(src[order], dst[order]),
                     value_sorted=True)
         assert np.array_equal(out, pairs)
         # a column's sums depend on that column alone
         for c in range(h.shape[1]):
-            column = run(ad.row_sum_aggregate, ad.Tensor(h[:, c]), groups, value_sorted=True)
-            assert np.array_equal(out[:, c], column)
+            column = run(ad.row_sum_aggregate, ad.Tensor(h[:, c:c + 1]), groups,
+                         value_sorted=True)
+            assert np.array_equal(out[:, c:c + 1], column)
         plain = run(ad.row_sum_aggregate, ad.Tensor(h), groups)
         assert np.allclose(out, plain, rtol=1e-9, atol=1e-3)
 
@@ -240,16 +247,15 @@ def sorted_sums_reference(values, src, dst, n_out):
     """The canonical sum as first written: gather each size class into a
     (groups, size, columns) array, np.sort it along the size axis and take
     the last np.add.accumulate entry."""
-    cols = values if values.ndim == 2 else values[:, None]
-    out = np.zeros((n_out, cols.shape[1]), dtype=np.float64)
+    out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
     src = src[np.argsort(dst, kind="stable")]
     counts = np.bincount(dst, minlength=n_out)
     starts = np.cumsum(counts) - counts
     for size in np.unique(counts[counts > 0]):
         rows = np.flatnonzero(counts == size)
-        cells = np.sort(cols[src[starts[rows, None] + np.arange(size)]], axis=1)
+        cells = np.sort(values[src[starts[rows, None] + np.arange(size)]], axis=1)
         out[rows] = np.add.accumulate(cells, axis=1)[:, -1]
-    return out.reshape((n_out,) + values.shape[1:])
+    return out
 
 
 def assert_matches_reference(values, src, dst, n_out):
@@ -263,7 +269,7 @@ class TestSortedSumsAgainstReference:
     MAX_SIZE = 40
 
     @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "ungrouped"])
-    @pytest.mark.parametrize("width", [None, 5], ids=["1-D", "2-D"])
+    @pytest.mark.parametrize("width", [1, 5], ids=["one-column", "five-columns"])
     def test_every_group_size(self, grouped, width):
         assert ad.NETWORK_MAX_SIZE < self.MAX_SIZE
         rng = np.random.default_rng(31)
@@ -273,7 +279,7 @@ class TestSortedSumsAgainstReference:
         src = rng.integers(0, 60, size=len(dst))
         # ties, signed zeros and magnitudes where the order of additions shows
         values = rng.choice([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.5, 3.25e-7],
-                            size=(60,) + ((width,) if width else ()))
+                            size=(60, width))
         values[::3] = rng.normal(size=values[::3].shape)
         if not grouped:
             order = rng.permutation(len(dst))
@@ -293,8 +299,8 @@ class TestSortedSumsAgainstReference:
         if data.draw(st.booleans()):
             order = np.argsort(dst, kind="stable")
             src, dst = src[order], dst[order]
-        tail = data.draw(st.sampled_from([(), (1,), (3,)]))
-        values = data.draw(arrays(np.float64, (n_in,) + tail, elements=_scatter_values
+        width = data.draw(st.sampled_from([1, 3]))
+        values = data.draw(arrays(np.float64, (n_in, width), elements=_scatter_values
                                   | st.floats(-1e6, 1e6, allow_subnormal=False)))
         assert_matches_reference(values, src, dst, n_out)
 
@@ -308,15 +314,15 @@ class TestSortedSumsAgainstReference:
                        dtype=np.intp)
         src = np.array(data.draw(st.lists(st.integers(0, n_in - 1), min_size=m, max_size=m)),
                        dtype=np.intp)
-        tail = data.draw(st.sampled_from([(), (3,)]))
-        values = data.draw(arrays(np.float64, (n_in,) + tail, elements=_scatter_values
+        width = data.draw(st.sampled_from([1, 3]))
+        values = data.draw(arrays(np.float64, (n_in, width), elements=_scatter_values
                                   | st.floats(-1e6, 1e6, allow_subnormal=False)))
         only = data.draw(st.sampled_from([
             np.zeros(n_out, dtype=bool), np.ones(n_out, dtype=bool),
             data.draw(arrays(np.bool_, n_out)),
         ]))
         plan = ad.RankPlan(n_out, dst, src)
-        want = np.where(only.reshape((n_out,) + (1,) * len(tail)), plan.sorted_sum(values), 0.0)
+        want = np.where(only[:, None], plan.sorted_sum(values), 0.0)
         assert plan.sorted_sum(values, only=only).tobytes() == want.tobytes()
 
 
@@ -506,7 +512,7 @@ class TestGradStore:
         rng = np.random.default_rng(0)
         params = {"a": rng.normal(size=4), "b": rng.normal(size=4),
                   "a2": rng.normal(size=(3, 4)), "b2": rng.normal(size=(4, 2)),
-                  "bias": rng.normal(size=4)}
+                  "bias": rng.normal(size=4), "c2": rng.normal(size=(3, 4))}
         monkeypatch.setattr(ad, "_GradStore", _ReadOnlyGradStore)
         assert ad.grad_check(fn, params).passed
 

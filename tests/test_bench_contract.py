@@ -1,7 +1,9 @@
 """The benchmark times the package by wrapping the functions bench/spans.py
 names. A renamed or removed target does not fail the benchmark: every metric
 built from its span reads null with "missing". This test fails instead. It
-also pins the fields bench/checks.py reads off the package's objects."""
+also pins the fields bench/checks.py reads off the package's objects, and the
+calls bench/workloads.py and bench/test_checks.py make, so that a change that
+drops one fails here rather than in a benchmark run."""
 
 import dataclasses
 import importlib
@@ -11,9 +13,12 @@ import pathlib
 import numpy as np
 import pytest
 
+from submatch.encoder import Checkpoint, EncoderConfig, init_params
 from submatch.graphs import LabeledGraph
+from submatch.order import MarginConfig
+from submatch.query import alignment, build_index, decide, embed_query_nodes, vote_mask_for
 from submatch.sampling import SamplerConfig, sample_positive_pair
-from submatch.training import EpochStats
+from submatch.training import EpochStats, TrainConfig
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -50,3 +55,41 @@ def test_training_pair_fields_read_by_checks():
 
 def test_epoch_stats_fields_read_by_checks():
     assert {"radius", "n_targets", "loss"} <= {f.name for f in dataclasses.fields(EpochStats)}
+
+
+def test_train_config_keywords_the_train_workload_sets():
+    cfg = TrainConfig(epochs=3, min_iterations=2, plateau_patience=1, plateau_delta=100.0,
+                      val_radius=3, seed=5)
+    assert (cfg.epochs, cfg.min_iterations, cfg.plateau_patience, cfg.plateau_delta,
+            cfg.val_radius, cfg.seed) == (3, 2, 1, 100.0, 3, 5)
+
+
+def test_checkpoint_fields_the_workloads_set():
+    cfg = EncoderConfig(layers=1, hidden_dim=4, output_dim=4, label_alphabet_size=1)
+    params = init_params(cfg, seed=0)
+    by_name = Checkpoint(config=cfg, params=params, margin=MarginConfig(threshold=0.3), radius=2)
+    by_position = Checkpoint(cfg, params, MarginConfig(threshold=0.3), radius=2)
+    for ckpt in (by_name, by_position):
+        assert (ckpt.config, ckpt.params, ckpt.margin.threshold, ckpt.radius) == (
+            cfg, params, 0.3, 2)
+        assert ckpt.decision_cutoff == 0.5  # the workloads leave it at its default
+
+
+def test_online_calls_the_query_workload_makes():
+    cfg = EncoderConfig(layers=1, hidden_dim=4, output_dim=4, label_alphabet_size=1)
+    ckpt = Checkpoint(cfg, init_params(cfg, seed=0), MarginConfig(), radius=2)
+    target = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    query = LabeledGraph.from_edges(2, [(0, 1)])
+    index = build_index(target, ckpt, k=1)
+    assert index.radius == 1
+    embs = embed_query_nodes(query, ckpt, index.radius)
+    matrix = alignment(query, index, ckpt, query_embs=embs)
+    mask = vote_mask_for(matrix, query, target, embs, index, ckpt.margin)
+    verdict = decide(matrix, ckpt.margin, ckpt.decision_cutoff, vote_mask=mask)
+    assert mask.shape == matrix.values.shape and 0.0 <= verdict.score <= 1.0
+
+
+def test_epoch_stats_positional_order():
+    stats = EpochStats(4, 1.5, 50.0, 2, 8, 1e-3)
+    assert (stats.epoch, stats.loss, stats.val_auroc, stats.radius, stats.n_targets,
+            stats.lr) == (4, 1.5, 50.0, 2, 8, 1e-3)

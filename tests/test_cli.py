@@ -368,6 +368,7 @@ BAD_INPUTS = {
     "gen-removed-eb-m": ["gen", "--set", "eb_m=3"],
     "gen-removed-eb-p-add": ["gen", "--set", "eb_p_add=0.1"],
     "gen-removed-eb-p-rewire": ["gen", "--set", "gen.eb_p_rewire=0.1"],
+    "gen-prefixed-key": ["gen", "--set", "gen.n_graphs=2"],
     "embed-removed-k": ["embed", "--k", "2"],
     "bench-zero-timeout": ["bench", "--methods", "exact", "--timeout", "0"],
     "bench-unknown-method": ["bench", "--methods", "foo"],

@@ -135,10 +135,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_readme_lists_every_config_key():
     """README's config paragraph lists, per section, exactly the keys train
     and gen accept: every field of the section's config, except the two that
-    train works out and rejects, the threshold and the label alphabet."""
+    train works out and rejects, the threshold and the label alphabet. gen's
+    keys are bare, so its list follows "`gen` takes bare keys only:"."""
     text = README.read_text(encoding="utf-8")
     listed = {section: set(re.findall(r"`(\w+)`", keys)) for section, keys in
-              re.findall(r"`(\w+)\.`(?: keys)?:((?:\s*`\w+`,?)+)", text)}
+              re.findall(r"`(\w+)\.?`(?: takes bare keys only)?:((?:\s*`\w+`,?)+)", text)}
     accepted = {section: {f.name for f in fields(cls)}
                 for section, cls in zip(SECTIONS, CONFIG_CLASSES)}
     accepted["margin"].remove("threshold")

@@ -23,7 +23,7 @@ from submatch.evaluate import (
 from submatch.exact import MatchBudget, is_subgraph
 from submatch.graphs import LabeledGraph, from_json, to_json
 from submatch.order import MarginConfig
-from submatch.query import answer, build_index, calibrate_decision_cutoff
+from submatch.query import _build_index, answer, build_index, calibrate_decision_cutoff
 
 
 def brute_force_auroc(scores, labels):
@@ -167,11 +167,11 @@ class TestCalibrateDecision:
         want = calibrate_decision_cutoff(scores, [inst.oracle_label for inst in instances])
         built = []
 
-        def counted(g, checkpoint, k=None):
+        def counted(g, fingerprint, checkpoint, radius):
             built.append(g.fingerprint())
-            return build_index(g, checkpoint, k)
+            return _build_index(g, fingerprint, checkpoint, radius)
 
-        monkeypatch.setattr(evaluate, "build_index", counted)
+        monkeypatch.setattr(evaluate, "_build_index", counted)
         got = calibrate_decision(ckpt, targets, 12, 3)
         distinct = {inst.target.fingerprint() for inst in instances}
         assert sorted(built) == sorted(distinct) and len(distinct) < len(instances)
@@ -180,7 +180,8 @@ class TestCalibrateDecision:
 
 class TestFingerprints:
     """Fingerprinting serializes and hashes a whole target, so it is paid
-    once per distinct target object, never once per instance."""
+    exactly once per distinct target object, never once per instance, and
+    building the index does not pay it again."""
 
     @pytest.fixture
     def fingerprint_calls(self, monkeypatch) -> list:
@@ -202,25 +203,27 @@ class TestFingerprints:
         query = LabeledGraph.from_edges(2, [(0, 1)])
         counts = []
         for n in (4, 40):
-            instances = [BenchInstance(f"i{i}", query, targets[i % 3]) for i in range(n)]
+            instances = [BenchInstance(f"i{i}", query, targets[i % 3], True) for i in range(n)]
             before = len(fingerprint_calls)
             _, offline = bench_neural(instances, ckpt, use_vote=use_vote)
             counts.append(len(fingerprint_calls) - before)
             assert offline["n_indexes"] == 3.0
-        assert counts[0] == counts[1] <= 2 * len(targets)
+        assert counts[0] == counts[1] == len(targets)
 
     def test_one_index_per_distinct_content(self, ckpt):
         target = gen_er(12, 0.3, 1, seed=7)
         twin = from_json(to_json(target))  # equal content, another object
         query = LabeledGraph.from_edges(2, [(0, 1)])
-        instances = [BenchInstance(f"i{i}", query, t) for i, t in enumerate([target, twin] * 3)]
+        instances = [BenchInstance(f"i{i}", query, t, True)
+                     for i, t in enumerate([target, twin] * 3)]
         indexes = evaluate._indexes_by_target(instances, ckpt)
         assert len({id(index) for index in indexes}) == 1
 
     def test_calibrate_decision_count_does_not_grow_with_instances(self, ckpt, fingerprint_calls):
         targets = [gen_er(14, 0.25, 1, seed=s) for s in (7, 8, 9)]
         calibrate_decision(ckpt, targets, 40, 3)
-        assert len(fingerprint_calls) <= 2 * len(targets)
+        # the 40 instances draw on all three targets
+        assert sorted(map(id, fingerprint_calls)) == sorted(map(id, targets))
 
 
 class TestBench:
@@ -259,15 +262,15 @@ class TestBench:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            BenchResult("exact", "i", 1, 1, -0.5, True, None)
+            BenchResult("exact", "i", 1, 1, -0.5, True, None, True)
 
     def test_timing_excludes_labeling(self, ckpt):
         # labeling happens in instance construction; bench rows only time the
         # decision path, so a prelabeled instance benches without an oracle
         target = gen_er(12, 0.3, 1, seed=10)
-        inst = BenchInstance("x", gen_er(3, 1.0, 1, seed=1), target, oracle_label=None)
+        inst = BenchInstance("x", gen_er(3, 1.0, 1, seed=1), target, oracle_label=False)
         results, _ = bench(["neural"], [inst], checkpoint=ckpt)
-        assert results[0].label is None
+        assert results[0].label is False
         assert results[0].time_s < 5.0
 
 
@@ -277,7 +280,7 @@ def test_summarize_success_curve():
         BenchResult("exact", "b", 5, 50, 0.2, True, False, False),
         BenchResult("exact", "c", 9, 50, 20.0, False, None, True),
     ]
-    summary = summarize(rows)
+    summary = summarize(rows, {})
     curve = summary["methods"]["exact"]["by_query_size"]
     assert curve[0]["n_query"] == 5 and curve[0]["success_rate"] == 1.0
     assert curve[1]["n_query"] == 9 and curve[1]["success_rate"] == 0.0

@@ -14,7 +14,12 @@ from submatch.exact import (
 )
 from submatch.graphs import AnchoredNeighborhood, GraphError, LabeledGraph
 from submatch.selftest import oracle_equivalence_suite
-from submatch.smallgraphs import brute_force_anchored, brute_force_is_subgraph
+from submatch.smallgraphs import (
+    all_graphs_upto_iso,
+    brute_force_anchored,
+    brute_force_is_subgraph,
+    connected_graphs_upto_iso,
+)
 
 
 def anchored(g, u=0):
@@ -295,6 +300,13 @@ class TestCount:
             qa, ta = anchored(q), anchored(t, 0)
             want = brute_force_anchored(q, qa.anchor, t, ta.anchor)
             assert is_subgraph_anchored(qa, ta).is_true == want
+
+    def test_catalog_has_one_graph_per_isomorphism_class(self):
+        # OEIS A000088 (all graphs) and A001349 (connected graphs); n = 0 has
+        # the one empty graph, which the general enumeration yields
+        assert [len(all_graphs_upto_iso(n)) for n in range(6)] == [1, 1, 2, 4, 11, 34]
+        assert all_graphs_upto_iso(0) == (LabeledGraph.from_edges(0, []),)
+        assert [len(connected_graphs_upto_iso(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
 
 
 class TestProperties:

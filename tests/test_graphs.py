@@ -179,6 +179,14 @@ class TestDerivedGraphs:
         assert revalidated_graph(g) == g
         assert g.edges() == sorted({(min(e), max(e)) for e in edges})
 
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_graphs())
+    def test_non_edges_are_the_missing_pairs_in_row_major_order(self, g):
+        # the hard negatives and the chord-perturbed bench queries index this list
+        edges = set(g.edges())
+        assert g.non_edges() == [p for p in combinations(range(g.node_count), 2)
+                                 if p not in edges]
+
     @settings(max_examples=200, deadline=None)
     @given(labeled_graphs(), st.data())
     def test_induced_on_matches_from_edges_rebuild(self, g, data):

@@ -165,7 +165,7 @@ class TestAlignment:
         query = gen_er(8, 0.3, 1, seed=5)
         index = build_index(target, ckpt)
         matrix = alignment(query, index, ckpt)
-        assert matrix.shape == (target.node_count, query.node_count)
+        assert matrix.values.shape == (target.node_count, query.node_count)
         assert np.all(matrix.values >= 0)
 
     def test_empty_query_rejected(self, ckpt, target):
@@ -381,6 +381,24 @@ def test_vote_mask_runs_one_bfs_per_node(ckpt, target, monkeypatch):
     )
     vote_mask_for(matrix, query, target, q_embs, index, cfg)
     assert len(calls) <= query.node_count + target.node_count
+
+
+@pytest.mark.parametrize("n_vote", [60, 12, 30])
+def test_vote_target_must_have_the_index_node_count(ckpt, n_vote):
+    indexed = gen_er(30, 0.15, 1, seed=3)
+    index = build_index(indexed, ckpt)
+    query = LabeledGraph.from_edges(3, [(0, 1), (1, 2)])
+    if n_vote == indexed.node_count:
+        matrix, _ = answer(query, index, ckpt, vote_on=indexed)
+        assert matrix.values.shape == (30, 3)
+        return
+    other = gen_er(n_vote, 0.15, 1, seed=4)
+    with pytest.raises(IndexError_, match=f"has {n_vote} nodes and the index 30"):
+        answer(query, index, ckpt, vote_on=other)
+    q_embs = embed_query_nodes(query, ckpt, index.radius)
+    matrix = alignment(query, index, ckpt, query_embs=q_embs)
+    with pytest.raises(IndexError_, match=f"has {n_vote} nodes and the index 30"):
+        vote_mask_for(matrix, query, other, q_embs, index, ckpt.margin)
 
 
 def test_decision_dataclass_fields():

@@ -17,6 +17,7 @@ from submatch import training as T
 from submatch.datasets import gen_er
 from submatch.encoder import EncoderConfig, encode_batch, init_params, _as_tensors
 from submatch.exact import _Search, is_subgraph_anchored
+from submatch.graphs import k_hop_neighborhood
 from submatch.order import MarginConfig, margin_loss
 from submatch.sampling import SamplerConfig
 from submatch.training import (
@@ -50,11 +51,21 @@ class TestAdam:
         assert np.array_equal(out["w"], params["w"])
         assert state.t == 1
 
-    def test_missing_gradient_treated_as_zero(self):
-        params = {"w": np.array([1.0]), "frozen": np.array([5.0])}
-        state = AdamState.init(params)
-        out = adam_step(params, {"w": np.array([1.0])}, state, lr=0.1)
-        assert np.array_equal(out["frozen"], params["frozen"])
+    def test_backward_gives_every_parameter_a_gradient(self):
+        # adam_step reads each parameter's gradient: every parameter enters
+        # the encoder's forward pass, so backward returns a gradient for all
+        g = gen_er(10, 0.4, 1, seed=0)
+        nbhds = [k_hop_neighborhood(g, u, 2) for u in (0, 1)]
+        params = init_params(TINY_ENC, seed=0)
+        tape = ad.Tape()
+        embs = encode_batch(tape, nbhds, _as_tensors(params), TINY_ENC)
+        loss = margin_loss(tape, ad.take_rows(tape, embs, [0]), ad.take_rows(tape, embs, [1]),
+                           np.array([0]), MarginConfig())
+        grads = ad.backward(tape, loss)
+        assert grads.keys() == params.keys()
+        adam_step(params, grads, AdamState.init(params), lr=0.1)
+        with pytest.raises(KeyError):
+            adam_step(params, {"out.b": grads["out.b"]}, AdamState.init(params), lr=0.1)
 
     def test_first_step_is_signed_lr(self):
         # closed form at t=1: update = -lr * g / (|g| + eps) for any g scale
