@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation on dense float64 arrays.
 
 A Tape records every op of a forward pass; backward() walks it once in
-reverse and returns gradients for all named leaf tensors. Only the ops the
-encoder and loss need are provided; there is no broadcasting beyond bias-add.
+reverse and returns gradients for all named leaf tensors. Only generic ops
+are provided; there is no broadcasting beyond bias-add.
 
 Subgradient convention at kinks: relu'(0) = 0, and leaky_relu'(0) = slope.
 """
@@ -292,22 +292,6 @@ def take_rows(tape: Tape, h: Tensor, idx) -> Tensor:
         grads.add(h, RankPlan(h.shape[0], idx, np.arange(len(idx))).sum(g))
 
     tape.push(out, (h,), backward)
-    return out
-
-
-def squared_l2_of_positive_part(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    """||max{0, a-b}||^2 of each row of two 2-D tensors of one shape."""
-    if a.value.ndim != 2 or a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {_shapes(a, b)}")
-    pos = np.maximum(0.0, a.value - b.value)
-    out = Tensor(np.sum(pos * pos, axis=1))
-
-    def backward(g, grads):
-        g_col = g[:, None]
-        grads.add(a, 2.0 * pos * g_col)
-        grads.add(b, -2.0 * pos * g_col)
-
-    tape.push(out, (a, b), backward)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, build_dataclass, parse_kv_file, split_sections
 from .datasets import gen_er, gen_extended_barabasi
 from .encoder import CheckpointError, EncoderConfig, load_checkpoint, save_checkpoint
-from .evaluate import bench as run_bench, check_bench_request
+from .evaluate import BENCH_TIMEOUT, bench as run_bench, check_bench_request
 from .evaluate import calibrate_decision, make_problem1_instances, write_bench_outputs
 from .graphs import GraphError, LabeledGraph, load_graph, save_graph
 from .order import MarginConfig
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--methods", default="exact,neural")
     p.add_argument("--n-instances", type=int, default=40)
-    p.add_argument("--timeout", type=float, default=20.0)
+    p.add_argument("--timeout", type=float, default=BENCH_TIMEOUT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-json", required=True)

@@ -12,7 +12,8 @@ import numpy as np
 from .config import ConfigError
 from .exact import MatchBudget, MatchOutcome, is_subgraph
 from .graphs import GraphError, LabeledGraph
-from .query import EmbeddingIndex, _build_index, answer, calibrate_decision_cutoff
+from .order import calibrate_decision_cutoff
+from .query import EmbeddingIndex, _build_index, answer
 from .util import atomic_write_text
 
 
@@ -243,6 +244,7 @@ def bench_neural(
 
 
 BENCH_METHODS = ("exact", "neural", "neural_vote")
+BENCH_TIMEOUT = 20.0  # seconds per exact decision, bench()'s and `bench --timeout`'s default
 
 
 def check_bench_request(
@@ -274,7 +276,7 @@ def bench(
     methods: list[str],
     instances: list[BenchInstance],
     checkpoint=None,
-    timeout: float = 20.0,
+    timeout: float = BENCH_TIMEOUT,
 ) -> tuple[list[BenchResult], dict]:
     """Run the named methods over shared instances; returns per-instance rows
     plus a summary with success curves binned by query size."""

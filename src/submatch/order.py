@@ -1,5 +1,5 @@
-"""Order-embedding geometry: violation energy, max-margin loss, threshold
-calibration, and the elementwise-minimum intersection.
+"""Order-embedding geometry: violation energy, max-margin loss, threshold and
+decision-cutoff calibration, and the elementwise-minimum intersection.
 
 The violation E(z_q, z_u) = ||max{0, z_q - z_u}||^2 is zero exactly when z_q
 is dominated coordinate-wise by z_u, which is how the embedding space encodes
@@ -31,14 +31,29 @@ class MarginConfig:
             raise ValueError("threshold must be below the negative margin")
 
 
-def violation(z_q: np.ndarray, z_u: np.ndarray) -> float:
-    """E(z_q, z_u): squared norm of the positive part of z_q - z_u."""
-    z_q = np.asarray(z_q, dtype=np.float64)
-    z_u = np.asarray(z_u, dtype=np.float64)
-    if z_q.shape != z_u.shape:
+def _squared_norms(d: np.ndarray) -> np.ndarray:
+    """The one reduction of E: each last-axis row's np.dot(row, row), bit for bit."""
+    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+
+
+def energy(tape: ad.Tape, z_q: ad.Tensor, z_u: ad.Tensor) -> ad.Tensor:
+    """E(z_q[i], z_u[i]) of each row pair of two (n, D) tensors, on the tape."""
+    if z_q.value.ndim != 2 or z_q.shape != z_u.shape:
         raise ValueError(f"dimension mismatch: {z_q.shape} vs {z_u.shape}")
-    diff = np.maximum(0.0, z_q - z_u)
-    return float(np.dot(diff, diff))
+    pos = np.maximum(0.0, z_q.value - z_u.value)
+    out = ad.Tensor(_squared_norms(pos))
+
+    def backward(g, grads):
+        grads.add(z_q, 2.0 * pos * g[:, None])
+        grads.add(z_u, -2.0 * pos * g[:, None])
+
+    tape.push(out, (z_q, z_u), backward)
+    return out
+
+
+def violation(z_q: np.ndarray, z_u: np.ndarray) -> np.ndarray:
+    """E(z_q[i], z_u[i]) of each row pair of two (n, D) arrays."""
+    return energy(ad.Tape(record=False), ad.Tensor(z_q), ad.Tensor(z_u)).value
 
 
 BLOCK_CELLS = 1 << 14  # cap on the (rows, n_q, D) difference buffer
@@ -59,7 +74,7 @@ def violation_matrix(query_embs: np.ndarray, target_embs: np.ndarray) -> np.ndar
     rows = max(1, BLOCK_CELLS // max(1, q.size))
     for start in range(0, t.shape[0], rows):
         diff = np.maximum(0.0, q[None, :, :] - t[start : start + rows, None, :])
-        out[start : start + rows] = np.einsum("tqd,tqd->tq", diff, diff)
+        out[start : start + rows] = _squared_norms(diff)
     return out
 
 
@@ -89,7 +104,7 @@ def margin_loss(
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("batch must be nonempty")
-    energies = ad.squared_l2_of_positive_part(tape, z_q, z_u)  # (B,)
+    energies = energy(tape, z_q, z_u)  # (B,)
     pos_mask = ad.Tensor((labels == 1).astype(np.float64))
     neg_mask = ad.Tensor((labels == 0).astype(np.float64))
     pos_term = ad.mul(tape, energies, pos_mask)
@@ -134,3 +149,15 @@ def calibrate_threshold(
         candidates = np.array([cfg.margin / 2.0])
     # the prediction v < t, written as -v > -t, which negation leaves exact
     return float(candidates[best_balanced_cut(-violations, labels == 1, -candidates)])
+
+
+def calibrate_decision_cutoff(scores, labels) -> float:
+    """Pick the mean-indicator cutoff maximizing balanced accuracy on labeled
+    validation decisions; midpoint between the best separating pair."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    if labels.all() or (~labels).all():
+        return 0.5
+    candidates = np.unique(scores)
+    mids = (candidates[:-1] + candidates[1:]) / 2.0 if len(candidates) > 1 else candidates
+    return float(mids[best_balanced_cut(scores, labels, mids)])

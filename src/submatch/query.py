@@ -17,7 +17,7 @@ import numpy as np
 
 from .encoder import Checkpoint, encode_all
 from .graphs import GraphError, LabeledGraph, twin_representatives
-from .order import MarginConfig, best_balanced_cut, violation_matrix
+from .order import MarginConfig, violation_matrix
 from .util import atomic_write_text, json_array, json_object, json_value
 
 INDEX_FORMAT_VERSION = 2
@@ -227,18 +227,6 @@ def vote(
         if np.any(v.min(axis=0) >= cfg.threshold):
             return False
     return True
-
-
-def calibrate_decision_cutoff(scores, labels) -> float:
-    """Pick the mean-indicator cutoff maximizing balanced accuracy on labeled
-    validation decisions; midpoint between the best separating pair."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(bool)
-    if labels.all() or (~labels).all():
-        return 0.5
-    candidates = np.unique(scores)
-    mids = (candidates[:-1] + candidates[1:]) / 2.0 if len(candidates) > 1 else candidates
-    return float(mids[best_balanced_cut(scores, labels, mids)])
 
 
 def vote_mask_for(

@@ -301,8 +301,7 @@ def pair_violations(
         block = pairs[start : start + VALIDATION_CHUNK]
         nbhds = [p.query for p in block] + [p.target for p in block]
         embs = encode_batch(ad.Tape(record=False), nbhds, tensors, cfg).value
-        for i in range(len(block)):
-            out[start + i] = violation(embs[i], embs[len(block) + i])
+        out[start : start + len(block)] = violation(embs[: len(block)], embs[len(block) :])
     return out
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from submatch.autodiff import IndexPairs
+from submatch import autodiff as ad
 from submatch.datasets import gen_er, gen_extended_barabasi
 from submatch.encoder import EncoderConfig
 from submatch.graphs import LabeledGraph
@@ -138,9 +138,20 @@ def mutated_json_text(doc, data, keys: list[str]) -> str:
     return text[:data.draw(st.integers(0, len(text)))] if data.draw(st.booleans()) else text
 
 
-def pairs_of(groups) -> IndexPairs:
+def pairs_of(groups) -> ad.IndexPairs:
     """The (src, dst) pairs of a per-row listing of source rows: row i sums
     the rows in groups[i]."""
     src = np.array([j for g in groups for j in g], dtype=np.intp)
     dst = np.repeat(np.arange(len(groups), dtype=np.intp), [len(g) for g in groups])
-    return IndexPairs(src, dst)
+    return ad.IndexPairs(src, dst)
+
+
+class ReadOnlyGradStore(ad._GradStore):
+    """Marks every gradient it keeps read-only, so a backward function that
+    writes into one raises."""
+
+    def add(self, t, g):
+        super().add(t, g)
+        for arr in (g, self.by_id[id(t)]):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False

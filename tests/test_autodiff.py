@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import pairs_of
+from conftest import ReadOnlyGradStore, pairs_of
 from submatch import autodiff as ad
 
 
@@ -24,29 +24,14 @@ class TestForward:
     def test_relu_values(self):
         assert np.array_equal(run(ad.relu, ad.Tensor([-3.0, 0.0, 5.0])), [0.0, 0.0, 5.0])
 
-    def test_dominated_pair_has_zero_energy(self):
-        out = run(ad.squared_l2_of_positive_part, ad.Tensor([[1.0, 2.0]]), ad.Tensor([[2.0, 3.0]]))
-        assert np.array_equal(out, [0.0])
-
-    def test_partial_violation(self):
-        out = run(ad.squared_l2_of_positive_part, ad.Tensor([[3.0, 1.0]]), ad.Tensor([[2.0, 3.0]]))
-        assert np.array_equal(out, [1.0])
-
-    def test_rowwise_energy(self):
-        a = ad.Tensor([[3.0, 1.0], [1.0, 2.0]])
-        b = ad.Tensor([[2.0, 3.0], [2.0, 3.0]])
-        assert np.array_equal(run(ad.squared_l2_of_positive_part, a, b), [1.0, 0.0])
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             run(ad.matmul, ad.Tensor([[1.0]]), ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         with pytest.raises(ValueError):
             run(ad.add, ad.Tensor([1.0]), ad.Tensor([1.0, 2.0]))
-        # concat and the energy take 2-D tensors only
+        # concat takes 2-D tensors only
         with pytest.raises(ValueError):
             run(ad.concat, ad.Tensor([1.0]), ad.Tensor([2.0]))
-        with pytest.raises(ValueError):
-            run(ad.squared_l2_of_positive_part, ad.Tensor([1.0]), ad.Tensor([2.0]))
 
     def test_row_sum_aggregate(self):
         h = ad.Tensor([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
@@ -66,15 +51,6 @@ class TestBackward:
         loss = f({"x": x}, tape)
         grads = ad.backward(tape, loss)
         assert np.allclose(grads["x"], [6.0])
-
-    def test_dominated_point_has_zero_gradient(self):
-        tape = ad.Tape()
-        a = ad.Tensor([[1.0, 2.0]], name="a")
-        b = ad.Tensor([[2.0, 3.0]], name="b")
-        loss = ad.sum_all(tape, ad.squared_l2_of_positive_part(tape, a, b))
-        grads = ad.backward(tape, loss)
-        assert np.array_equal(grads["a"], [[0.0, 0.0]])
-        assert np.array_equal(grads["b"], [[0.0, 0.0]])
 
     def test_non_scalar_loss_rejected(self):
         tape = ad.Tape()
@@ -128,7 +104,6 @@ OPS_FOR_GRADCHECK = [
         ),
     ),
     ("take_rows", lambda p, t: ad.sum_all(t, ad.mul(t, g := ad.take_rows(t, p["a2"], [0, 2, 2]), g))),
-    ("energy", lambda p, t: ad.sum_all(t, ad.squared_l2_of_positive_part(t, p["a2"], p["c2"]))),
 ]
 
 
@@ -454,17 +429,6 @@ class _CopyingGradStore(ad._GradStore):
             self.by_id[id(t)] = np.array(g, dtype=np.float64, copy=True)
 
 
-class _ReadOnlyGradStore(ad._GradStore):
-    """Marks every gradient it keeps read-only, so a backward function that
-    writes into one raises."""
-
-    def add(self, t, g):
-        super().add(t, g)
-        for arr in (g, self.by_id[id(t)]):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
-
-
 def _train_tiny_params():
     from submatch.datasets import gen_er
     from submatch.encoder import EncoderConfig
@@ -513,11 +477,11 @@ class TestGradStore:
         params = {"a": rng.normal(size=4), "b": rng.normal(size=4),
                   "a2": rng.normal(size=(3, 4)), "b2": rng.normal(size=(4, 2)),
                   "bias": rng.normal(size=4), "c2": rng.normal(size=(3, 4))}
-        monkeypatch.setattr(ad, "_GradStore", _ReadOnlyGradStore)
+        monkeypatch.setattr(ad, "_GradStore", ReadOnlyGradStore)
         assert ad.grad_check(fn, params).passed
 
     def test_no_training_step_writes_into_a_gradient(self, monkeypatch):
-        monkeypatch.setattr(ad, "_GradStore", _ReadOnlyGradStore)
+        monkeypatch.setattr(ad, "_GradStore", ReadOnlyGradStore)
         assert _train_tiny_params()
 
 

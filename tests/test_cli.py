@@ -13,7 +13,7 @@ import submatch
 from submatch.cli import main
 from submatch.encoder import load_checkpoint, save_checkpoint
 from submatch.evaluate import make_problem1_instances
-from submatch.graphs import LabeledGraph, from_json, load_graph, save_graph, to_json
+from submatch.graphs import LabeledGraph, load_graph, save_graph
 
 
 def run_cli(*argv):

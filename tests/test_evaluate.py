@@ -22,8 +22,8 @@ from submatch.evaluate import (
 )
 from submatch.exact import MatchBudget, is_subgraph
 from submatch.graphs import LabeledGraph, from_json, to_json
-from submatch.order import MarginConfig
-from submatch.query import _build_index, answer, build_index, calibrate_decision_cutoff
+from submatch.order import MarginConfig, calibrate_decision_cutoff
+from submatch.query import _build_index, answer, build_index
 
 
 def brute_force_auroc(scores, labels):

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import ReadOnlyGradStore
 from submatch import autodiff as ad
-from submatch import selftest
+from submatch import order, selftest
 from submatch.order import (
     MarginConfig,
     calibrate_threshold,
+    energy,
     intersection,
     margin_loss,
     violation,
@@ -38,25 +40,37 @@ class TestConfig:
             MarginConfig(margin=margin, threshold=threshold)
 
 
+def pair_violation(z_q, z_u) -> float:
+    """E of one pair of vectors, as violation's one-row result."""
+    return float(violation([z_q], [z_u])[0])
+
+
+def run_energy(z_q, z_u) -> np.ndarray:
+    return energy(ad.Tape(record=False), ad.Tensor(z_q), ad.Tensor(z_u)).value
+
+
 class TestViolation:
     def test_reflexive_zero(self):
         z = np.array([0.3, 1.7, 2.0])
-        assert violation(z, z) == 0.0
+        assert pair_violation(z, z) == 0.0
 
     def test_dominated_zero(self):
-        assert violation([1.0, 2.0], [2.0, 3.0]) == 0.0
+        assert pair_violation([1.0, 2.0], [2.0, 3.0]) == 0.0
 
     def test_partial(self):
-        assert violation([3.0, 1.0], [2.0, 3.0]) == 1.0
+        assert pair_violation([3.0, 1.0], [2.0, 3.0]) == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            violation([1.0], [1.0, 2.0])
+            violation([[1.0]], [[1.0, 2.0]])
+        # rows of two 2-D arrays only
+        with pytest.raises(ValueError):
+            violation([1.0, 2.0], [2.0, 3.0])
 
     @settings(max_examples=100, deadline=None)
     @given(nonneg_vec, nonneg_vec)
     def test_zero_iff_dominated(self, a, b):
-        assert (violation(a, b) == 0.0) == bool(np.all(a <= b))
+        assert (pair_violation(a, b) == 0.0) == bool(np.all(a <= b))
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -66,12 +80,79 @@ class TestViolation:
         assert m.shape == (7, 4)
         for i in range(7):
             for j in range(4):
-                assert np.isclose(m[i, j], violation(q[j], t[i]))
+                assert m[i, j] == pair_violation(q[j], t[i])
+
+
+def _rows_of_one_scale(rng, n: int, width: int) -> np.ndarray:
+    """n rows of one random magnitude between 1e-150 and 1e150, signed, with
+    about a tenth of the entries +0.0 and a tenth -0.0."""
+    rows = 10.0 ** rng.uniform(-150, 150) * rng.uniform(-1, 1, size=(n, width))
+    zeros = rng.random((n, width))
+    rows[zeros < 0.1] = 0.0
+    rows[zeros > 0.9] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_energy_site_has_the_bits_of_np_dot(seed, monkeypatch):
+    """violation's rows, violation_matrix's entries at any block size and the
+    taped energy all reduce E as np.dot of the positive part with itself."""
+    rng = np.random.default_rng(seed)
+    for width in [1, 64, *rng.integers(1, 65, size=6)]:
+        q = _rows_of_one_scale(rng, 9, width)
+        t = _rows_of_one_scale(rng, 9, width)
+        t[::3] *= 10.0 ** rng.uniform(-3, 3)  # some pairs of unequal scale
+        pos = np.maximum(0.0, q[None, :, :] - t[:, None, :])
+        want = np.array([[np.dot(d, d) for d in row] for row in pos])
+        for cells in (1, 1 << 30):
+            monkeypatch.setattr(order, "BLOCK_CELLS", cells)
+            assert violation_matrix(q, t).tobytes() == want.tobytes()
+        diagonal = np.diagonal(want).copy()
+        assert violation(q, t).tobytes() == diagonal.tobytes()
+        assert run_energy(q, t).tobytes() == diagonal.tobytes()
+
+
+class TestEnergy:
+    def test_dominated_pair_has_zero_energy(self):
+        assert np.array_equal(run_energy([[1.0, 2.0]], [[2.0, 3.0]]), [0.0])
+
+    def test_partial_violation(self):
+        assert np.array_equal(run_energy([[3.0, 1.0]], [[2.0, 3.0]]), [1.0])
+
+    def test_rowwise_energy(self):
+        a = [[3.0, 1.0], [1.0, 2.0]]
+        b = [[2.0, 3.0], [2.0, 3.0]]
+        assert np.array_equal(run_energy(a, b), [1.0, 0.0])
+
+    def test_shape_mismatch_rejected(self):
+        # the energy takes 2-D tensors only
+        with pytest.raises(ValueError):
+            run_energy([1.0], [2.0])
+
+    def test_dominated_point_has_zero_gradient(self):
+        tape = ad.Tape()
+        a = ad.Tensor([[1.0, 2.0]], name="a")
+        b = ad.Tensor([[2.0, 3.0]], name="b")
+        loss = ad.sum_all(tape, energy(tape, a, b))
+        grads = ad.backward(tape, loss)
+        assert np.array_equal(grads["a"], [[0.0, 0.0]])
+        assert np.array_equal(grads["b"], [[0.0, 0.0]])
+
+    def test_passes_grad_check_writing_into_no_gradient(self, monkeypatch):
+        monkeypatch.setattr(ad, "_GradStore", ReadOnlyGradStore)
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            params = {"a2": rng.normal(size=(3, 4)), "c2": rng.normal(size=(3, 4))}
+            report = ad.grad_check(
+                lambda p, t: ad.sum_all(t, energy(t, p["a2"], p["c2"])), params, h=1e-5, tol=1e-4)
+            worst = max(worst, report.worst_rel_err)
+        assert worst < 1e-4
 
 
 def _decide_pair(z_q, z_u, cfg: MarginConfig) -> bool:
     """The pair rule inside query.decide, applied to a one-entry matrix."""
-    return decide(AlignmentMatrix(values=[[violation(z_q, z_u)]]), cfg).score == 1.0
+    return decide(AlignmentMatrix(values=[[pair_violation(z_q, z_u)]]), cfg).score == 1.0
 
 
 class TestPrediction:
@@ -82,7 +163,7 @@ class TestPrediction:
     def test_boundary_is_false(self):
         cfg = MarginConfig(margin=2.0, threshold=1.0)
         # violation of exactly threshold fails the strict inequality
-        assert violation([3.0, 1.0], [2.0, 3.0]) == 1.0
+        assert pair_violation([3.0, 1.0], [2.0, 3.0]) == 1.0
         assert not _decide_pair([3.0, 1.0], [2.0, 3.0], cfg)
 
     def test_above_threshold_false(self):
@@ -106,8 +187,8 @@ class TestIntersection:
     @given(nonneg_vec, nonneg_vec)
     def test_dominated_by_both(self, a, b):
         m = intersection(a, b)
-        assert violation(m, a) == 0.0
-        assert violation(m, b) == 0.0
+        assert pair_violation(m, a) == 0.0
+        assert pair_violation(m, b) == 0.0
 
 
 class TestGeometryAxioms:
@@ -131,11 +212,22 @@ class TestGeometryAxioms:
 
     def test_suite_catches_violation_blind_to_last_coordinate(self, monkeypatch):
         def blind(z_q, z_u):
-            return violation(np.asarray(z_q)[:-1], np.asarray(z_u)[:-1])
+            return violation(np.asarray(z_q)[:, :-1], np.asarray(z_u)[:, :-1])
 
         monkeypatch.setattr(selftest, "violation", blind)
         ok, detail = selftest.geometry_suite(10_000, seed=2024)
         assert not ok, detail
+
+    def test_suite_counts_every_failing_triple(self, monkeypatch):
+        # each count is over all triples at once: one stuck at 0 fails here
+        n = 500
+        monkeypatch.setattr(selftest, "violation", lambda z_q, z_u: np.zeros(len(z_q)))
+        ok, detail = selftest.geometry_suite(n)
+        assert not ok and f"anti-symmetry={n}," in detail, detail
+        monkeypatch.setattr(selftest, "violation", lambda z_q, z_u: violation(z_q, z_u) + 1.0)
+        ok, detail = selftest.geometry_suite(n)
+        assert f"transitivity={n}," in detail, detail
+        assert f"intersection-glb={n} " in detail, detail
 
 
 def loss_of(z_q, z_u, labels, cfg):
@@ -159,7 +251,7 @@ class TestMarginLoss:
     def test_forced_arithmetic(self):
         # margin 1, negative pair z_q=[1,0], z_u=[0.5,1]: E = 0.25, loss 0.75
         cfg = MarginConfig(margin=1.0, threshold=0.5)
-        e = violation([1.0, 0.0], [0.5, 1.0])
+        e = pair_violation([1.0, 0.0], [0.5, 1.0])
         assert e == 0.25
         assert loss_of([[1.0, 0.0]], [[0.5, 1.0]], [0], cfg) == 0.75
 
@@ -194,8 +286,7 @@ class TestMarginLoss:
     def test_loss_nonnegative(self, zq, zu):
         labels = np.array([1, 1, 0, 0])
         # the energies margin_loss itself reads
-        energies = ad.squared_l2_of_positive_part(
-            ad.Tape(record=False), ad.Tensor(zq), ad.Tensor(zu)).value
+        energies = run_energy(zq, zu)
         cfg = MarginConfig()
         loss = loss_of(zq, zu, labels, cfg)
         assert loss >= 0.0
