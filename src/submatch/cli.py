@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, build_dataclass, parse_kv_file, split_sections
 from .datasets import gen_er, gen_extended_barabasi
 from .encoder import CheckpointError, EncoderConfig, load_checkpoint, save_checkpoint
-from .evaluate import BENCH_TIMEOUT, bench as run_bench, check_bench_request
+from .evaluate import BENCH_TIMEOUT, DRAWS_PER_INSTANCE, bench as run_bench, check_bench_request
 from .evaluate import calibrate_decision, make_problem1_instances, write_bench_outputs
 from .graphs import GraphError, LabeledGraph, load_graph, save_graph
 from .order import MarginConfig
@@ -48,15 +48,12 @@ ER_AVG_DEGREE = 4.0
 @dataclass(frozen=True)
 class GenConfig:
     n_graphs: int = 40
-    family: str = "mix"  # mix | erdos_renyi | extended_barabasi
     min_nodes: int = 16
     max_nodes: int = 30
     label_alphabet_size: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.family not in ("mix", "erdos_renyi", "extended_barabasi"):
-            raise ValueError(f"unknown family {self.family!r}")
         if min(self.n_graphs, self.label_alphabet_size) < 1 or self.seed < 0:
             raise ValueError("n_graphs and label_alphabet_size must be >= 1, seed >= 0")
         if not 1 <= self.min_nodes <= self.max_nodes:
@@ -93,10 +90,7 @@ def cmd_gen(args) -> int:
     for i in range(cfg.n_graphs):
         n = int(rng.integers(cfg.min_nodes, cfg.max_nodes + 1))
         seed = int(rng.integers(2**31))
-        family = cfg.family
-        if family == "mix":
-            family = "erdos_renyi" if i % 2 == 0 else "extended_barabasi"
-        if family == "erdos_renyi":
+        if i % 2 == 0:
             p = min(1.0, ER_AVG_DEGREE / max(n - 1, 1))
             g = gen_er(n, p, cfg.label_alphabet_size, seed)
         else:
@@ -219,6 +213,10 @@ def cmd_bench(args) -> int:
     targets = _load_targets(args.data)
     rng = np.random.default_rng(args.seed)
     instances = make_problem1_instances(targets, args.n_instances, rng)
+    if len(instances) < args.n_instances:
+        raise GraphError(f"the graphs in {args.data} gave {len(instances)} of the "
+                         f"{args.n_instances} requested instances in "
+                         f"{DRAWS_PER_INSTANCE * args.n_instances} draws")
     results, summary = run_bench(
         methods, instances, checkpoint=checkpoint, timeout=args.timeout
     )

@@ -81,6 +81,7 @@ def _perturbed_query(
 ORACLE_BUDGET = MatchBudget(max_states=2_000_000, wall_timeout=10.0)
 # a query holds at most this share of its target's nodes (and at least 2)
 QUERY_RATIO = 0.5
+DRAWS_PER_INSTANCE = 50  # make_problem1_instances gives up after this many per instance asked
 
 
 def make_problem1_instances(
@@ -93,8 +94,9 @@ def make_problem1_instances(
     Positives are sampled subgraphs (true by construction). Negatives mix
     chord-densified subgraphs and cross-graph queries, certified non-subgraphs
     by the exact matcher, resampling on accidental positives or oracle
-    timeouts. A target of fewer than 2 nodes, or a pool without an edge, raises
-    GraphError.
+    timeouts. It stops after DRAWS_PER_INSTANCE draws per instance asked, so
+    it may return fewer. A target of fewer than 2 nodes, or a pool without an
+    edge, raises GraphError.
     """
     small = [i for i, g in enumerate(targets) if g.node_count < 2]
     if small:
@@ -106,7 +108,7 @@ def make_problem1_instances(
         raise GraphError("no target graph has an edge; every query drawn would be one node")
     instances: list[BenchInstance] = []
     guard = 0
-    while len(instances) < n_instances and guard < 50 * n_instances:
+    while len(instances) < n_instances and guard < DRAWS_PER_INSTANCE * n_instances:
         guard += 1
         target = targets[int(rng.integers(len(targets)))]
         max_q = max(2, int(round(QUERY_RATIO * target.node_count)))

@@ -95,11 +95,11 @@ class _Search:
         self.deadline = time.monotonic() + budget.wall_timeout
 
     def _order_from(self, root: int) -> list[int]:
-        """Query nodes in BFS order from root, ties broken by node id."""
-        dist = self.query.bfs_distances(root)
-        if len(dist) != self.query.node_count:
+        """Query nodes in (hop distance from root, id) order."""
+        order = list(self.query.bfs_distances(root))
+        if len(order) != self.query.node_count:
             raise GraphError("query graph must be connected")
-        return sorted(dist, key=lambda n: (dist[n], n))
+        return order
 
     def _run(self, order: list[int], roots: Sequence[int]) -> MatchOutcome:
         """Map order[0] onto one of roots and the rest depth first, with one

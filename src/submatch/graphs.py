@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -141,20 +140,32 @@ class LabeledGraph:
     def is_connected(self) -> bool:
         return self.node_count == 0 or len(self.bfs_distances(0)) == self.node_count
 
-    def bfs_distances(self, source: int, max_depth: int | None = None) -> dict[int, int]:
-        """Hop distance from source to every reachable node (within max_depth)."""
+    def bfs_distances(
+        self, source: int, max_depth: int | None = None, within: set[int] | None = None,
+    ) -> dict[int, int]:
+        """Hop distance from source to every node it reaches in at most
+        max_depth hops, stepping only onto nodes of within when it is given.
+
+        The walk goes level by level and inserts each level in id order, so
+        the dict lists its nodes in (distance, id) order: the order of every
+        anchored neighborhood and of the exact matcher's search.
+        """
         if not 0 <= source < self.node_count:
             raise GraphError(f"invalid node id {source}")
+        adjacency = self.adjacency
         dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if max_depth is not None and dist[u] >= max_depth:
-                continue
-            for v in self.adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+        frontier = [source]
+        depth = 0
+        while frontier and (max_depth is None or depth < max_depth):
+            depth += 1
+            level = set()
+            for u in frontier:
+                for v in adjacency[u]:
+                    if v not in dist and (within is None or v in within):
+                        level.add(v)
+            frontier = sorted(level)
+            for v in frontier:
+                dist[v] = depth
         return dist
 
     def induced_on(self, nodes: list[int]) -> "LabeledGraph":
@@ -201,20 +212,23 @@ class AnchoredNeighborhood:
         return self.graph.node_count
 
 
-def k_hop_neighborhood(g: LabeledGraph, u: int, k: int) -> AnchoredNeighborhood:
-    """Edge-induced subgraph on all nodes within k hops of u, anchored at u.
+def bfs_neighborhood(
+    g: LabeledGraph, u: int, max_depth: int | None = None, within: set[int] | None = None,
+) -> AnchoredNeighborhood:
+    """Edge-induced subgraph on the nodes g.bfs_distances(u, max_depth,
+    within) reaches, renumbered in its (distance, id) order, so u is the
+    anchor 0 and identical inputs give identical neighborhoods."""
+    order = list(g.bfs_distances(u, max_depth, within))
+    # a BFS reach is connected
+    return _trusted(AnchoredNeighborhood, graph=g.induced_on(order), anchor=0)
 
-    Nodes are renumbered in BFS order from the anchor, ties broken by original
-    id, so identical inputs always produce identical neighborhoods.
-    """
-    if not 0 <= u < g.node_count:
-        raise GraphError(f"invalid node id {u}")
+
+def k_hop_neighborhood(g: LabeledGraph, u: int, k: int) -> AnchoredNeighborhood:
+    """Edge-induced subgraph on all nodes within k hops of u, anchored at u
+    and numbered as bfs_neighborhood numbers it."""
     if k < 0:
         raise GraphError("hop count must be nonnegative")
-    dist = g.bfs_distances(u, max_depth=k)
-    order = sorted(dist, key=lambda n: (dist[n], n))
-    # a BFS ball is connected
-    return _trusted(AnchoredNeighborhood, graph=g.induced_on(order), anchor=0)
+    return bfs_neighborhood(g, u, max_depth=k)
 
 
 def adjacency_csr(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:

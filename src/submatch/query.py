@@ -187,12 +187,11 @@ def decide(
 
 
 def _distance_shells(g: LabeledGraph, source: int, max_hops: int) -> list[list[int]]:
-    dist = g.bfs_distances(source, max_depth=max_hops)
+    """The nodes within max_hops of source by hop distance, each shell in id
+    order, as bfs_distances lists them."""
     shells: list[list[int]] = [[] for _ in range(max_hops + 1)]
-    for node, d in dist.items():
+    for node, d in g.bfs_distances(source, max_depth=max_hops).items():
         shells[d].append(node)
-    for shell in shells:
-        shell.sort()
     return shells
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import MatchBudget, MatchOutcome, is_subgraph_anchored
-from .graphs import AnchoredNeighborhood, LabeledGraph, _trusted, k_hop_neighborhood
+from .graphs import AnchoredNeighborhood, LabeledGraph, _trusted
+from .graphs import bfs_neighborhood, k_hop_neighborhood
 
 STRATEGIES = ("random_bfs", "random_walk_restart", "mfinder_degree_weighted")
 
@@ -49,26 +50,6 @@ class TrainingPair:
     kind: str | None = None  # "random" or "hard" for negatives, None for positives
 
 
-def _as_neighborhood(g: LabeledGraph, u: int, selected: set[int]) -> AnchoredNeighborhood:
-    """Edge-induced neighborhood on the selected nodes, renumbered from u.
-
-    Node order is BFS-from-anchor restricted to the selection (ties by
-    original id), matching the renumbering convention of k-hop extraction.
-    """
-    order, frontier, reached = [u], [u], {u}
-    while frontier:
-        level = []
-        for a in frontier:
-            for b in g.adjacency[a]:
-                if b in selected and b not in reached:
-                    reached.add(b)
-                    level.append(b)
-        frontier = sorted(level)
-        order += frontier
-    # connected by construction
-    return _trusted(AnchoredNeighborhood, graph=g.induced_on(order), anchor=0)
-
-
 def random_bfs_sample(
     g: LabeledGraph, u: int, cfg: SamplerConfig, rng: np.random.Generator
 ) -> AnchoredNeighborhood:
@@ -93,7 +74,7 @@ def random_bfs_sample(
                 queue.append(v)
                 if len(selected) >= cfg.max_nodes:
                     break
-    return _as_neighborhood(g, u, selected)
+    return bfs_neighborhood(g, u, within=selected)
 
 
 def random_walk_sample(
@@ -112,7 +93,7 @@ def random_walk_sample(
         nbrs = g.adjacency[current]
         current = nbrs[int(rng.integers(len(nbrs)))]
         selected.add(current)
-    return _as_neighborhood(g, u, selected)
+    return bfs_neighborhood(g, u, within=selected)
 
 
 def mfinder_sample(
@@ -131,7 +112,7 @@ def mfinder_sample(
         selected.add(v)
         frontier.discard(v)
         frontier.update(w for w in g.adjacency[v] if w not in selected)
-    return _as_neighborhood(g, u, selected)
+    return bfs_neighborhood(g, u, within=selected)
 
 
 _SAMPLERS = {

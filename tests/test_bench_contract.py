@@ -20,14 +20,26 @@ from submatch.query import alignment, build_index, decide, embed_query_nodes, vo
 from submatch.sampling import SamplerConfig, sample_positive_pair
 from submatch.training import EpochStats, TrainConfig
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+# per-layer metrics of the traced tour that read exactly 0 on working code:
+# the functions they wrap are no longer called on those paths
+DARK_METRICS = {
+    "train.graphs.validations", "train.graphs.validate_s",
+    "index.graphs.validations", "index.graphs.validate_s",
+    "index.graphs.khop_calls", "index.graphs.khop_s", "index.graphs.khop_nodes",
+}
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_targets():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return load_bench_module("spans").TARGETS
 
 
 @pytest.mark.parametrize(
@@ -93,3 +105,20 @@ def test_epoch_stats_positional_order():
     stats = EpochStats(4, 1.5, 50.0, 2, 8, 1e-3)
     assert (stats.epoch, stats.loss, stats.val_auroc, stats.radius, stats.n_targets,
             stats.lr) == (4, 1.5, 50.0, 2, 8, 1e-3)
+
+
+def test_traced_tour_sees_every_layer_it_wraps(tmp_path, monkeypatch):
+    """A change that stops calling a wrapped function on a path turns that
+    path's per-layer metrics to 0 in bench/run.py's traced tour; this fails
+    then, rather than only a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("run")
+    from workloads import WORKLOADS
+
+    out = run.traced_tour(list(WORKLOADS), 1, tmp_path)
+    assert out["correct"] and out["failed"] == 0
+    values = {key: entry["value"] for key, entry in out["metrics"].items()}
+    assert [key for key, value in values.items() if value is None] == []
+    dark = {key for key, value in values.items()
+            if value == 0 and not key.endswith(".trace.overhead_pct")}
+    assert dark == DARK_METRICS

@@ -369,6 +369,7 @@ BAD_INPUTS = {
     "gen-removed-eb-p-add": ["gen", "--set", "eb_p_add=0.1"],
     "gen-removed-eb-p-rewire": ["gen", "--set", "gen.eb_p_rewire=0.1"],
     "gen-prefixed-key": ["gen", "--set", "gen.n_graphs=2"],
+    "gen-removed-family": ["gen", "--set", "family=mix"],
     "embed-removed-k": ["embed", "--k", "2"],
     "bench-zero-timeout": ["bench", "--methods", "exact", "--timeout", "0"],
     "bench-unknown-method": ["bench", "--methods", "foo"],
@@ -381,6 +382,10 @@ BAD_INPUTS = {
     "bench-one-node-graphs": ["bench", "--methods", "exact", "--data", "{data}/one-node-graphs"],
     "bench-edgeless-graphs": ["bench", "--methods", "exact", "--data", "{data}/edgeless-graphs"],
     "bench-edge-label": ["bench", "--methods", "exact", "--data", "{data}/edge-label"],
+    # every query drawn from a complete graph embeds in one, so no negative
+    # can be certified and fewer instances than asked come back
+    "bench-too-few-instances": ["bench", "--methods", "exact", "--n-instances", "10",
+                                "--data", "{data}/complete-graphs"],
     "train-edge-label": ["train", "--data", "{data}/edge-label"],
     "train-negative-calibration-pairs": ["train", "--calibration-pairs", "-3"],
     "train-removed-learning-rate": ["train", "--set", "train.learning_rate=0.002"],
@@ -406,12 +411,19 @@ BAD_INPUTS = {
 }
 
 
+def complete_graph_doc(n):
+    """A graph file of the complete graph on n unlabeled nodes."""
+    return json.dumps({"nodes": [{"id": u} for u in range(n)],
+                       "edges": [{"u": u, "v": v} for u in range(n) for v in range(u + 1, n)]})
+
+
 # graph directories for the rows above that name their own --data {data}/<name>
 BAD_DATA = {
     "empty-graph": ['{"nodes": [], "edges": []}'],
     "one-node-graphs": ['{"nodes": [{"id": 0}], "edges": []}'] * 2,
     "edgeless-graphs": ['{"nodes": [{"id": 0}, {"id": 1}], "edges": []}'] * 2,
     "edge-label": ['{"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "label": 1}]}'],
+    "complete-graphs": [complete_graph_doc(n) for n in (4, 5, 6)],
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import mutated_json_text
 from submatch.encoder import EncoderConfig, build_input_features
-from submatch.exact import is_subgraph
+from submatch.exact import MatchBudget, _Search, is_subgraph
 from submatch.graphs import (
     AnchoredNeighborhood,
     GraphError,
@@ -293,6 +294,54 @@ def structural_features(g: LabeledGraph, u: int) -> tuple[float, float]:
                         label_alphabet_size=g.label_alphabet_size)
     feats = build_input_features(np.asarray(g.node_labels), np.array([u]), indices, dst, cfg)
     return tuple(feats[u, -2:])
+
+
+def reference_bfs_distances(g, source, max_depth=None, within=None):
+    """A queue BFS, as bfs_distances was before it walked by levels, that
+    steps only onto nodes of within when it is given."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        if max_depth is not None and dist[u] >= max_depth:
+            continue
+        for v in g.adjacency[u]:
+            if v not in dist and (within is None or v in within):
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def sorted_order(g, source, max_depth=None, within=None):
+    """The canonical order derived the way it was before bfs_distances gave
+    it: a queue BFS's nodes sorted by (distance, id)."""
+    dist = reference_bfs_distances(g, source, max_depth, within)
+    return sorted(dist, key=lambda n: (dist[n], n))
+
+
+class TestCanonicalOrder:
+    """bfs_distances lists its nodes in (distance, id) order, and every
+    order read from it is the one the sort-based derivation gave."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_graphs(max_n=14), st.data())
+    def test_bfs_distances_are_a_bfs_in_distance_then_id_order(self, g, data):
+        source = data.draw(st.integers(0, g.node_count - 1))
+        max_depth = data.draw(st.none() | st.integers(0, 4))
+        within = data.draw(st.none() | st.sets(st.integers(0, g.node_count - 1)))
+        dist = g.bfs_distances(source, max_depth, within)
+        assert dist == reference_bfs_distances(g, source, max_depth, within)
+        assert list(dist) == sorted(dist, key=lambda n: (dist[n], n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(labeled_graphs(max_n=14), st.data())
+    def test_matcher_and_k_hop_orders_equal_the_sorted_ones(self, g, data):
+        u = data.draw(st.integers(0, g.node_count - 1))
+        k = data.draw(st.integers(0, 4))
+        nh = k_hop_neighborhood(g, u, k)
+        assert (nh.graph, nh.anchor) == (reference_induced_on(g, sorted_order(g, u, k)), 0)
+        if g.is_connected():
+            assert _Search(g, g, MatchBudget())._order_from(u) == sorted_order(g, u)
 
 
 class TestStructuralFeatures:

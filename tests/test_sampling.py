@@ -87,7 +87,7 @@ class TestAllSamplers:
 
 
 def reference_as_neighborhood(g, u, selected):
-    """sampling._as_neighborhood as it was before the sampler was made cheaper."""
+    """The samplers' renumbering as it was before the sampler was made cheaper."""
     left = set(selected) - {u}
     order, frontier = [u], [u]
     while frontier:
@@ -161,7 +161,8 @@ class TestDrawsKept:
                     ref = reference_random_bfs_sample(g, u, cfg, ref_rng)
                 else:  # the walk and mfinder draws are unchanged; their renumbering is not
                     with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(sampling, "_as_neighborhood", reference_as_neighborhood)
+                        mp.setattr(sampling, "bfs_neighborhood",
+                                   lambda g, u, within: reference_as_neighborhood(g, u, within))
                         ref = sampler(g, u, cfg, ref_rng)
                 assert nh.graph == ref.graph and nh.anchor == ref.anchor == 0, name
                 assert rng.bit_generator.state == ref_rng.bit_generator.state, name

@@ -413,7 +413,7 @@ def _permutation_bfs_sample(g, u, cfg, rng):
                 queue.append(v)
                 if len(selected) >= cfg.max_nodes:
                     break
-    return sampling._as_neighborhood(g, u, selected)
+    return sampling.bfs_neighborhood(g, u, within=selected)
 
 
 def _full_width_forward(tape, block, params, cfg):
