@@ -247,7 +247,7 @@ class IndexPairs(tuple):
 
 def row_sum_aggregate(
     tape: Tape, h: Tensor, pairs: IndexPairs, value_sorted: bool = False,
-    previous: Tensor | None = None, only: np.ndarray | None = None,
+    only: np.ndarray | None = None,
 ) -> Tensor:
     """out[i] = sum of h[j] over the (j, i) in pairs, a (src, dst) pair of
     index arrays that keeps its plans for the next call; out has h's rows.
@@ -260,20 +260,10 @@ def row_sum_aggregate(
     column's sums do not depend on the other columns, and the pairs need
     not be grouped by dst. only, a boolean mask over out's rows, sums just
     those rows of a value-sorted sum; the others are +0.0.
-
-    previous, when given, must hold the index-order sums of h's trailing
-    columns over the same pairs, as a 2-D h's skip concatenation keeps
-    them: only the leading columns are summed, and previous's values are
-    appended, which gives the same bits. The backward still sums the whole
-    gradient into h, and previous gets none.
     """
     plan = pairs.plan(h.shape[0], into_src=False)
     if value_sorted:
         out = Tensor(plan.sorted_sum(h.value, only))
-    elif previous is not None:
-        # a contiguous copy: take() gathers rows of a column slice slowly
-        leading = np.ascontiguousarray(h.value[:, : h.shape[1] - previous.shape[1]])
-        out = Tensor(np.concatenate([plan.sum(leading), previous.value], axis=1))
     else:
         out = Tensor(plan.sum(h.value))
 

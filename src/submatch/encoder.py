@@ -186,14 +186,12 @@ def _forward(
 ) -> ad.Tensor:
     """Training forward pass: neighbor sums in index order, BLAS matmuls.
 
-    x = concat(h, previous x), so each layer sums only the newest column
-    block and appends the previous layer's neighbor sums, as _infer does;
-    row_sum_aggregate keeps the full-width backward over x."""
+    x = concat(h, previous x), and every layer sums all of x's columns:
+    index-order sums are cheap, so unlike _infer's sorted sums they are
+    not worth carrying from one layer to the next."""
     x = ad.Tensor(block.features)
-    sums = None  # neighbor sums of x
     for k in range(cfg.layers):
-        sums = ad.row_sum_aggregate(tape, x, block.index, previous=sums)
-        agg = ad.add(tape, x, sums)
+        agg = ad.add(tape, x, ad.row_sum_aggregate(tape, x, block.index))
         h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
         h = ad.leaky_relu(tape, h, LEAKY_SLOPE)
         h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])

@@ -22,6 +22,8 @@ class GraphError(ValueError):
 
 
 def _check_labels(labels, node_count: int, alphabet: int) -> None:
+    if alphabet < 1:
+        raise GraphError(f"label_alphabet_size must be at least 1, got {alphabet}")
     if len(labels) != node_count:
         raise GraphError("node_labels length does not match node_count")
     for u, lab in enumerate(labels):

@@ -19,8 +19,6 @@ from .exact import MatchBudget, MatchOutcome, is_subgraph_anchored
 from .graphs import AnchoredNeighborhood, LabeledGraph, _trusted
 from .graphs import bfs_neighborhood, k_hop_neighborhood
 
-STRATEGIES = ("random_bfs", "random_walk_restart", "mfinder_degree_weighted")
-
 # oracle budget for verifying sampled pair labels; desk-scale graphs are small
 _VERIFY_BUDGET = MatchBudget(max_states=200_000, wall_timeout=5.0)
 RESTART_PROBABILITY = 0.15  # chance per step that random_walk_sample returns to its anchor
@@ -34,7 +32,7 @@ class SamplerConfig:
     max_nodes: int = 15
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in _SAMPLERS:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not 0.0 < self.edge_keep_probability <= 1.0:
             raise ValueError("edge_keep_probability must lie in (0, 1]")

@@ -184,8 +184,8 @@ def _negative(
         gi = int(rng.integers(len(pool)))
         g = pool[gi]
         if cross_target and len(pool) > 1:
-            others = [j for j in range(len(pool)) if j != gi]
-            source = pool[others[int(rng.integers(len(others)))]]
+            j = int(rng.integers(len(pool) - 1))
+            source = pool[j + (j >= gi)]
             pair = sample_negative_pair(
                 g, radius, "random", sampler_cfg, rng, query_source=source, memo=memo
             )

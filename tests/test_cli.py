@@ -387,6 +387,7 @@ BAD_INPUTS = {
     "bench-too-few-instances": ["bench", "--methods", "exact", "--n-instances", "10",
                                 "--data", "{data}/complete-graphs"],
     "train-edge-label": ["train", "--data", "{data}/edge-label"],
+    "train-zero-alphabet": ["train", "--data", "{data}/zero-alphabet"],
     "train-negative-calibration-pairs": ["train", "--calibration-pairs", "-3"],
     "train-removed-learning-rate": ["train", "--set", "train.learning_rate=0.002"],
     "train-removed-weight-decay": ["train", "--set", "train.weight_decay=0.01"],
@@ -424,6 +425,7 @@ BAD_DATA = {
     "edgeless-graphs": ['{"nodes": [{"id": 0}, {"id": 1}], "edges": []}'] * 2,
     "edge-label": ['{"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "label": 1}]}'],
     "complete-graphs": [complete_graph_doc(n) for n in (4, 5, 6)],
+    "zero-alphabet": ['{"nodes": [], "edges": [], "label_alphabet_size": 0}'],
 }
 
 

@@ -154,3 +154,15 @@ def test_readme_graph_example_loads():
     g = from_json(example)
     assert g.edges() == [(0, 1), (1, 2)]
     assert (g.node_labels, g.label_alphabet_size) == ((1, 0, 0), 3)
+
+
+def test_readme_layout_lists_every_module():
+    """README's Layout block names exactly the package's modules, one per
+    line under `src/submatch/`, so a module added, removed or renamed
+    without the doc fails here."""
+    (block,) = re.findall(r"## Layout\n\n```\nsrc/submatch/\n(.*?)```",
+                          README.read_text(encoding="utf-8"), re.S)
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    package = README.parent / "src" / "submatch"
+    modules = sorted(p.name for p in package.glob("*.py") if p.name != "__init__.py")
+    assert sorted(listed) == modules

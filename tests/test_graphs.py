@@ -72,6 +72,12 @@ REJECTED = [
      lambda: LabeledGraph.from_edges(2, [(0, 1)], [0, 5], 2)),
     ("label outside alphabet", "constructor", lambda: LabeledGraph(2, ((1,), (0,)), (0, 2), 2)),
     ("label outside alphabet", "from_json", lambda: from_json(_document(2, [], [0, 5], 2))),
+    ("zero alphabet", "from_edges", lambda: LabeledGraph.from_edges(0, [], [], 0)),
+    ("zero alphabet", "constructor", lambda: LabeledGraph(0, (), (), 0)),
+    ("zero alphabet", "from_json", lambda: from_json(_document(0, [], [], 0))),
+    ("negative alphabet", "from_edges", lambda: LabeledGraph.from_edges(0, [], [], -1)),
+    ("negative alphabet", "constructor", lambda: LabeledGraph(0, (), (), -1)),
+    ("negative alphabet", "from_json", lambda: from_json(_document(0, [], [], -1))),
     ("negative label", "from_edges", lambda: LabeledGraph.from_edges(2, [], [0, -1])),
     ("negative label", "constructor", lambda: LabeledGraph(2, ((), ()), (-1, 0), 2)),
     ("negative label", "from_json", lambda: from_json(_document(2, [], [0, -1]))),

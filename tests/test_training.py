@@ -11,7 +11,6 @@ import pytest
 
 from conftest import DESK_ENCODER, DESK_SAMPLER
 from submatch import autodiff as ad
-from submatch import encoder as E
 from submatch import sampling
 from submatch import training as T
 from submatch.datasets import gen_er
@@ -416,21 +415,6 @@ def _permutation_bfs_sample(g, u, cfg, rng):
     return sampling.bfs_neighborhood(g, u, within=selected)
 
 
-def _full_width_forward(tape, block, params, cfg):
-    """encoder._forward as it was: every layer sums all of x's columns."""
-    _full_width_forward.calls += 1
-    x = ad.Tensor(block.features)
-    for k in range(cfg.layers):
-        agg = ad.add(tape, x, ad.row_sum_aggregate(tape, x, block.index))
-        h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
-        h = ad.leaky_relu(tape, h, E.LEAKY_SLOPE)
-        h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])
-        x = ad.concat(tape, h, x)
-    final = ad.take_rows(tape, x, block.anchors)
-    z = ad.add(tape, ad.matmul(tape, final, params["out.w"]), params["out.b"])
-    return ad.relu(tape, z)
-
-
 def _search_only_anchored(self, q_anchor, t_anchor):
     """exact._Search.run_anchored without the counting checks."""
     _search_only_anchored.calls += 1
@@ -439,9 +423,8 @@ def _search_only_anchored(self, q_anchor, t_anchor):
 
 class TestShortcutsKeepTheBits:
     """A small training run is the same, bit for bit, with each shortcut of
-    the training path swapped for what it replaced: the shuffled BFS sampler,
-    the forward that reuses the previous layer's neighbor sums, and the
-    counting checks before the anchored search."""
+    the training path swapped for what it replaced: the shuffled BFS sampler
+    and the counting checks before the anchored search."""
 
     @staticmethod
     def run(monkeypatch, pool, enc):
@@ -466,11 +449,10 @@ class TestShortcutsKeepTheBits:
         pool = tiny_pool(count=3)
         enc = EncoderConfig(layers=3, hidden_dim=8, output_dim=8, label_alphabet_size=1)
         fast, fast_pairs = self.run(monkeypatch, pool, enc)
-        references = (_permutation_bfs_sample, _full_width_forward, _search_only_anchored)
+        references = (_permutation_bfs_sample, _search_only_anchored)
         for fn in references:
             monkeypatch.setattr(fn, "calls", 0, raising=False)
         monkeypatch.setitem(sampling._SAMPLERS, "random_bfs", _permutation_bfs_sample)
-        monkeypatch.setattr(E, "_forward", _full_width_forward)
         monkeypatch.setattr(_Search, "run_anchored", _search_only_anchored)
         reference, reference_pairs = self.run(monkeypatch, pool, enc)
         assert all(fn.calls > 0 for fn in references)
