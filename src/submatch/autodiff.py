@@ -45,16 +45,13 @@ def _shapes(*tensors: Tensor) -> str:
     return " vs ".join(str(t.shape) for t in tensors)
 
 
-def matmul(tape: Tape, a: Tensor, b: Tensor, row_stable: bool = False) -> Tensor:
-    """a @ b. row_stable computes every row as its own vector-matrix product,
-    so a row's bits depend on that row alone and never on how many rows come
-    with it (a BLAS matrix product may change them with the batch size)."""
+def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+    """a @ b, every row computed as its own vector-matrix product, so a row's
+    bits depend on that row alone and never on how many rows come with it (a
+    BLAS matrix product may change them with the batch size)."""
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {_shapes(a, b)}")
-    if row_stable:
-        out = Tensor(np.matmul(a.value[:, None, :], b.value)[:, 0, :])
-    else:
-        out = Tensor(a.value @ b.value)
+    out = Tensor(np.matmul(a.value[:, None, :], b.value)[:, 0, :])
 
     def backward(g, grads):
         grads.add(a, g @ b.value.T)
@@ -99,28 +96,16 @@ def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
 
 
 def leaky_relu(tape: Tape, a: Tensor, slope: float) -> Tensor:
-    mask = np.where(a.value > 0.0, 1.0, slope)
-    out = Tensor(a.value * mask)
-    tape.push(out, (a,), lambda g, grads: grads.add(a, g * mask))
+    """max(a, slope * a), for a slope in [0, 1]."""
+    out = Tensor(np.maximum(a.value, a.value * slope))
+    tape.push(out, (a,), lambda g, grads: grads.add(a, np.where(a.value > 0.0, g, g * slope)))
     return out
 
 
 def relu(tape: Tape, a: Tensor) -> Tensor:
-    return leaky_relu(tape, a, 0.0)
-
-
-def concat(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two 2-D tensors with the same rows along the columns."""
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ValueError(f"concat shape mismatch: {_shapes(a, b)}")
-    out = Tensor(np.concatenate([a.value, b.value], axis=1))
-    split = a.shape[1]
-
-    def backward(g, grads):
-        grads.add(a, g[:, :split])
-        grads.add(b, g[:, split:])
-
-    tape.push(out, (a, b), backward)
+    """max(a, 0); a negative input gives +0.0."""
+    out = Tensor(np.maximum(a.value, 0.0))
+    tape.push(out, (a,), lambda g, grads: grads.add(a, g * (a.value > 0.0)))
     return out
 
 
@@ -246,42 +231,53 @@ class IndexPairs(tuple):
 
 
 def row_sum_aggregate(
-    tape: Tape, h: Tensor, pairs: IndexPairs, value_sorted: bool = False,
-    only: np.ndarray | None = None,
+    tape: Tape, h: Tensor, pairs: IndexPairs, only: np.ndarray | None = None,
 ) -> Tensor:
     """out[i] = sum of h[j] over the (j, i) in pairs, a (src, dst) pair of
     index arrays that keeps its plans for the next call; out has h's rows.
 
-    Without value_sorted, rows are added in index order. With it, each
-    column's values within a group are added in ascending order, left to
-    right, and a zero sum comes out as +0.0, so every output cell is a
-    function of that column's value multiset alone, signed zeros included
-    (used by inference for isomorphism-invariant output). Either way a
-    column's sums do not depend on the other columns, and the pairs need
-    not be grouped by dst. only, a boolean mask over out's rows, sums just
-    those rows of a value-sorted sum; the others are +0.0.
+    Each column's values within a group are added in ascending order, left
+    to right, and a zero sum comes out as +0.0, so every output cell is a
+    function of that column's value multiset alone, signed zeros included:
+    a column's sums depend neither on the other columns nor on the order of
+    the pairs. only, a boolean mask over out's rows, sums just those rows;
+    the others are +0.0.
     """
-    plan = pairs.plan(h.shape[0], into_src=False)
-    if value_sorted:
-        out = Tensor(plan.sorted_sum(h.value, only))
-    else:
-        out = Tensor(plan.sum(h.value))
+    out = Tensor(pairs.plan(h.shape[0], into_src=False).sorted_sum(h.value, only))
 
     def backward(g, grads):
+        if only is not None:
+            g = np.where(only[:, None], g, 0.0)
         grads.add(h, pairs.plan(h.shape[0], into_src=True).sum(g))
 
     tape.push(out, (h,), backward)
     return out
 
 
-def take_rows(tape: Tape, h: Tensor, idx) -> Tensor:
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(h.value[idx])
+def take_rows(tape: Tape, parts: list[Tensor], rows) -> Tensor:
+    """The given distinct rows of parts, 2-D tensors with the same rows,
+    joined along the columns in list order."""
+    parts, rows = tuple(parts), np.asarray(rows, dtype=np.intp)  # the caller may grow its list
+    out = Tensor(np.concatenate([p.value[rows] for p in parts], axis=1))
 
     def backward(g, grads):
-        grads.add(h, RankPlan(h.shape[0], idx, np.arange(len(idx))).sum(g))
+        start = 0
+        for p in parts:
+            grad = np.zeros(p.shape)
+            grad[rows] = g[:, start:start + p.shape[1]]
+            start += p.shape[1]
+            grads.add(p, grad)
 
-    tape.push(out, (h,), backward)
+    tape.push(out, parts, backward)
+    return out
+
+
+def put_rows(tape: Tape, h: Tensor, rows, n: int) -> Tensor:
+    """n rows of zeros with h's rows at rows, which are distinct."""
+    rows = np.asarray(rows, dtype=np.intp)
+    out = Tensor(np.zeros((n,) + h.shape[1:]))
+    out.value[rows] = h.value
+    tape.push(out, (h,), lambda g, grads: grads.add(h, g[rows]))
     return out
 
 

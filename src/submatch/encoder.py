@@ -141,9 +141,9 @@ class _Block:
     """Disjoint union of a batch of neighborhoods, encoded in one pass.
 
     index is the (src, dst) pair of every directed edge, grouped by dst in
-    row order, as an IndexPairs, so training and inference plan their
-    neighbor sums once per block and direction. Edge labels are not read:
-    the encoder sees only node labels and structure.
+    row order, as an IndexPairs, so the forward pass and its backward plan
+    their neighbor sums once per block and direction. Edge labels are not
+    read: the encoder sees only node labels and structure.
     """
 
     def __init__(self, node_labels: np.ndarray, anchors: np.ndarray, src: np.ndarray,
@@ -155,7 +155,7 @@ class _Block:
     @classmethod
     def of_neighborhoods(cls, neighborhoods: list[AnchoredNeighborhood], cfg: EncoderConfig):
         """Rows in neighborhood order; each neighborhood's edges in adjacency
-        order (training's aggregation order depends on it). Built in one pass
+        order (the backward adds gradients in that order). Built in one pass
         over all rows: a row's edges sit at its CSR positions, shifted by its
         neighborhood's first row."""
         graphs = [nh.graph for nh in neighborhoods]
@@ -184,44 +184,23 @@ class _Block:
 def _forward(
     tape: ad.Tape, block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig
 ) -> ad.Tensor:
-    """Training forward pass: neighbor sums in index order, BLAS matmuls.
-
-    x = concat(h, previous x), and every layer sums all of x's columns:
-    index-order sums are cheap, so unlike _infer's sorted sums they are
-    not worth carrying from one layer to the next."""
-    x = ad.Tensor(block.features)
-    for k in range(cfg.layers):
-        agg = ad.add(tape, x, ad.row_sum_aggregate(tape, x, block.index))
-        h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
-        h = ad.leaky_relu(tape, h, LEAKY_SLOPE)
-        h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])
-        x = ad.concat(tape, h, x)
-    final = ad.take_rows(tape, x, block.anchors)
-    z = ad.add(tape, ad.matmul(tape, final, params["out.w"]), params["out.b"])
-    return ad.relu(tape, z)
-
-
-def _infer(block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig) -> np.ndarray:
-    """Canonical inference forward pass; row i embeds the block's i-th
-    neighborhood.
+    """The encoder's one forward pass; row i embeds the block's i-th
+    neighborhood. Training records it on a tape, validation and serving run
+    it on Tape(record=False).
 
     A row's bits depend only on the isomorphism class of its anchored
     neighborhood, never on node numbering or on the rest of the block:
     neighbor sums add each column's values in ascending order, and every
     matmul row is computed on its own. Two shortcuts leave the bits alone:
-    the neighbor sum of concat(h, x) is concat(sum h, sum x), so each layer
-    aggregates only the newest column block; and layer k computes only nodes
-    within layers-1-k hops of an anchor, since no other node's layer-k output
-    reaches an anchor's embedding. Every layer's sum reads the block's one
-    plan, masked to the nodes that layer computes.
+    the neighbor sum of x, joined from column blocks, is the blocks' sums
+    joined, so each layer aggregates only the newest block; and layer k
+    computes only nodes within layers-1-k hops of an anchor, since no other
+    node's layer-k output reaches an anchor's embedding. Every layer's sum
+    reads the block's one plan, masked to the nodes that layer computes.
     """
-    tape = ad.Tape(record=False)
-
-    def dense(a: np.ndarray, name: str) -> np.ndarray:
-        return ad.matmul(tape, ad.Tensor(a), params[name], row_stable=True).value
-
     src, dst = block.index
-    reach = np.zeros(len(block.features), dtype=bool)
+    n = len(block.features)
+    reach = np.zeros(n, dtype=bool)
     reach[block.anchors] = True
     needed = []  # needed[k]: the nodes layer k must compute
     for _ in range(cfg.layers):
@@ -229,25 +208,19 @@ def _infer(block: _Block, params: dict[str, ad.Tensor], cfg: EncoderConfig) -> n
         reach = reach.copy()
         reach[src[reach[dst]]] = True
 
-    xs = [block.features]  # x as column blocks, oldest first; x = concat(reversed(xs))
-    sums = []  # the neighbor sums of xs, part by part
+    xs = [ad.Tensor(block.features)]  # x as column blocks, newest first
+    sums = []  # the neighbor sums of xs, block by block
     for k in range(cfg.layers):
-        sums.append(ad.row_sum_aggregate(tape, ad.Tensor(xs[-1]), block.index, value_sorted=True,
-                                         only=needed[k]).value)
+        sums.insert(0, ad.row_sum_aggregate(tape, xs[0], block.index, needed[k]))
         rows = np.flatnonzero(needed[k])
-        agg = _gather(xs, rows) + _gather(sums, rows)
-        h = dense(agg, f"layer{k}.w1") + params[f"layer{k}.b1"].value
-        h = np.maximum(h, h * LEAKY_SLOPE)  # leaky ReLU, as the slope lies in (0, 1)
-        fresh = np.zeros((len(block.features), cfg.hidden_dim))
-        fresh[rows] = dense(h, f"layer{k}.w2") + params[f"layer{k}.b2"].value
-        xs.append(fresh)
-    z = dense(_gather(xs, block.anchors), "out.w") + params["out.b"].value
-    return np.maximum(z, 0.0)
-
-
-def _gather(parts: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """Rows of concat(reversed(parts)), the newest part's columns first."""
-    return np.concatenate([p[rows] for p in reversed(parts)], axis=1)
+        agg = ad.add(tape, ad.take_rows(tape, xs, rows), ad.take_rows(tape, sums, rows))
+        h = ad.add(tape, ad.matmul(tape, agg, params[f"layer{k}.w1"]), params[f"layer{k}.b1"])
+        h = ad.leaky_relu(tape, h, LEAKY_SLOPE)
+        h = ad.add(tape, ad.matmul(tape, h, params[f"layer{k}.w2"]), params[f"layer{k}.b2"])
+        xs.insert(0, ad.put_rows(tape, h, rows, n))
+    final = ad.take_rows(tape, xs, block.anchors)
+    z = ad.add(tape, ad.matmul(tape, final, params["out.w"]), params["out.b"])
+    return ad.relu(tape, z)
 
 
 def _as_tensors(params: dict[str, np.ndarray]) -> dict[str, ad.Tensor]:
@@ -260,7 +233,8 @@ def encode_batch(
     params: dict[str, ad.Tensor],
     cfg: EncoderConfig,
 ) -> ad.Tensor:
-    """Embed a batch of neighborhoods; returns a (B, D) tensor on the tape."""
+    """Embed a batch of neighborhoods; returns a (B, D) tensor on the tape
+    whose row i has encode()'s bits for neighborhoods[i]."""
     return _forward(tape, _Block.of_neighborhoods(neighborhoods, cfg), params, cfg)
 
 
@@ -269,7 +243,8 @@ def encode(
 ) -> np.ndarray:
     """Inference embedding of one neighborhood: a (D,) array whose bits
     depend only on the isomorphism class of the anchored neighborhood."""
-    return _infer(_Block.of_neighborhoods([n], cfg), _as_tensors(params), cfg)[0]
+    block = _Block.of_neighborhoods([n], cfg)
+    return _forward(ad.Tape(record=False), block, _as_tensors(params), cfg).value[0]
 
 
 CHUNK_ROWS = 4096  # nodes per inference block in encode_all
@@ -317,7 +292,8 @@ def encode_all(
         balls = k_hop_balls(indptr, indices, anchors[first:first + -(-left // blocks)], k,
                             max_rows=2 * CHUNK_ROWS, block_ids=block_ids, triangles=triangles)
         last = first + len(balls.anchors)
-        out[anchors[first:last]] = _infer(_Block.of_balls(balls, node_labels, cfg), tensors, cfg)
+        block = _Block.of_balls(balls, node_labels, cfg)
+        out[anchors[first:last]] = _forward(ad.Tape(record=False), block, tensors, cfg).value
         rows += len(balls.nodes)
         first = last
         per_ball = rows / first

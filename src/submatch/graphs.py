@@ -513,8 +513,13 @@ def from_json(text: str | bytes) -> LabeledGraph:
 
 
 def load_graph(path) -> LabeledGraph:
+    """from_json of a file; a GraphError names the file."""
     with open(path, "rb") as fh:
-        return from_json(fh.read())
+        text = fh.read()
+    try:
+        return from_json(text)
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def save_graph(g: LabeledGraph, path) -> None:

@@ -294,7 +294,8 @@ def pair_violations(
     params: dict[str, np.ndarray],
     cfg: EncoderConfig,
 ) -> np.ndarray:
-    """Violation E(z_query, z_target) per pair, computed without a tape."""
+    """Violation E(z_query, z_target) per pair, computed without a tape; a
+    pair's bits do not depend on the pairs that share its chunk."""
     out = np.empty(len(pairs))
     tensors = _as_tensors(params)
     for start in range(0, len(pairs), VALIDATION_CHUNK):
@@ -409,8 +410,8 @@ def train(
             with np.errstate(over="ignore", invalid="ignore"):
                 embs = encode_batch(tape, nbhds, tensors, encoder_cfg)
                 n = len(pairs)
-                z_q = ad.take_rows(tape, embs, np.arange(n))
-                z_u = ad.take_rows(tape, embs, np.arange(n, 2 * n))
+                z_q = ad.take_rows(tape, [embs], np.arange(n))
+                z_u = ad.take_rows(tape, [embs], np.arange(n, 2 * n))
                 labels = np.array([1 if p.label else 0 for p in pairs])
                 loss = margin_loss(tape, z_q, z_u, labels, margin_cfg)
             if not np.isfinite(loss.value):

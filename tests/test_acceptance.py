@@ -79,8 +79,8 @@ def test_criterion_3_gradient_fidelity():
         def composition(params, tape):
             embs = encode_batch(tape, nbhds, params, cfg)
             half = len(nbhds) // 2
-            zq = ad.take_rows(tape, embs, np.arange(half))
-            zu = ad.take_rows(tape, embs, np.arange(half, 2 * half))
+            zq = ad.take_rows(tape, [embs], np.arange(half))
+            zu = ad.take_rows(tape, [embs], np.arange(half, 2 * half))
             return margin_loss(tape, zq, zu, labels[:half], margin)
 
         params = init_params(cfg, seed=seed + 100)

@@ -22,22 +22,28 @@ class TestForward:
         assert np.allclose(out, [-0.01, 2.0])
 
     def test_relu_values(self):
-        assert np.array_equal(run(ad.relu, ad.Tensor([-3.0, 0.0, 5.0])), [0.0, 0.0, 5.0])
+        out = run(ad.relu, ad.Tensor([-3.0, -0.0, 0.0, 5.0]))
+        assert np.array_equal(out, [0.0, 0.0, 0.0, 5.0])
+        assert not np.signbit(out).any()  # a negative input gives +0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             run(ad.matmul, ad.Tensor([[1.0]]), ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         with pytest.raises(ValueError):
             run(ad.add, ad.Tensor([1.0]), ad.Tensor([1.0, 2.0]))
-        # concat takes 2-D tensors only
-        with pytest.raises(ValueError):
-            run(ad.concat, ad.Tensor([1.0]), ad.Tensor([2.0]))
 
     def test_row_sum_aggregate(self):
         h = ad.Tensor([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         out = run(ad.row_sum_aggregate, h, pairs_of([[1, 2], [], [0]]))
         assert np.array_equal(out, [[2.0, 3.0], [0.0, 0.0], [1.0, 0.0]])
 
+    def test_take_and_put_rows(self):
+        a = ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        b = ad.Tensor([[7.0], [8.0], [9.0]])
+        assert np.array_equal(run(ad.take_rows, [a, b], [2, 0]), [[5.0, 6.0, 9.0],
+                                                                 [1.0, 2.0, 7.0]])
+        put = run(ad.put_rows, b, [3, 0, 1], 5)
+        assert np.array_equal(put, [[8.0], [9.0], [0.0], [7.0], [0.0]])
 
 
 class TestBackward:
@@ -96,14 +102,18 @@ OPS_FOR_GRADCHECK = [
     ("mul", lambda p, t: ad.sum_all(t, ad.mul(t, p["a"], p["b"]))),
     ("leaky_relu", lambda p, t: ad.sum_all(t, ad.leaky_relu(t, p["a"], 0.2))),
     ("relu", lambda p, t: ad.sum_all(t, ad.relu(t, p["a"]))),
-    ("concat", lambda p, t: ad.sum_all(t, ad.mul(t, c := ad.concat(t, p["a2"], p["c2"]), c))),
     (
         "row_sum",
         lambda p, t: ad.sum_all(
             t, ad.mul(t, s := ad.row_sum_aggregate(t, p["a2"], pairs_of([[1, 2], [0], [0, 1]])), s)
         ),
     ),
-    ("take_rows", lambda p, t: ad.sum_all(t, ad.mul(t, g := ad.take_rows(t, p["a2"], [0, 2, 2]), g))),
+    ("row_sum_only", lambda p, t: ad.sum_all(t, ad.mul(t, s := ad.row_sum_aggregate(
+        t, p["a2"], pairs_of([[1, 2], [0], [0, 1]]), np.array([True, False, True])), s))),
+    ("take_rows", lambda p, t: ad.sum_all(
+        t, ad.mul(t, g := ad.take_rows(t, [p["a2"], p["c2"]], [2, 0]), g))),
+    ("put_rows", lambda p, t: ad.sum_all(t, ad.mul(
+        t, ad.put_rows(t, p["a2"], [4, 0, 2], 5), ad.put_rows(t, p["c2"], [0, 1, 4], 5)))),
 ]
 
 
@@ -162,42 +172,42 @@ class TestValueSortedSum:
             data.draw(st.lists(st.integers(0, n - 1), max_size=12)) for _ in range(n)
         ]
         groups = pairs_of(lists)
-        out = run(ad.row_sum_aggregate, ad.Tensor(h), groups, value_sorted=True)
+        out = run(ad.row_sum_aggregate, ad.Tensor(h), groups)
         shuffled = pairs_of([data.draw(st.permutations(g)) for g in lists])
-        again = run(ad.row_sum_aggregate, ad.Tensor(h), shuffled, value_sorted=True)
+        again = run(ad.row_sum_aggregate, ad.Tensor(h), shuffled)
         assert np.array_equal(out, again)
         # the pairs in any order give the same bits
         src, dst = shuffled
         order = np.asarray(data.draw(st.permutations(range(len(src)))), dtype=np.intp)
-        pairs = run(ad.row_sum_aggregate, ad.Tensor(h), ad.IndexPairs(src[order], dst[order]),
-                    value_sorted=True)
+        pairs = run(ad.row_sum_aggregate, ad.Tensor(h), ad.IndexPairs(src[order], dst[order]))
         assert np.array_equal(out, pairs)
         # a column's sums depend on that column alone
         for c in range(h.shape[1]):
-            column = run(ad.row_sum_aggregate, ad.Tensor(h[:, c:c + 1]), groups,
-                         value_sorted=True)
+            column = run(ad.row_sum_aggregate, ad.Tensor(h[:, c:c + 1]), groups)
             assert np.array_equal(out[:, c:c + 1], column)
-        plain = run(ad.row_sum_aggregate, ad.Tensor(h), groups)
+        plain = add_at_reference(n, groups[1], h[groups[0]])
         assert np.allclose(out, plain, rtol=1e-9, atol=1e-3)
 
     def test_adds_each_column_in_ascending_order(self):
         # 1e16 + 1 rounds back to 1e16, so the order of additions shows in the bits
         h = ad.Tensor([[1e16, 1.0], [1.0, 1e16], [1.0, 1.0]])
-        out = run(ad.row_sum_aggregate, h, pairs_of([[0, 1, 2]]), value_sorted=True)
+        out = run(ad.row_sum_aggregate, h, pairs_of([[0, 1, 2]]))
         assert np.array_equal(out[:1], [[(1.0 + 1.0) + 1e16, (1.0 + 1.0) + 1e16]])
         assert (1.0 + 1.0) + 1e16 != (1e16 + 1.0) + 1.0
 
-    def test_gradient_matches_plain_sum(self):
+    @pytest.mark.parametrize("only", [None, [True, False, False, True]])
+    def test_gradient_is_the_plain_sum_into_src(self, only):
         rng = np.random.default_rng(0)
         groups = pairs_of([[1, 2], [0], [], [0, 1, 2]])
-        h_val = rng.normal(size=(4, 3))
-        grads = []
-        for value_sorted in (False, True):
-            tape = ad.Tape()
-            h = ad.Tensor(h_val, name="h")
-            out = ad.row_sum_aggregate(tape, h, groups, value_sorted=value_sorted)
-            grads.append(ad.backward(tape, ad.sum_all(tape, out))["h"])
-        assert np.array_equal(grads[0], grads[1])
+        src, dst = groups
+        g = rng.normal(size=(4, 3))
+        tape = ad.Tape()
+        h = ad.Tensor(rng.normal(size=(4, 3)), name="h")
+        mask = None if only is None else np.array(only)
+        out = ad.row_sum_aggregate(tape, h, groups, mask)
+        grad = ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(g))))["h"]
+        kept = g if mask is None else np.where(mask[:, None], g, 0.0)
+        assert grad.tobytes() == add_at_reference(4, src, kept[dst]).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -210,11 +220,11 @@ class TestValueSortedSum:
         mixed = data.draw(arrays(np.float64, n, elements=_scatter_values))
         h = ad.Tensor(np.stack([zeros, mixed], axis=1))
         lists = [list(g) for g in np.split(np.arange(n), np.cumsum(sizes)[:-1])]
-        out = run(ad.row_sum_aggregate, h, pairs_of(lists), value_sorted=True)
+        out = run(ad.row_sum_aggregate, h, pairs_of(lists))
         assert not np.signbit(out[:, 0]).any()
         for _ in range(3):
             shuffled = pairs_of([data.draw(st.permutations(g)) for g in lists])
-            again = run(ad.row_sum_aggregate, h, shuffled, value_sorted=True)
+            again = run(ad.row_sum_aggregate, h, shuffled)
             assert again.tobytes() == out.tobytes()
 
 
@@ -320,8 +330,8 @@ def add_at_reference(n_out, idx, rows):
 
 
 class _AddAtPlan:
-    """RankPlan's contract computed by np.add.at from the pairs as given;
-    sums counts the calls."""
+    """RankPlan's contract computed by np.add.at and by
+    sorted_sums_reference from the pairs as given; sums counts the calls."""
 
     sums = 0
 
@@ -331,6 +341,13 @@ class _AddAtPlan:
     def sum(self, values):
         _AddAtPlan.sums += 1
         return add_at_reference(self.n_out, self.idx, values[self.src])
+
+    def sorted_sum(self, values, only=None):
+        _AddAtPlan.sums += 1
+        out = sorted_sums_reference(values, self.src, self.idx, self.n_out) + 0.0
+        if only is not None:
+            out[~only] = 0.0
+        return out
 
 
 class TestScatterRows:
@@ -389,8 +406,8 @@ class TestScatterRows:
         src, dst = rng.integers(0, 20, size=80), rng.integers(0, 20, size=80)
         values = rng.choice([1e16, -1e16, 1.0, -0.0, 0.5, 3.25e-7], size=(20, 3))
         pairs = ad.IndexPairs(src, dst)
-        canonical = run(ad.row_sum_aggregate, ad.Tensor(values), pairs, value_sorted=True)
-        plain = run(ad.row_sum_aggregate, ad.Tensor(values), pairs)
+        canonical = run(ad.row_sum_aggregate, ad.Tensor(values), pairs)
+        plain = pairs.plan(20, into_src=False).sum(values)
         assert len(builds) == 1 and builds[0] is dst
         assert canonical.tobytes() == (sorted_sums_reference(values, src, dst, 20) + 0.0).tobytes()
         assert plain.tobytes() == add_at_reference(20, dst, values[src]).tobytes()
@@ -412,7 +429,7 @@ class TestScatterRows:
         monkeypatch.setattr(ad, "RankPlan", _AddAtPlan)
         monkeypatch.setattr(_AddAtPlan, "sums", 0)
         reference = _train_tiny_params()
-        assert _AddAtPlan.sums > 0  # every neighbor sum and take_rows backward ran it
+        assert _AddAtPlan.sums > 0  # every neighbor sum and its backward ran it
         assert fast.keys() == reference.keys()
         for name in fast:
             assert fast[name].tobytes() == reference[name].tobytes(), name
@@ -444,10 +461,10 @@ def _train_tiny_params():
 
 
 READ_ONLY_EXTRA_OPS = [
-    ("concat_2d", lambda p, t: ad.sum_all(
-        t, ad.mul(t, c := ad.concat(t, p["a2"], p["a2"]), c))),
-    ("row_sum_sorted", lambda p, t: ad.sum_all(t, ad.row_sum_aggregate(
-        t, p["a2"], pairs_of([[1, 2], [0], [0, 1]]), value_sorted=True))),
+    ("take_rows_twice", lambda p, t: ad.sum_all(
+        t, ad.mul(t, c := ad.take_rows(t, [p["a2"], p["a2"]], [1, 2]), c))),
+    ("row_sum_unsquared", lambda p, t: ad.sum_all(t, ad.row_sum_aggregate(
+        t, p["a2"], pairs_of([[1, 2], [0], [0, 1]])))),
 ]
 
 
@@ -485,14 +502,14 @@ class TestGradStore:
         assert _train_tiny_params()
 
 
-def test_row_stable_matmul_rows_ignore_batch_size():
+def test_matmul_rows_ignore_batch_size():
     rng = np.random.default_rng(3)
     a = ad.Tensor(rng.normal(size=(50, 37)))
     b = ad.Tensor(rng.normal(size=(37, 19)))
-    full = run(ad.matmul, a, b, row_stable=True)
+    full = run(ad.matmul, a, b)
     assert np.allclose(full, a.value @ b.value)
     for lo, hi in [(0, 1), (7, 8), (3, 20), (10, 50)]:
-        part = run(ad.matmul, ad.Tensor(a.value[lo:hi]), b, row_stable=True)
+        part = run(ad.matmul, ad.Tensor(a.value[lo:hi]), b)
         assert np.array_equal(part, full[lo:hi])
 
 

@@ -386,7 +386,10 @@ BAD_INPUTS = {
     # can be certified and fewer instances than asked come back
     "bench-too-few-instances": ["bench", "--methods", "exact", "--n-instances", "10",
                                 "--data", "{data}/complete-graphs"],
+    "bench-bad-label-among-good": ["bench", "--methods", "exact",
+                                   "--data", "{data}/bad-label-among-good"],
     "train-edge-label": ["train", "--data", "{data}/edge-label"],
+    "train-bad-label-among-good": ["train", "--data", "{data}/bad-label-among-good"],
     "train-zero-alphabet": ["train", "--data", "{data}/zero-alphabet"],
     "train-negative-calibration-pairs": ["train", "--calibration-pairs", "-3"],
     "train-removed-learning-rate": ["train", "--set", "train.learning_rate=0.002"],
@@ -426,6 +429,10 @@ BAD_DATA = {
     "edge-label": ['{"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "label": 1}]}'],
     "complete-graphs": [complete_graph_doc(n) for n in (4, 5, 6)],
     "zero-alphabet": ['{"nodes": [], "edges": [], "label_alphabet_size": 0}'],
+    # graph_0001.json has a label outside its alphabet
+    "bad-label-among-good": [
+        '{"nodes": [{"id": 0}, {"id": 1, "label": %d}], "edges": [{"u": 0, "v": 1}], '
+        '"label_alphabet_size": 2}' % label for label in (1, 3, 0)],
 }
 
 
@@ -454,6 +461,22 @@ def test_bad_input_exits_one_before_writing(argv, dataset_dir, smoke_model, tmp_
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
     assert not caught, [str(w.message) for w in caught]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_bad_graph_file_is_named(command, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for i, doc in enumerate(BAD_DATA["bad-label-among-good"]):
+        (data / f"graph_{i:04d}.json").write_text(doc)
+    argv = {"train": ["--out", str(tmp_path / "out")],
+            "bench": ["--methods", "exact", "--out-csv", str(tmp_path / "rows.csv"),
+                      "--out-json", str(tmp_path / "summary.json")]}[command]
+    code = run_cli(command, "--data", str(data), *argv)
+    err = capsys.readouterr().err.strip()
+    assert code == 1, err
+    assert err == (f"config error: {data / 'graph_0001.json'}: "
+                   "node 1 has label 3 outside alphabet of size 2"), err
 
 
 WRONG_KIND_PATHS = {

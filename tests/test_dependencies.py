@@ -109,3 +109,27 @@ def test_one_online_decision_path():
             if name in ONLINE_STEPS:
                 calls.append(f"{file}:{node.lineno} calls {name}")
     assert not calls, calls
+
+
+def test_one_encoder_forward():
+    """encoder._forward is the one place the encoder multiplies and sums
+    neighbors, for training, validation and serving alike: no other encoder
+    function calls ad.matmul or ad.row_sum_aggregate, encoder.py has no @,
+    np.matmul or np.dot, and no second forward named _infer exists."""
+    tree = ast.parse((PACKAGE / "encoder.py").read_text())
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name != "_forward":
+            found += [f"encoder.py:{node.lineno} {func.name} calls ad.{node.func.attr}"
+                      for node in ast.walk(func) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("matmul", "row_sum_aggregate")]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"encoder.py:{node.lineno} uses @")
+        if (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot")
+                and getattr(node.value, "id", None) == "np"):
+            found.append(f"encoder.py:{node.lineno} uses np.{node.attr}")
+    found += [f"{file}:{node.lineno} defines _infer" for file, node in package_nodes()
+              if isinstance(node, ast.FunctionDef) and node.name == "_infer"]
+    assert not found, found

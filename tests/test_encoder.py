@@ -165,6 +165,22 @@ class TestEncode:
         assert "out.w" in grads and np.any(grads["out.w"] != 0)
 
 
+class TestOneForward:
+    """Training, validation and serving run one forward pass, so a batch
+    row's bits are those of its neighborhood encoded alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), count=st.integers(1, 12),
+           params_seed=st.integers(0, 1000))
+    def test_batch_rows_equal_encode(self, seed, count, params_seed):
+        nhs = random_neighborhoods(seed, count)
+        params = init_params(SMALL, seed=params_seed)
+        alone = np.stack([encode(nh, params, SMALL) for nh in nhs])
+        for tape in (ad.Tape(record=False), ad.Tape()):
+            batch = encode_batch(tape, nhs, _as_tensors(params), SMALL).value
+            assert batch.tobytes() == alone.tobytes()  # +0.0 included
+
+
 class TestEncodeAll:
     def test_covers_every_node_and_matches_encode(self):
         g = gen_er(25, 0.2, 2, seed=11)
@@ -287,8 +303,8 @@ class TestBlockOfNeighborhoods:
 
 
 class TestNeighborSumPlans:
-    """Training and inference plan each of a block's neighbor sums once per
-    direction, for all its layers; inference's layers mask one plan into dst."""
+    """The forward pass and its backward plan each of a block's neighbor sums
+    once per direction, for all its layers; the layers mask one plan into dst."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -314,26 +330,26 @@ class TestNeighborSumPlans:
             out = encoder._forward(tape, block, params, cfg)
             if tape.record:
                 ad.backward(tape, ad.sum_all(tape, out))
-            return [id(idx) for idx, _ in built], block.index, block.anchors
+            return [id(idx) for idx, _ in built], block.index
 
-        got, (src, dst), anchors = plans_built(ad.Tape())
-        # the forward plan on the first layer; take_rows' one-off plan and the
-        # backward plan on the last layer, which backward() reaches first
-        assert got == [id(dst), id(anchors), id(src)]
-        got, (_, dst), _ = plans_built(ad.Tape(record=False))  # validation
+        got, (src, dst) = plans_built(ad.Tape())
+        # the forward plan on the first layer, and the backward plan on the
+        # last layer, which backward() reaches first
+        assert got == [id(dst), id(src)]
+        got, (_, dst) = plans_built(ad.Tape(record=False))  # validation
         assert got == [id(dst)]
 
     def test_encode_all_plans_once_per_block(self, built, monkeypatch):
         per_block = []
-        infer = encoder._infer
+        forward = encoder._forward
 
-        def recording(block, *args):
+        def recording(tape, block, *args):
             built.clear()
-            out = infer(block, *args)
+            out = forward(tape, block, *args)
             per_block.append((block, list(built)))
             return out
 
-        monkeypatch.setattr(encoder, "_infer", recording)
+        monkeypatch.setattr(encoder, "_forward", recording)
         monkeypatch.setattr(encoder, "CHUNK_ROWS", 64)
         cfg = EncoderConfig(layers=4, hidden_dim=8, output_dim=8, label_alphabet_size=2)
         encode_all(gen_er(40, 0.1, 2, seed=3), 3, init_params(cfg, seed=0), cfg)
@@ -379,13 +395,13 @@ class TestBallPath:
         params = init_params(SMALL, seed=7)
         direct = per_node(g, 2, params, SMALL)
         blocks = []
-        infer = encoder._infer
+        forward = encoder._forward
 
-        def recording(block, *args):
+        def recording(tape, block, *args):
             blocks.append((len(block.features), len(block.anchors)))
-            return infer(block, *args)
+            return forward(tape, block, *args)
 
-        monkeypatch.setattr(encoder, "_infer", recording)
+        monkeypatch.setattr(encoder, "_forward", recording)
         monkeypatch.setattr(encoder, "CHUNK_ROWS", 64)
         assert np.array_equal(encode_all(g, 2, params, SMALL), direct)
         # only twin representatives are embedded: the hub's 199 leaves form two

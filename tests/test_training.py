@@ -14,10 +14,10 @@ from submatch import autodiff as ad
 from submatch import sampling
 from submatch import training as T
 from submatch.datasets import gen_er
-from submatch.encoder import EncoderConfig, encode_batch, init_params, _as_tensors
+from submatch.encoder import EncoderConfig, encode, encode_batch, init_params, _as_tensors
 from submatch.exact import _Search, is_subgraph_anchored
 from submatch.graphs import k_hop_neighborhood
-from submatch.order import MarginConfig, margin_loss
+from submatch.order import MarginConfig, margin_loss, violation
 from submatch.sampling import SamplerConfig
 from submatch.training import (
     AdamState,
@@ -30,6 +30,7 @@ from submatch.training import (
     cosine_lr,
     curriculum_update,
     history_to_csv,
+    pair_violations,
     sample_validation_pairs,
     train,
 )
@@ -58,8 +59,8 @@ class TestAdam:
         params = init_params(TINY_ENC, seed=0)
         tape = ad.Tape()
         embs = encode_batch(tape, nbhds, _as_tensors(params), TINY_ENC)
-        loss = margin_loss(tape, ad.take_rows(tape, embs, [0]), ad.take_rows(tape, embs, [1]),
-                           np.array([0]), MarginConfig())
+        loss = margin_loss(tape, ad.take_rows(tape, [embs], [0]),
+                           ad.take_rows(tape, [embs], [1]), np.array([0]), MarginConfig())
         grads = ad.backward(tape, loss)
         assert grads.keys() == params.keys()
         adam_step(params, grads, AdamState.init(params), lr=0.1)
@@ -294,8 +295,8 @@ class TestTrainLoop:
             tensors = _as_tensors(params)
             embs = encode_batch(tape, nbhds, tensors, TINY_ENC)
             n = len(pairs)
-            zq = ad.take_rows(tape, embs, np.arange(n))
-            zu = ad.take_rows(tape, embs, np.arange(n, 2 * n))
+            zq = ad.take_rows(tape, [embs], np.arange(n))
+            zu = ad.take_rows(tape, [embs], np.arange(n, 2 * n))
             loss = margin_loss(tape, zq, zu, labels, MarginConfig())
             losses.append(float(loss.value))
             grads = ad.backward(tape, loss)
@@ -363,6 +364,20 @@ class TestTrainLoop:
         assert sum(labels) == 12
         for p in pairs[:8]:
             assert is_subgraph_anchored(p.query, p.target).is_true == p.label
+
+
+def test_pair_violations_ignore_the_chunk_size(monkeypatch):
+    """A pair's violation is that of its two neighborhoods encoded alone,
+    whichever pairs share its batch."""
+    pool = tiny_pool(count=3)
+    pairs = sample_validation_pairs(pool, 3, SamplerConfig(max_nodes=8),
+                                    np.random.default_rng(2), 40)
+    params = init_params(TINY_ENC, seed=1)
+    alone = violation(np.stack([encode(p.query, params, TINY_ENC) for p in pairs]),
+                      np.stack([encode(p.target, params, TINY_ENC) for p in pairs]))
+    for chunk in (1, 7, 128):
+        monkeypatch.setattr(T, "VALIDATION_CHUNK", chunk)
+        assert pair_violations(pairs, params, TINY_ENC).tobytes() == alone.tobytes(), chunk
 
 
 def test_second_training_run_does_not_refault_its_memory():
@@ -469,7 +484,7 @@ class TestShortcutsKeepTheBits:
 # thread. The checkpoint keeps the best validation epoch's parameters; the
 # history's losses depend on every epoch's.
 PINNED_SHA256 = {
-    "checkpoint.json": "5c8b046b5decce7fda4b87c4bc576ee9a311738d29bb2c65a46b8c0ce8959d9b",
+    "checkpoint.json": "55237f20c40c7aa7faff5f0a17b3868bc4781ba23ed4fb7396e48ed085e8b1ac",
     "history.csv": "d2e30f5382b817205904747844b1ff0c5836256f717683cc2579a99f9d7b140d",
 }
 
